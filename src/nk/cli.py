@@ -368,10 +368,6 @@ def run(job: JobDocument, precision=None, direction=None,
     return _RUNNERS[job.kind](job.payload, k, dirn, oracle)
 
 
-def _poly_json(p):
-    return p.to_json()
-
-
 def _novikov_section(rep):
     lines = ["degree  b^Nov  q^Nov  torsion factors"]
     for i in range(rep.lo, rep.hi + 1):
@@ -474,7 +470,6 @@ def _run_domination(payload, k, dirn, oracle):
 
 def _run_fundomain(payload, k, dirn, oracle):
     fd = payload["domain"]
-    cone = assemble_mapping_cone(fd)
     fhat = algebraic_novikov_complex(fd, "exact")
     rep = novikov_homology(fhat, dirn)
     zeta = torsion_zeta(fd)
@@ -496,7 +491,7 @@ def _run_fundomain(payload, k, dirn, oracle):
     code = 0 if rep.conclusive else 1
     if oracle:
         checks = [_exact_vs_truncated_check(fd, fhat, k),
-                  _cone_vs_fhat_check(cone, fhat, dirn)]
+                  _cone_vs_fhat_check(assemble_mapping_cone(fd), rep, dirn)]
         data["oracle"] = checks
         lines += _oracle_lines(checks)
     return Report("fundomain", code, data, "\n".join(lines) + "\n")
@@ -522,9 +517,9 @@ def _as_rational(e):
     return e if hasattr(e, "denominator") else RationalFunction(e)
 
 
-def _cone_vs_fhat_check(cone, fhat, dirn):
+def _cone_vs_fhat_check(cone, rb, dirn):
+    """The cone's Novikov report against rb, the report of F^."""
     ra = novikov_homology(cone, dirn)
-    rb = novikov_homology(fhat, dirn)
     lo, hi = min(ra.lo, rb.lo), max(ra.hi, rb.hi)
     ok = all(ra.b(i) == rb.b(i)
              and list(ra.torsion_factors.get(i, [])) ==
@@ -576,7 +571,7 @@ def _run_knot(payload, k, dirn, oracle):
                      + ", ".join(f"H_{i}: {list(t)}"
                                  for i, t in sorted(verdict.base_torsion.items())))
     if oracle:
-        checks = [_ses_check(s, verdict, dirn),
+        checks = [_ses_check(s, factors, dirn),
                   {"check": "fibering-criteria-agree",
                    "ok": verdict.novikov_vanishes == verdict.extreme_coeffs_unit
                    or bool(verdict.base_torsion),
@@ -586,11 +581,10 @@ def _run_knot(payload, k, dirn, oracle):
     return Report("knot", 0, data, "\n".join(lines) + "\n")
 
 
-def _ses_check(s, verdict, dirn):
+def _ses_check(s, factors, dirn):
     """Novikov factors of the knot complex match the non-unit invariant
     factors of e + z(1-e) on each H_i."""
     from .models import induced_map_on_free_homology, _alex_entry
-    factors = knot_novikov_factors(s, dirn)
     ok = True
     details = []
     for i in s.base.degrees():

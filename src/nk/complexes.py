@@ -24,7 +24,6 @@ from .linalg import (
     matmul,
     matrix_from_json,
     matrix_to_json,
-    rank_int,
     smith_normal_form_int,
 )
 
@@ -308,8 +307,10 @@ def integral_homology(c: BasedChainComplex) -> HomologyReport:
     return HomologyReport(c.lo, c.hi, betti, torsion)
 
 
-def morse_lower_bounds(report: HomologyReport) -> dict:
-    """Right-hand sides b_i + q_i + q_{i-1} of the Morse inequalities.
+def morse_lower_bounds(report) -> dict:
+    """Right-hand sides b_i + q_i + q_{i-1} of the Morse inequalities,
+    for a HomologyReport or (as ``novikov.morse_novikov_bounds``) a
+    NovikovReport.
 
     q below the report range counts as 0; the range extends one degree
     above the top when q_hi > 0 (torsion bounds two degrees).
@@ -317,15 +318,3 @@ def morse_lower_bounds(report: HomologyReport) -> dict:
     hi = report.hi + (1 if report.torsion_count(report.hi) else 0)
     return {i: report.b(i) + report.torsion_count(i) + report.torsion_count(i - 1)
             for i in range(report.lo, hi + 1)}
-
-
-def function_field_betti(c: BasedChainComplex) -> dict:
-    """Free ranks over the fraction field, for Laurent/Rational grades."""
-    from .linalg import rank_over_function_field
-    r = {i: rank_over_function_field(c.differential(i))
-         for i in range(c.lo + 1, c.hi + 1)}
-    return {i: c.rank(i) - r.get(i, 0) - r.get(i + 1, 0) for i in c.degrees()}
-
-
-def rank_of_differential_int(c: BasedChainComplex, i: int) -> int:
-    return rank_int(c.differential(i))

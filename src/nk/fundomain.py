@@ -18,9 +18,11 @@ Out of this come three exact constructions:
   Novikov-type coefficients;
 * the algebraic Novikov complex F^ on the ranks of F, with differential
   d_F + z h_F (1 - z h_D)^-1 c  =  d_F + sum_{j>=1} z^j h_F h_D^{j-1} c,
-  exactly (rational entries, inverse by adjugate/determinant -- the
-  determinant has constant coefficient 1, hence is invertible in the
-  rational subring) or truncated at a series order;
+  exactly or truncated at a series order.  Exactly, each 1 - z h_D | D_i
+  goes through one fraction-free elimination per domain, which gives
+  its determinant and adjugate over Z[z,z^-1]; the determinant has
+  constant coefficient 1, hence is invertible in the rational subring,
+  and each entry of z h_F adj c is divided by it once;
 * the torsion of the projection C(phi) -> F^, in commutative determinant
   form: the alternating product of det(1 - z h_D | D_i), a zeta-type
   rational function.
@@ -29,14 +31,10 @@ Out of this come three exact constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .rings import (
-    LaurentPoly,
-    RationalFunction,
-    expand,
-    truncate_poly,
-)
-from .linalg import Matrix, adjugate_laurent, det_laurent, matmul, matrix_to_json
+from .rings import LaurentPoly, RationalFunction, truncate_poly
+from .linalg import Matrix, matmul, matrix_to_json, solve_laurent
 from .complexes import BasedChainComplex, Grade
 
 Z = LaurentPoly({1: 1})
@@ -98,6 +96,19 @@ class AlgebraicFundamentalDomain:
 
     def h_F_at(self, i):
         return self.h_F.get(i) or Matrix.zeros(self.F.rank(i), self.D.rank(i))
+
+    @cached_property
+    def adjugates(self):
+        """{i: (det, adj)} of 1 - z h_D on D_i, for each degree where D
+        is nonzero: one elimination per degree and domain, shared by F^,
+        the cokernel check and the zeta."""
+        return {i: solve_laurent(_one_minus_zh(self, i),
+                                 Matrix.identity(self.D.rank(i)))
+                for i in self.D.degrees() if self.D.rank(i)}
+
+    def adjugate_at(self, i):
+        """(det, adj) of 1 - z h_D on D_i; (1, empty) where D_i = 0."""
+        return self.adjugates.get(i) or (ONE, Matrix.zeros(0, 0))
 
     def to_json(self):
         return {
@@ -195,19 +206,12 @@ def _one_minus_zh(fd, i) -> Matrix:
     return Matrix.identity(fd.D.rank(i)) - fd.h_D_at(i).scaled(Z)
 
 
-def _inverse_one_minus_zh(fd, i) -> Matrix:
-    """(1 - z h_D)^-1 on D_i, exact rational entries via adjugate/det.
-
-    det(1 - z h_D) has constant coefficient det(I) = 1, so it lies in S
-    and the inverse stays inside the rational subring.
-    """
-    m = _lau(_one_minus_zh(fd, i))
-    n = m.rows
-    if n == 0:
-        return Matrix.zeros(0, 0)
-    det = det_laurent(m)
-    adj = adjugate_laurent(m)
-    return adj.map_entries(lambda e: RationalFunction(e, det))
+def _fhat_numerator(fd, i):
+    """(det, N) with d_F^ = N / det in degree i: det = det(1 - z h_D) on
+    D_{i-1} and N = det d_F + z h_F adj(1 - z h_D) c over Z[z,z^-1]."""
+    det, adj = fd.adjugate_at(i - 1)
+    tail = matmul(matmul(fd.h_F_at(i - 1), adj), fd.c_at(i)).scaled(Z)
+    return det, fd.F.differential(i).scaled(det) + tail
 
 
 @dataclass(frozen=True)
@@ -256,11 +260,8 @@ def algebraic_novikov_complex(fd: AlgebraicFundamentalDomain, mode="exact",
     if mode == "exact":
         diffs = {}
         for i in range(F.lo + 1, F.hi + 1):
-            inv = _inverse_one_minus_zh(fd, i - 1)
-            tail = matmul(matmul(fd.h_F_at(i - 1).scaled(Z), inv),
-                          fd.c_at(i).map_entries(lambda e: RationalFunction(e)))
-            base = F.differential(i).map_entries(lambda e: RationalFunction(e))
-            diffs[i] = base + tail
+            det, num = _fhat_numerator(fd, i)
+            diffs[i] = num.map_entries(lambda e: RationalFunction(e, det))
         return BasedChainComplex(Grade.RATIONAL, F.lo, F.hi,
                                  [F.rank(i) for i in F.degrees()], diffs)
     if mode != "truncated":
@@ -306,32 +307,32 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
     the block row p_i = [0, z h_F (1 - z h_D)^-1, 1].  The check is
     p_{i-1} d_{C(phi)} = d_F^ p_i through the requested order; the first
     mismatch is reported with its degree and series order.
+
+    Both sides are compared over Z[z,z^-1], multiplied through by
+    det_{i-1} det_i with det_i = det(1 - z h_D | D_i): each det has
+    order 0 and constant coefficient 1, so the series order of a
+    mismatch is the order of its Laurent numerator.
     """
     cone = assemble_mapping_cone(fd)
-    fhat = algebraic_novikov_complex(fd, "exact")
     proj = {}
     for i in cone.degrees():
-        inv = _inverse_one_minus_zh(fd, i)
-        mid = matmul(fd.h_F_at(i).scaled(Z), inv)
-        proj[i] = Matrix.block(
-            [[None, mid, Matrix.identity(fd.F.rank(i))]],
+        det, adj = fd.adjugate_at(i)
+        mid = matmul(fd.h_F_at(i), adj).scaled(Z)
+        proj[i] = det, Matrix.block(
+            [[None, mid, Matrix.identity(fd.F.rank(i)).scaled(det)]],
             row_sizes=[fd.F.rank(i)],
             col_sizes=[fd.D.rank(i - 1), fd.D.rank(i), fd.F.rank(i)])
     first = None
     for i in range(cone.lo + 1, cone.hi + 1):
-        lhs = matmul(proj[i - 1],
-                     cone.differential(i).map_entries(
-                         lambda e: RationalFunction(e)))
-        rhs = matmul(fhat.differential(i), proj[i])
-        for r in range(lhs.rows):
-            for col in range(lhs.cols):
-                diff = lhs.entry(r, col) - rhs.entry(r, col)
-                if not diff:
-                    continue
-                w = expand(diff, precision=precision)
-                if not w.is_zero_window:
-                    if first is None or (i, w.lowest) < first:
-                        first = (i, w.lowest)
+        _, num = _fhat_numerator(fd, i)
+        det, p_i = proj[i]
+        diff = (matmul(proj[i - 1][1], cone.differential(i)).scaled(det)
+                - matmul(num, p_i))
+        for row in diff.entries:
+            for e in row:
+                if e and e.ord() <= precision:
+                    if first is None or (i, e.ord()) < first:
+                        first = (i, e.ord())
     if first is None:
         return CokernelCheck(True)
     return CokernelCheck(False, first[0], first[1])
@@ -365,7 +366,7 @@ def torsion_zeta(fd: AlgebraicFundamentalDomain) -> ZetaFunction:
     """
     num, den = ONE, ONE
     for i in fd.D.degrees():
-        det = det_laurent(_lau(_one_minus_zh(fd, i)))
+        det, _ = fd.adjugate_at(i)
         if i % 2 == 0:
             num = num * det
         else:

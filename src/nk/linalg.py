@@ -4,10 +4,12 @@ the homology computations run on:
 
 * Smith normal form over Z, with the transforming matrices tracked and
   the factorization re-multiplied on every call;
-* rank over the function field Q(z) by fraction-free (Bareiss)
-  elimination -- Q(z) contains the rational subring of Z((z)) and rank
-  is insensitive to field extension, so this is the free-rank oracle
-  for Novikov homology;
+* one fraction-free (Bareiss) elimination kernel over Z[z,z^-1]: run
+  forward it gives the rank over the function field Q(z) -- Q(z)
+  contains the rational subring of Z((z)) and rank is insensitive to
+  field extension, so this is the free-rank oracle for Novikov
+  homology; run Gauss-Jordan over [M | B] it gives det M and
+  adj(M) B with Laurent entries;
 * a diagonalization procedure over Z((z)) (resp. Z((z^-1))) for
   Laurent-entry matrices.  Z((z)) is a principal ideal domain, but no
   finite algorithm is known to the author to be complete; this one
@@ -379,12 +381,64 @@ def solve_int(m: Matrix, b: Matrix):
     return matmul(s.V, Matrix.from_rows(w, b.cols))
 
 
-def rank_int(m: Matrix) -> int:
-    return smith_normal_form_int(m).rank
-
-
 # ---------------------------------------------------------------------------
-# rank over the function field Q(z)
+# fraction-free elimination over Z[z,z^-1]
+
+
+def _bareiss(A, n, jordan=False):
+    """Fraction-free (Bareiss) elimination, in place, on a list of
+    LaurentPoly rows, pivoting in the first n columns.  Returns
+    (rank, last pivot, sign of the row permutation).
+
+    Each step replaces an entry right of the pivot column by
+    (pivot * a_ij - a_ic * a_rj) / previous pivot, which is a minor of
+    the input, so every division is exact in Z[z,z^-1].  Forward
+    (jordan=False), only the rows below the pivot are updated and the
+    rank is the number of pivots.  Gauss-Jordan (jordan=True), the rows
+    above are updated too and elimination stops at the first column
+    without a pivot; on [M | B] with M square of full rank, the last
+    pivot is sign * det M and the columns right of M hold
+    sign * adj(M) B.  Entries at and left of each pivot column are left
+    stale.
+
+    >>> z = LaurentPoly({1: 1})
+    >>> rows = [[2 * ONE, z, ONE, LaurentPoly()],
+    ...         [ONE, ONE, LaurentPoly(), ONE]]
+    >>> _bareiss(rows, 2, jordan=True)
+    (2, LaurentPoly('2 - z'), 1)
+    >>> [row[2:] for row in rows]
+    [[LaurentPoly('1'), LaurentPoly('-z')], [LaurentPoly('-1'), LaurentPoly('2')]]
+    """
+    nr = len(A)
+    width = len(A[0]) if A else 0
+    r, prev, sign = 0, ONE, 1
+    for c in range(n):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if A[i][c]), None)
+        if piv is None:
+            if jordan:
+                break
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            sign = -sign
+        top = A[r]
+        p = top[c]
+        for i in range(0 if jordan else r + 1, nr):
+            if i == r:
+                continue
+            row = A[i]
+            a = row[c]
+            for j in range(c + 1, width):
+                row[j] = divexact(row[j] * p - a * top[j], prev)
+        prev = p
+        r += 1
+    return r, prev, sign
+
+
+def _poly(e):
+    return e if isinstance(e, LaurentPoly) else LaurentPoly({0: e})
 
 
 def _laurent_rows(m: Matrix):
@@ -402,10 +456,8 @@ def _laurent_rows(m: Matrix):
                 v = e * den
                 assert v.is_polynomial
                 new.append(v.numerator)
-            elif isinstance(e, int):
-                new.append(LaurentPoly({0: e}) * den)
             else:
-                new.append(e * den)
+                new.append(_poly(e) * den)
         out.append(new)
     return out
 
@@ -416,69 +468,30 @@ def rank_over_function_field(m: Matrix) -> int:
     Q((z)) contains both Q(z) and the image of Z((z)), and the rank of a
     matrix over an integral domain equals its rank over any containing
     field, so this is also the free-rank count over the Novikov ring.
-    Fraction-free: every division below is exact in Z[z,z^-1].
     """
-    A = _laurent_rows(m)
-    nr, nc = m.rows, m.cols
-    r = 0
-    prev = ONE
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                A[i][j] = divexact(A[i][j] * A[r][c] - A[i][c] * A[r][j], prev)
-            A[i][c] = LaurentPoly()
-        prev = A[r][c]
-        r += 1
-    return r
+    return _bareiss(_laurent_rows(m), m.cols)[0]
 
 
-def det_laurent(m: Matrix) -> LaurentPoly:
-    """Determinant of a small square Laurent-entry matrix (cofactors)."""
-    if not m.is_square:
-        raise DimensionMismatch("determinant of a non-square matrix")
+def solve_laurent(m: Matrix, b: Matrix):
+    """(det m, adj(m) @ b) for a square matrix m over Z[z,z^-1], by one
+    Gauss-Jordan pass of the Bareiss kernel over [m | b].
+
+    adj(m) @ b is None when det m = 0.  When det m is invertible in a
+    ring containing the entries, m^-1 b = adj(m) @ b / det m.
+    """
+    if not m.is_square or b.rows != m.rows:
+        raise DimensionMismatch(
+            f"cannot solve a {m.rows}x{m.cols} system for {b.rows}x{b.cols}")
     n = m.rows
-    grid = [[e if isinstance(e, LaurentPoly) else LaurentPoly({0: e})
-             for e in row] for row in m.entries]
-
-    def rec(rows, cols):
-        if not cols:
-            return ONE
-        i = rows[0]
-        total = LaurentPoly()
-        for pos, j in enumerate(cols):
-            a = grid[i][j]
-            if not a:
-                continue
-            sub = rec(rows[1:], cols[:pos] + cols[pos + 1:])
-            term = a * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        return total
-
-    return rec(tuple(range(n)), tuple(range(n)))
-
-
-def adjugate_laurent(m: Matrix) -> Matrix:
-    """Adjugate: adj(m) @ m = det(m) * I, entries in Z[z,z^-1]."""
-    n = m.rows
-    if n == 0:
-        return Matrix.zeros(0, 0)
-    out = [[None] * n for _ in range(n)]
-    idx = tuple(range(n))
-    for i in range(n):
-        for j in range(n):
-            rows = [r for r in idx if r != j]
-            cols = [c for c in idx if c != i]
-            minor = Matrix.from_rows(
-                [[m.entries[r][c] for c in cols] for r in rows], n - 1)
-            d = det_laurent(minor)
-            out[i][j] = d if (i + j) % 2 == 0 else -d
-    return Matrix.from_rows(out, n)
+    rows = [[_poly(e) for e in ra + rb]
+            for ra, rb in zip(m.entries, b.entries)]
+    rank, det, sign = _bareiss(rows, n, jordan=True)
+    if rank < n:
+        return LaurentPoly(), None
+    x = [row[n:] for row in rows]
+    if sign < 0:
+        det, x = -det, [[-e for e in row] for row in x]
+    return det, Matrix(n, b.cols, x)
 
 
 # ---------------------------------------------------------------------------

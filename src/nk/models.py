@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from .rings import LaurentPoly, Direction
 from .linalg import (
     Matrix,
-    det_laurent,
     kernel_basis_int,
     matmul,
     smith_normal_form_int,
     solve_int,
+    solve_laurent,
 )
 from .complexes import (
     BasedChainComplex,
@@ -242,7 +242,8 @@ def alexander_polynomials(s: SeifertData) -> dict:
         n = ebar.rows
         m = Matrix(n, n, [[_alex_entry(ebar.entries[r][cidx], r == cidx)
                            for cidx in range(n)] for r in range(n)])
-        out[i] = _normalize_alexander(det_laurent(m))
+        det, _ = solve_laurent(m, Matrix.zeros(n, 0))
+        out[i] = _normalize_alexander(det)
     return out
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 from .rings import Direction
 from .complexes import BasedChainComplex, Grade
+# b_i + q_i + q_{i-1} reads the same off a NovikovReport
+from .complexes import morse_lower_bounds as morse_novikov_bounds  # noqa: F401
 from .linalg import Inconclusive, novikov_diagonalize, rank_over_function_field
 
 
@@ -121,13 +123,6 @@ def novikov_homology(c: BasedChainComplex,
 
 def _factor_is_unit(f):
     return f == 1
-
-
-def morse_novikov_bounds(report: NovikovReport) -> dict:
-    """Per-degree right-hand sides b_i + q_i + q_{i-1}."""
-    hi = report.hi + (1 if report.torsion_count(report.hi) else 0)
-    return {i: report.b(i) + report.torsion_count(i) + report.torsion_count(i - 1)
-            for i in range(report.lo, hi + 1)}
 
 
 def check_inequalities(critical_counts: dict, bounds: dict) -> list:

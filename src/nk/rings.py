@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 
 #: Default number of retained exponents for series windows.
 DEFAULT_PRECISION = 32
@@ -316,35 +315,27 @@ def _dense_primitive(a):
     return [x // g for x in a]
 
 
-def _dense_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _dense_divexact(a, b):
+    """a // b when b | a over Q and the quotient is integral; else None.
 
-
-def _dense_divmod_q(a, b):
-    """Division over Q of ascending integer coefficient lists."""
-    r = [Fraction(x) for x in a]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1] / lead
+    Integer long division from the top: an integral quotient makes every
+    step exact, so the first inexact step or a nonzero remainder
+    answers None.
+    """
+    r = list(a)
+    lb, lead = len(b), b[-1]
+    q = [0] * max(0, len(a) - lb + 1)
+    for k in range(len(a) - lb, -1, -1):
+        c, rem = divmod(r[k + lb - 1], lead)
+        if rem:
+            return None
         q[k] = c
         if c:
             for j, y in enumerate(b):
                 r[k + j] -= c * y
-    return q, _dense_trim(r)
-
-
-def _dense_divexact(a, b):
-    """a // b when b | a over Q and the quotient is integral; else None."""
-    q, r = _dense_divmod_q(a, b)
-    if r or any(x.denominator != 1 for x in q):
+    if any(r[:lb - 1]):
         return None
-    return _dense_trim([int(x) for x in q])
+    return q
 
 
 _FILTER_PRIMES = (9973, 31337, 65537, 999983)

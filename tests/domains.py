@@ -20,6 +20,7 @@ summands, scalar on elementary ones).
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from nk.rings import LaurentPoly, RationalFunction
@@ -48,6 +49,26 @@ def random_denominator(rng, span=2, max_coeff=2):
 def random_rational(rng):
     num = random_laurent(rng)
     return RationalFunction(num, random_denominator(rng))
+
+
+def det_oracle(m):
+    """Permutation-expansion determinant of a square Laurent-entry
+    matrix, independent of the elimination kernel."""
+    n = m.rows
+    total = LaurentPoly()
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = LaurentPoly({0: sign})
+        for i in range(n):
+            e = m.entries[i][perm[i]]
+            term = term * (e if isinstance(e, LaurentPoly)
+                           else LaurentPoly({0: e}))
+        total = total + term
+    return total
 
 
 def random_int_matrix(rng, rows, cols, max_coeff=2):

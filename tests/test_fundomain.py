@@ -1,5 +1,7 @@
 """The fundamental-domain machine: validation, C(phi), F^, cokernel, zeta."""
 
+import json
+
 import pytest
 
 from nk.rings import (
@@ -22,6 +24,8 @@ from nk.fundomain import (
     validate_fundamental_domain,
 )
 from nk.novikov import novikov_homology
+import nk.fundomain
+from nk.cli import parse_document, run
 
 from domains import domain_corpus, rng_for
 
@@ -44,6 +48,32 @@ def f_zero_domain(h_d):
     F = BasedChainComplex(Grade.Z, 0, 0, [0], {})
     return AlgebraicFundamentalDomain(
         D, F, c={}, h_D={0: Matrix.from_rows([[h_d]])}, h_F={})
+
+
+def dense_domain(n):
+    """D = Z^n in degrees 0 and 1 with dense h_D; F has ranks 2, 4, 2.
+
+    c reads the last two generators of F_1 and h_F writes the first two,
+    so c h_F = 0 and every identity holds with zero differentials.
+    """
+    rng = rng_for(f"dense-{n}")
+
+    def dense(rows, cols):
+        return Matrix(rows, cols, [[rng.choice((-2, -1, 1, 2))
+                                    for _ in range(cols)]
+                                   for _ in range(rows)])
+
+    D = BasedChainComplex(Grade.Z, 0, 1, [n, n], {})
+    F = BasedChainComplex(Grade.Z, 0, 2, [2, 4, 2], {})
+    return AlgebraicFundamentalDomain(
+        D, F,
+        c={1: Matrix.block([[None, dense(n, 2)]],
+                           row_sizes=[n], col_sizes=[2, 2]),
+           2: dense(n, 2)},
+        h_D={0: dense(n, n), 1: dense(n, n)},
+        h_F={0: dense(2, n),
+             1: Matrix.block([[dense(2, n)], [None]],
+                             row_sizes=[2, 2], col_sizes=[n])})
 
 
 CORPUS = domain_corpus(100)
@@ -257,3 +287,41 @@ def test_cone_and_fhat_reports_agree():
             assert list(ra.torsion_factors.get(i, [])) == \
                 list(rb.torsion_factors.get(i, []))
         assert ra.conclusive and rb.conclusive
+
+
+# --- one elimination per degree ---------------------------------------------------------------
+
+def test_rank_eight_dense_domain():
+    fd = dense_domain(8)
+    for i in (0, 1):
+        det, adj = fd.adjugate_at(i)
+        m = Matrix.identity(8) - fd.h_D_at(i).scaled(z)
+        assert det.coeff(0) == 1 and det.deg() == 8
+        assert matmul(m, adj) == Matrix.identity(8).scaled(det)
+    fhat = algebraic_novikov_complex(fd, "exact")
+    assert validate_complex(fhat) is None
+    K = 12
+    trunc = algebraic_novikov_complex(fd, "truncated", order=K)
+    for i in (1, 2):
+        ex, tr = fhat.differential(i), trunc.differential(i)
+        for r in range(ex.rows):
+            for c in range(ex.cols):
+                assert expand(ex.entry(r, c), precision=K) == \
+                    TruncatedSeries.of_poly(tr.entry(r, c), K)
+    assert cokernel_iso_check(fd, K).passed
+
+
+def test_fundomain_job_eliminates_each_degree_once(monkeypatch):
+    calls = []
+    solve = nk.fundomain.solve_laurent
+
+    def counted(m, b):
+        calls.append(m.rows)
+        return solve(m, b)
+
+    monkeypatch.setattr(nk.fundomain, "solve_laurent", counted)
+    doc = {"kind": "fundomain",
+           "payload": {"domain": dense_domain(2).to_json()}}
+    report = run(parse_document(json.dumps(doc)), oracle=True)
+    assert all(c["ok"] for c in report.data["oracle"])
+    assert calls == [2, 2]

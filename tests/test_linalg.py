@@ -9,8 +9,6 @@ from nk.rings import Direction, LaurentPoly, RationalFunction
 from nk.linalg import (
     DimensionMismatch,
     Matrix,
-    adjugate_laurent,
-    det_laurent,
     kernel_basis_int,
     matmul,
     matrix_from_json,
@@ -19,9 +17,10 @@ from nk.linalg import (
     rank_over_function_field,
     smith_normal_form_int,
     solve_int,
+    solve_laurent,
 )
 
-from domains import random_int_matrix, random_laurent, rng_for
+from domains import det_oracle, random_int_matrix, random_laurent, rng_for
 
 z = LaurentPoly({1: 1})
 one = LaurentPoly({0: 1})
@@ -173,7 +172,8 @@ def test_rank_examples():
 
 def test_rank_matches_symbolic_determinant():
     m = Matrix.from_rows([[z, one - z], [z - 1, one]])
-    assert det_laurent(m) == z ** 2 - z + 1  # nonzero, so full rank
+    assert det_oracle(m) == z ** 2 - z + 1  # nonzero, so full rank
+    assert rank_over_function_field(m) == 2
 
 
 def test_rank_invariances():
@@ -202,18 +202,41 @@ def test_rank_invariances():
             assert rank_over_function_field(scaled) == r
 
 
-def test_det_and_adjugate():
-    rng = rng_for("adj")
-    for _ in range(15):
-        n = rng.randint(1, 3)
-        m = Matrix.from_rows([[random_laurent(rng, span=1, max_coeff=2)
-                               for _ in range(n)] for _ in range(n)], n)
-        d = det_laurent(m)
-        adj = adjugate_laurent(m)
-        prod = matmul(adj, m)
-        expected = Matrix(n, n, [[d if i == j else LaurentPoly()
-                                  for j in range(n)] for i in range(n)])
-        assert prod == expected
+def test_solve_laurent_matches_det_oracle():
+    rng = rng_for("bareiss")
+    swapped = singular = 0
+    for k in range(90):
+        n = k % 6
+        grid = [[random_laurent(rng, span=2, max_coeff=2) for _ in range(n)]
+                for _ in range(n)]
+        if n and k % 3 == 0:
+            grid[0][0] = LaurentPoly()  # the first pivot needs a row swap
+            swapped += 1
+        if n >= 2 and k % 4 == 1:
+            s = random_laurent(rng, span=1, max_coeff=2)
+            grid[-1] = [e * s for e in grid[0]]  # dependent rows
+            singular += 1
+        m = Matrix(n, n, grid)
+        b = Matrix(n, k % 3, [[random_laurent(rng, span=1, max_coeff=2)
+                               for _ in range(k % 3)] for _ in range(n)])
+        det, x = solve_laurent(m, b)
+        assert det == det_oracle(m)
+        if det:
+            assert matmul(m, x) == b.map_entries(lambda e: det * e)
+        else:
+            assert x is None
+    assert swapped and singular
+
+
+def test_solve_laurent_row_swap_sign():
+    m = Matrix.from_rows([[0, one], [one, 0]])
+    det, adj = solve_laurent(m, Matrix.identity(2))
+    assert det == -one
+    assert adj == Matrix.from_rows([[0, -one], [-one, 0]])
+    assert solve_laurent(Matrix.zeros(0, 0), Matrix.zeros(0, 2)) == \
+        (one, Matrix.zeros(0, 2))
+    with pytest.raises(DimensionMismatch):
+        solve_laurent(Matrix.zeros(2, 3), Matrix.zeros(2, 1))
 
 
 # --- diagonalization over Z((z)) ---------------------------------------------------

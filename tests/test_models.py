@@ -1,7 +1,5 @@
 """Mapping tori, the circle fixture, knot domains, fibering."""
 
-import itertools
-
 from nk.rings import Direction, LaurentPoly, is_novikov_unit, reverse_variable
 from nk.linalg import Matrix, novikov_diagonalize
 from nk.complexes import BasedChainComplex, ChainMap, Grade
@@ -23,6 +21,7 @@ from nk.models import (
 from nk.novikov import finite_domination_check, novikov_homology
 
 from domains import (
+    det_oracle,
     random_unit_scalar_equivalence,
     rng_for,
     seifert_corpus,
@@ -45,27 +44,6 @@ def seifert(entries):
 
 TREFOIL = [[0, 1], [-1, 1]]
 NONFIBERED = [[0, -2], [1, 1]]
-
-
-# --- symbolic determinant oracle ------------------------------------------------
-
-def det_oracle(m):
-    """Permutation-expansion determinant, independent of det_laurent."""
-    n = m.rows
-    total = LaurentPoly()
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = LaurentPoly({0: sign})
-        for i in range(n):
-            e = m.entries[i][perm[i]]
-            term = term * (e if isinstance(e, LaurentPoly)
-                           else LaurentPoly({0: e}))
-        total = total + term
-    return total
 
 
 # --- mapping tori ------------------------------------------------------------------

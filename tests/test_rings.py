@@ -207,6 +207,12 @@ def test_divexact_roundtrip():
         assert divexact(a * b, b) == a
     with pytest.raises(ValueError):
         divexact(one + z, 2 * one)
+    # z^2 + 1 = (z + 1)(z - 1) + 2: every step exact, remainder nonzero
+    with pytest.raises(ValueError):
+        divexact(z ** 2 + one, z + one)
+    # 2z^2 + 3z + 1 = (2z + 2)(z + 1/2): the lower step is inexact
+    with pytest.raises(ValueError):
+        divexact(2 * z ** 2 + 3 * z + one, 2 * z + 2)
 
 
 # --- RationalFunction canonical form -------------------------------------------
