@@ -22,7 +22,6 @@ from .rings import (  # noqa: F401
     expand,
     invert_as_series,
     is_novikov_unit,
-    normalize,
     reverse_variable,
 )
 

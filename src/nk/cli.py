@@ -64,7 +64,6 @@ from .models import (
     InternalInconsistency,
     SeifertData,
     fibering_check,
-    knot_novikov_factors,
     mapping_torus_complex,
 )
 from .novikov import (
@@ -551,7 +550,7 @@ def _run_mapping_torus(payload, k, dirn, oracle):
 def _run_knot(payload, k, dirn, oracle):
     s = payload["seifert"]
     verdict = fibering_check(s)
-    factors = knot_novikov_factors(s, dirn)
+    factors = verdict.novikov[dirn].factors_by_degree()
     data = {"fibering": verdict.to_json(),
             "novikov_factors": {str(i): [f.to_json() for f in fs]
                                 for i, fs in sorted(factors.items()) if fs}}

@@ -537,17 +537,19 @@ class _Reduction:
 
     def row_add(self, i, j, q):
         self.budget.spend()
-        for k in range(self.nc):
-            self.A[i][k] = self.A[i][k] + q * self.A[j][k]
-        for k in range(self.nr):
-            self.U[i][k] = self.U[i][k] + q * self.U[j][k]
+        for mat in (self.A, self.U):
+            dst, src = mat[i], mat[j]
+            for k, e in enumerate(src):
+                if e:
+                    dst[k] = dst[k] + q * e
 
     def col_add(self, j, k, q):
         self.budget.spend()
-        for i in range(self.nr):
-            self.A[i][j] = self.A[i][j] + q * self.A[i][k]
-        for i in range(self.nc):
-            self.V[i][j] = self.V[i][j] + q * self.V[i][k]
+        for rows in (self.A, self.V):
+            for row in rows:
+                e = row[k]
+                if e:
+                    row[j] = row[j] + q * e
 
     def row_swap(self, i, j):
         if i == j:
@@ -673,8 +675,7 @@ def novikov_diagonalize(m: Matrix,
     diag = Matrix(nr, nc, [[A[i][j] if i == j else _rat(0)
                             for j in range(nc)] for i in range(nr)])
     check = matmul(matmul(um, base), vm)
-    ok = check == diag
-    if not ok:  # pragma: no cover - internal invariant
+    if check != diag:
         raise AssertionError("novikov diagonalization self-check failed")
     for s in range(rank - 1):
         if _try_div(A[s + 1][s + 1], A[s][s]) is None:  # pragma: no cover

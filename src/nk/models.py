@@ -275,6 +275,7 @@ class FiberingVerdict:
     equivalent whenever the base homology is torsion-free; disagreement
     there raises InternalInconsistency.  ``base_torsion`` flags degrees
     whose homology torsion the determinant criterion cannot see.
+    ``novikov`` holds the complement's NovikovReport per Direction.
     """
 
     alexander: dict
@@ -282,6 +283,7 @@ class FiberingVerdict:
     extreme_coeffs_unit: bool
     fibers: bool
     base_torsion: dict = field(default_factory=dict)
+    novikov: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -317,7 +319,7 @@ def fibering_check(s: SeifertData) -> FiberingVerdict:
         raise InternalInconsistency(
             f"criteria disagree: novikov_vanishes={nov}, "
             f"extreme_coeffs_unit={extreme}")
-    return FiberingVerdict(alex, nov, extreme, nov, torsion)
+    return FiberingVerdict(alex, nov, extreme, nov, torsion, verdict.reports)
 
 
 def knot_novikov_factors(s: SeifertData, direction=Direction.PLUS) -> dict:

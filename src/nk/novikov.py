@@ -18,7 +18,7 @@ cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rings import Direction
 from .complexes import BasedChainComplex, Grade
@@ -76,11 +76,16 @@ class NovikovReport:
 
 @dataclass(frozen=True)
 class DominationVerdict:
-    """Two-sided Novikov vanishing, and their conjunction."""
+    """Two-sided Novikov vanishing, and their conjunction.
+
+    ``reports`` holds the NovikovReport each side was read from, keyed
+    by Direction.
+    """
 
     vanishes_plus: bool
     vanishes_minus: bool
     finitely_dominated: bool
+    reports: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_json(self):
         return {"vanishes_plus": self.vanishes_plus,
@@ -153,6 +158,9 @@ def finite_domination_check(c: BasedChainComplex) -> DominationVerdict:
     Both vanish iff the complex is chain equivalent over Z to a finite
     projective complex (finite domination of the underlying space).
     """
-    vp = vanishes(novikov_homology(c, Direction.PLUS))
-    vm = vanishes(novikov_homology(c, Direction.MINUS))
-    return DominationVerdict(vp, vm, vp and vm)
+    plus = novikov_homology(c, Direction.PLUS)
+    vp = vanishes(plus)
+    minus = novikov_homology(c, Direction.MINUS)
+    vm = vanishes(minus)
+    return DominationVerdict(vp, vm, vp and vm,
+                             {Direction.PLUS: plus, Direction.MINUS: minus})

@@ -247,17 +247,6 @@ ONE = LaurentPoly({0: 1})
 Z = LaurentPoly({1: 1})
 
 
-def normalize(raw) -> LaurentPoly:
-    """Drop zero coefficients from a raw exponent->coefficient map.
-
-    Equality of LaurentPoly is equality of the normalized maps.
-
-    >>> normalize({0: 1, 1: 0, 2: 3})
-    LaurentPoly('1 + 3*z^2')
-    """
-    return LaurentPoly(raw)
-
-
 def reverse_variable(p):
     """Substitute z -> z^-1 (exponent j -> -j).  Involutive.
 
@@ -298,8 +287,9 @@ def is_novikov_unit(p, direction=Direction.PLUS) -> bool:
 
 def _to_dense(p: LaurentPoly):
     """(shift, ascending coefficient list) with list[0] != 0; p nonzero."""
-    lo, hi = p.ord(), p.deg()
-    return lo, [p.coeff(j) for j in range(lo, hi + 1)]
+    c = p._c
+    lo = min(c)
+    return lo, [c.get(j, 0) for j in range(lo, max(c) + 1)]
 
 
 def _dense_trim(a):
@@ -424,6 +414,16 @@ class RationalFunction:
     support and fixing signs; it raises ``NotInRationalSubring``
     otherwise.  Because of Fatou's lemma this makes ``a / b`` a decision
     procedure for divisibility of rational elements inside Z((z)).
+
+    Results that are canonical by construction skip the gcd and are
+    wrapped as they are:
+
+    * a product, once each numerator is cross-cancelled against the
+      other factor's denominator: the numerators are coprime to both
+      remaining denominators, so by Gauss's lemma the product numerator
+      is coprime to the product denominator, which is again in S;
+    * a negation, a polynomial (denominator 1), and a sum or product
+      with a zero operand (the other operand, resp. zero).
     """
 
     __slots__ = ("numerator", "denominator")
@@ -436,6 +436,14 @@ class RationalFunction:
         num, den = _canonical(num, den)
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def _wrap(cls, num, den):
+        """An instance from a pair already in canonical form, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", den)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -482,12 +490,16 @@ class RationalFunction:
         return hash((self.numerator, self.denominator))
 
     def __neg__(self):
-        return RationalFunction(-self.numerator, self.denominator)
+        return RationalFunction._wrap(-self.numerator, self.denominator)
 
     def __add__(self, other):
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other:
+            return self
+        if not self:
+            return other
         d1, d2 = self.denominator, other.denominator
         # work over lcm(d1, d2) rather than the raw product
         e1, e2 = _split_pair(d1, d2)
@@ -509,11 +521,13 @@ class RationalFunction:
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self or not other:
+            return RationalFunction._wrap(ZERO, ONE)
         # cross-cancel first: the product of the reduced pairs is
-        # already in lowest terms, so no gcd on the large product runs
+        # already in lowest terms (see the class docstring)
         n1, d2 = _cross_cancel(self.numerator, other.denominator)
         n2, d1 = _cross_cancel(other.numerator, self.denominator)
-        return RationalFunction(n1 * n2, d1 * d2)
+        return RationalFunction._wrap(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -555,14 +569,15 @@ def _coerce_rational(x):
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, (int, LaurentPoly)):
-        return RationalFunction(x)
+        return RationalFunction._wrap(_coerce_poly(x), ONE)
     return NotImplemented
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Primitive gcd over Q of the polynomial parts (monomials stripped),
-    with positive leading coefficient; 1 when either side is zero."""
-    if a.is_zero or b.is_zero:
+    with positive leading coefficient; 1 when either side is zero or a
+    monomial."""
+    if len(a._c) <= 1 or len(b._c) <= 1:
         return ONE
     _, da = _to_dense(a)
     _, db = _to_dense(b)
@@ -621,6 +636,8 @@ def _canonical(num: LaurentPoly, den: LaurentPoly):
     k = den.ord()
     den = den.shifted(-k)
     num = num.shifted(-k)
+    if den == ONE:
+        return num, ONE
     # common integer content
     g = math.gcd(num.content(), den.content())
     if g > 1:

@@ -1,0 +1,64 @@
+"""Smoke test of the benchmark's job generator and report checks.
+
+Loads ``bench/jobs.py`` and ``bench/verify.py`` read-only (no bytecode is
+written under ``bench/``), builds the seed-1 job list of every workload
+and runs the smallest job of each size bucket through the real entry
+point, so neither the generator nor the checks can drift away from the
+program without a tier-1 failure.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from nk.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"nk_bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve string annotations through sys.modules
+    sys.modules[spec.name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+jobs = _load("jobs")
+verify = _load("verify")
+
+
+def _smallest_per_bucket(workload):
+    best = {}
+    for job in jobs.make_jobs(workload, 1, ROOT / "src"):
+        size = len(json.dumps(job.doc))
+        if job.bucket not in best or size < best[job.bucket][0]:
+            best[job.bucket] = (size, job)
+    return [job for _, job in best.values()]
+
+
+@pytest.mark.parametrize("workload", sorted(jobs.WORKLOADS))
+def test_smallest_job_of_each_bucket_verifies(workload, tmp_path, capsys):
+    picked = _smallest_per_bucket(workload)
+    assert picked
+    for k, job in enumerate(picked):
+        path = tmp_path / f"{k:02d}.json"
+        path.write_text(json.dumps(job.doc))
+        capsys.readouterr()
+        code = main(["run", str(path), "--format", "machine", *job.args])
+        out = capsys.readouterr().out
+        golden = ((GOLDEN / f"{job.golden}.machine.json").read_text()
+                  if job.golden else None)
+        assert code in (0, 1), job.name
+        assert verify.check_report(job, code, out, golden) == [], job.name

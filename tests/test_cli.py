@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nk.rings import Direction
 from nk.cli import (
     JobDocument,
     ParseError,
@@ -110,6 +111,35 @@ def test_run_trefoil_fibers():
     assert fib["fibers"] is True
     assert fib["alexander"]["1"] == {"0": 1, "1": -1, "2": 1}
     assert "fibers: True" in report.text
+
+
+@pytest.mark.parametrize("direction", ["plus", "minus"])
+def test_knot_job_builds_one_cone(monkeypatch, direction):
+    """The knot factors come from the fibering check's reports: one cone
+    and one Novikov homology per completion, whatever the direction."""
+    import nk.models
+    import nk.novikov
+    cones, homologies = [], []
+    cone, homology = nk.models.assemble_mapping_cone, nk.novikov.novikov_homology
+
+    def counted_cone(fd):
+        cones.append(fd)
+        return cone(fd)
+
+    def counted_homology(c, d):
+        homologies.append(d.value)
+        return homology(c, d)
+
+    monkeypatch.setattr(nk.models, "assemble_mapping_cone", counted_cone)
+    monkeypatch.setattr(nk.novikov, "novikov_homology", counted_homology)
+    doc = parse_document(_read_bundled("knot_nonfibered.json"))
+    report = run(doc, direction=direction)
+    assert len(cones) == 1 and homologies == ["plus", "minus"]
+    factors = nk.models.knot_novikov_factors(doc.payload["seifert"],
+                                             Direction(direction))
+    assert factors[1]
+    assert report.data["novikov_factors"] == {
+        str(i): [f.to_json() for f in fs] for i, fs in factors.items() if fs}
 
 
 def test_run_circle_all_zero():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nk import linalg
 from nk.rings import Direction, LaurentPoly, RationalFunction
 from nk.linalg import (
     DimensionMismatch,
@@ -304,3 +305,27 @@ def test_diag_unit_rescaling_invariance():
             [[e * LaurentPoly({k: -1}) for e in row] for row in base.entries])
         assert novikov_diagonalize(scaled).invariant_factors == \
             r0.invariant_factors
+
+
+@pytest.mark.parametrize("method, side", [("row_add", "U"), ("col_add", "V")])
+def test_diag_self_check_catches_a_corrupted_transform(monkeypatch, method,
+                                                       side):
+    """One tracked U (resp. V) entry is corrupted after the first row (resp.
+    column) operation; the reduction of A runs as before, and only the
+    re-multiplication U A V == diag can notice."""
+    original = getattr(linalg._Reduction, method)
+    done = []
+
+    def corrupting(self, *args):
+        original(self, *args)
+        if not done:
+            done.append(args)
+            rows = getattr(self, side)
+            rows[0][0] = rows[0][0] + RationalFunction(z)
+
+    monkeypatch.setattr(linalg._Reduction, method, corrupting)
+    m = Matrix.from_rows([[one, 2 * one], [3 * one, 4 + z]])
+    with pytest.raises(AssertionError,
+                       match="novikov diagonalization self-check failed"):
+        novikov_diagonalize(m)
+    assert done

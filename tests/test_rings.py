@@ -14,12 +14,12 @@ from nk.rings import (
     expand,
     invert_as_series,
     is_novikov_unit,
-    normalize,
     reverse_variable,
     truncate_poly,
 )
+from nk.rings import _dense_gcd, _poly_gcd, _to_dense
 
-from domains import random_laurent, random_rational, rng_for
+from domains import random_denominator, random_laurent, random_rational, rng_for
 
 z = LaurentPoly({1: 1})
 one = LaurentPoly({0: 1})
@@ -29,20 +29,22 @@ def L(coeffs):
     return LaurentPoly(coeffs)
 
 
-# --- normalize -------------------------------------------------------------
+# --- zero coefficients are never stored ---------------------------------------
 
-def test_normalize_drops_zero_coefficients():
-    assert normalize({0: 1, 1: 0, 2: 3}) == L({0: 1, 2: 3})
-
-
-def test_normalize_empty_is_zero():
-    p = normalize({})
-    assert p.is_zero
-    assert p == LaurentPoly()
+def test_laurent_drops_zero_coefficients():
+    p = L({0: 1, 1: 0, 2: 3})
+    assert p == L({0: 1, 2: 3})
+    assert p.coeffs == {0: 1, 2: 3}
 
 
-def test_normalize_already_normal():
-    assert normalize({-1: 2, 0: -2}) == L({-1: 2, 0: -2})
+def test_laurent_empty_is_zero():
+    for p in (L({}), L({0: 0, 3: 0})):
+        assert p.is_zero
+        assert p == LaurentPoly()
+
+
+def test_laurent_already_normal():
+    assert L({-1: 2, 0: -2}).coeffs == {-1: 2, 0: -2}
 
 
 # --- is_novikov_unit ---------------------------------------------------------
@@ -252,6 +254,73 @@ def test_canonicalization_idempotent():
         again = RationalFunction(r.numerator, r.denominator)
         assert (again.numerator, again.denominator) == \
             (r.numerator, r.denominator)
+
+
+# factors in S shared between random numerators and denominators, so that
+# products cross-cancel and sums cancel against the common denominator
+_S_FACTORS = (one + z, one - z, one + z + z ** 2, one - 2 * z, one + 3 * z ** 2)
+
+
+def _random_element(rng):
+    """An unreduced (numerator, denominator) pair of S^-1 Z[z,z^-1]:
+    zero, an integer, a monomial, a Laurent polynomial, or a quotient
+    with a denominator in S times a monomial and sign."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return LaurentPoly(), one
+    if kind == 1:
+        return L({0: rng.choice((-3, -1, 1, 2, 6))}), one
+    if kind == 2:
+        return L({rng.randint(-3, 3): rng.choice((-2, -1, 1, 4))}), one
+    common = one
+    for f in rng.sample(_S_FACTORS, rng.randint(0, 2)):
+        common = common * f
+    num = random_laurent(rng, span=rng.randint(0, 3), max_coeff=3) * common
+    if kind == 3:
+        return num, one
+    den = random_denominator(rng, span=rng.randint(0, 2)) * common
+    if rng.randrange(2):
+        den = den * rng.choice((-1, 1)) * L({rng.randint(-2, 2): 1})
+    return num, den
+
+
+def test_fast_paths_match_general_constructor():
+    """Products, negations, sums and zero operands give the canonical
+    pair of the general constructor applied to the unreduced parts."""
+    rng = rng_for("fast-paths")
+
+    def pair(r):
+        return r.numerator, r.denominator
+
+    zero = RationalFunction(0)
+    for _ in range(300):
+        (n1, d1), (n2, d2) = _random_element(rng), _random_element(rng)
+        a, b = RationalFunction(n1, d1), RationalFunction(n2, d2)
+        cases = [
+            (a * b, RationalFunction(n1 * n2, d1 * d2)),
+            (-a, RationalFunction(-n1, d1)),
+            (a + b, RationalFunction(n1 * d2 + n2 * d1, d1 * d2)),
+            (a - b, RationalFunction(n1 * d2 - n2 * d1, d1 * d2)),
+            (a + 0, RationalFunction(n1, d1)),
+            (0 + a, RationalFunction(n1, d1)),
+            (a + zero, RationalFunction(n1, d1)),
+            (a * 0, RationalFunction(0)),
+            (zero * a, RationalFunction(0)),
+        ]
+        for got, expect in cases:
+            assert pair(got) == pair(expect), (n1, d1, n2, d2)
+
+
+def test_poly_gcd_monomial_side_matches_dense_gcd():
+    rng = rng_for("gcd-monomial")
+    for _ in range(60):
+        m = L({rng.randint(-3, 3): rng.choice((-5, -1, 1, 2, 12))})
+        p = random_laurent(rng, max_coeff=6)
+        if p.is_zero:
+            continue
+        dense = LaurentPoly(dict(enumerate(
+            _dense_gcd(_to_dense(m)[1], _to_dense(p)[1]))))
+        assert _poly_gcd(m, p) == _poly_gcd(p, m) == dense == one
 
 
 def test_division_as_divisibility_probe():
