@@ -123,18 +123,31 @@ def _need(obj, key, path, type_=None):
     return v
 
 
+def _int(value, path):
+    """The one integer rule: a JSON integer, never a float, a string or
+    a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(path, f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _ints(obj, key, path):
+    """The array of integers obj[key]."""
+    return [_int(x, f"{path}.{key}[{j}]")
+            for j, x in enumerate(_need(obj, key, path, list))]
+
+
 def _parse_entry(e, path):
-    if isinstance(e, bool):
-        raise ParseError(path, "booleans are not ring elements")
-    if isinstance(e, int):
-        return e
-    if isinstance(e, dict):
+    if not isinstance(e, dict):
+        return _int(e, path)
+    coeffs = {}
+    for k, v in e.items():
         try:
-            return LaurentPoly({int(k): int(v) for k, v in e.items()})
-        except (TypeError, ValueError):
-            raise ParseError(path, "coefficient map needs integer "
-                                   "exponent keys and integer values")
-    raise ParseError(path, f"expected integer or coefficient map, got {e!r}")
+            j = int(k)
+        except ValueError:
+            raise ParseError(f"{path}.{k}", "exponent keys must be integers")
+        coeffs[j] = _int(v, f"{path}.{k}")
+    return LaurentPoly(coeffs)
 
 
 def _parse_matrix(obj, path, rows=None, cols=None):
@@ -160,12 +173,13 @@ def _parse_matrix(obj, path, rows=None, cols=None):
 
 
 def _parse_complex(obj, path, grade=None):
-    lo = _need(obj, "lo", path, int)
-    hi = _need(obj, "hi", path, int)
-    ranks = _need(obj, "ranks", path, list)
-    if not all(isinstance(r, int) and not isinstance(r, bool) and r >= 0
-               for r in ranks):
-        raise ParseError(f"{path}.ranks", "expected nonnegative integers")
+    lo = _int(_need(obj, "lo", path), f"{path}.lo")
+    hi = _int(_need(obj, "hi", path), f"{path}.hi")
+    ranks = _ints(obj, "ranks", path)
+    for j, r in enumerate(ranks):
+        if r < 0:
+            raise ParseError(f"{path}.ranks[{j}]",
+                             "expected a nonnegative integer")
     if len(ranks) != hi - lo + 1:
         raise ParseError(f"{path}.ranks",
                          f"{len(ranks)} ranks for degrees [{lo},{hi}]")
@@ -232,13 +246,6 @@ def _parse_chain_selfmap(c, fam, path):
         raise ValidationError(path, str(exc))
 
 
-def _parse_counts(obj, path):
-    if not isinstance(obj, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in obj):
-        raise ParseError(path, "expected an array of integers")
-    return obj
-
-
 def parse_document(text: str) -> JobDocument:
     """Parse and fully validate a job document.
 
@@ -260,8 +267,8 @@ def parse_document(text: str) -> JobDocument:
         raise ParseError("$.options", "expected an object")
     opts = {}
     if "precision" in options:
-        k = options["precision"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        k = _int(options["precision"], "$.options.precision")
+        if k < 0:
             raise ParseError("$.options.precision",
                              "expected a nonnegative integer")
         opts["precision"] = k
@@ -314,11 +321,9 @@ def _parse_payload_knot(payload, path):
 
 
 def _parse_payload_inequalities(payload, path):
-    lo = _need(payload, "lo", path, int)
-    counts = _parse_counts(_need(payload, "counts", path, list),
-                           f"{path}.counts")
-    bounds = _parse_counts(_need(payload, "bounds", path, list),
-                           f"{path}.bounds")
+    lo = _int(_need(payload, "lo", path), f"{path}.lo")
+    counts = _ints(payload, "counts", path)
+    bounds = _ints(payload, "bounds", path)
     if len(counts) != len(bounds):
         raise ValidationError(path, "counts and bounds must cover the same "
                                     "degree range")
@@ -504,16 +509,11 @@ def _exact_vs_truncated_check(fd, fhat, k):
         ex, tr = fhat.differential(i), trunc.differential(i)
         for r in range(ex.rows):
             for c in range(ex.cols):
-                w = expand(_as_rational(ex.entry(r, c)), precision=k)
+                w = expand(ex.entry(r, c), precision=k)
                 if w != TruncatedSeries.of_poly(tr.entry(r, c), k):
                     ok = False
     return {"check": "exact-vs-truncated", "ok": ok,
             "detail": f"windows through z^{k}"}
-
-
-def _as_rational(e):
-    from .rings import RationalFunction
-    return e if hasattr(e, "denominator") else RationalFunction(e)
 
 
 def _cone_vs_fhat_check(cone, rb, dirn):

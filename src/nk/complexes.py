@@ -22,7 +22,6 @@ from .rings import LaurentPoly, RationalFunction
 from .linalg import (
     Matrix,
     matmul,
-    matrix_from_json,
     matrix_to_json,
     smith_normal_form_int,
 )
@@ -143,21 +142,6 @@ class BasedChainComplex:
                               for i, d in sorted(self.differentials.items())},
         }
 
-    @classmethod
-    def from_json(cls, obj, grade=None):
-        lo, hi = int(obj["lo"]), int(obj["hi"])
-        ranks = [int(r) for r in obj["ranks"]]
-        diffs = {int(i): matrix_from_json(d,
-                                          rows=ranks[int(i) - 1 - lo],
-                                          cols=ranks[int(i) - lo])
-                 for i, d in obj.get("differentials", {}).items()}
-        if grade is None:
-            laurent = any(isinstance(e, LaurentPoly)
-                          for d in diffs.values()
-                          for row in d.entries for e in row)
-            grade = Grade.LAURENT if laurent else Grade.Z
-        return cls(grade, lo, hi, ranks, diffs)
-
 
 def validate_complex(c: BasedChainComplex):
     """None when d o d = 0 in every degree; else (degree, product matrix)
@@ -259,29 +243,40 @@ def base_change(c: BasedChainComplex, grade: Grade) -> BasedChainComplex:
 @dataclass(frozen=True)
 class HomologyReport:
     """Per degree: Betti number b_i, torsion invariant factors (each
-    dividing the next, unit factors stripped), q_i = their count."""
+    dividing the next, unit factors stripped), q_i = their count.
+
+    Over Z the factors are positive ints; over a Novikov ring they are
+    normalized Laurent representatives (``novikov.NovikovReport``).
+    """
 
     lo: int
     hi: int
     betti: dict
     torsion_factors: dict
 
-    def torsion_count(self, i):
-        return len(self.torsion_factors.get(i, ()))
-
     def b(self, i):
         return self.betti.get(i, 0)
 
+    def torsion_count(self, i):
+        return len(self.torsion_factors.get(i, ()))
+
     @property
-    def total_rank(self):
-        return sum(self.betti.values())
+    def all_zero(self):
+        """Every reported group is zero."""
+        return (all(b == 0 for b in self.betti.values())
+                and all(not t for t in self.torsion_factors.values()))
+
+    def factors_by_degree(self):
+        return {i: tuple(self.torsion_factors.get(i, ()))
+                for i in range(self.lo, self.hi + 1)}
 
     def to_json(self):
         return {
             "lo": self.lo,
             "hi": self.hi,
             "betti": {str(i): self.betti[i] for i in sorted(self.betti)},
-            "torsion": {str(i): list(self.torsion_factors[i])
+            "torsion": {str(i): [f if isinstance(f, int) else f.to_json()
+                                 for f in self.torsion_factors[i]]
                         for i in sorted(self.torsion_factors)},
         }
 
@@ -302,8 +297,7 @@ def integral_homology(c: BasedChainComplex) -> HomologyReport:
         r_in = snf[i + 1].rank if i + 1 in snf else 0
         r_out = snf[i].rank if i in snf else 0
         betti[i] = c.rank(i) - r_in - r_out
-        torsion[i] = [f for f in (snf[i + 1].invariant_factors
-                                  if i + 1 in snf else ()) if f != 1]
+        torsion[i] = list(snf[i + 1].torsion_factors) if i + 1 in snf else []
     return HomologyReport(c.lo, c.hi, betti, torsion)
 
 

@@ -131,11 +131,6 @@ class Matrix:
         return Matrix(self.rows, self.cols,
                       [[f(e) for e in row] for row in self.entries])
 
-    def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
     def scaled(self, s):
         return self.map_entries(lambda e: s * e)
 
@@ -200,21 +195,6 @@ def matrix_to_json(m: Matrix):
     return [[enc(e) for e in row] for row in m.entries]
 
 
-def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
-    def dec(e):
-        if isinstance(e, bool) or not isinstance(e, (int, dict)):
-            raise ValueError(f"bad matrix entry {e!r}")
-        if isinstance(e, int):
-            return e
-        return LaurentPoly.from_json(e)
-    grid = [[dec(e) for e in row] for row in obj]
-    m = Matrix.from_rows(grid, cols if not grid else None)
-    if rows is not None and m.rows != rows or cols is not None and m.cols != cols:
-        raise DimensionMismatch(
-            f"matrix is {m.rows}x{m.cols}, expected {rows}x{cols}")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form over Z
 
@@ -224,28 +204,20 @@ class SNFResult:
     """Diagonalization certificate: U @ matrix @ V == diag(invariant_factors).
 
     ``invariant_factors`` are the nonzero diagonal entries, each dividing
-    the next; ``transforms_valid`` records that the factorization was
-    re-multiplied and checked (it is checked on every call).
+    the next.  Every reduction re-multiplies its factorization before
+    returning and raises when the check fails.
     """
 
     invariant_factors: tuple
     rank: int
-    transforms_valid: bool
-    U: Matrix = field(repr=False, default=None)
-    V: Matrix = field(repr=False, default=None)
-    U_inv: Matrix = field(repr=False, default=None)
-    V_inv: Matrix = field(repr=False, default=None)
+    U: Matrix = field(repr=False)
+    V: Matrix = field(repr=False)
 
     @property
     def torsion_factors(self):
-        """Invariant factors that are not units (contribute generators)."""
-        return tuple(f for f in self.invariant_factors if not _is_unit_factor(f))
-
-
-def _is_unit_factor(f):
-    if isinstance(f, int):
-        return abs(f) == 1
-    return f == ONE
+        """Invariant factors that are not units (contribute generators);
+        units come out as 1 over Z and over the Novikov ring alike."""
+        return tuple(f for f in self.invariant_factors if f != 1)
 
 
 def smith_normal_form_int(m: Matrix) -> SNFResult:
@@ -347,8 +319,7 @@ def smith_normal_form_int(m: Matrix) -> SNFResult:
           and all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)))
     if not ok:  # pragma: no cover - internal invariant
         raise AssertionError("SNF self-verification failed")
-    return SNFResult(factors, t, True, um, vm,
-                     Matrix.from_rows(Ui, nr), Matrix.from_rows(Vi, nc))
+    return SNFResult(factors, t, um, vm)
 
 
 def _ident(n):
@@ -525,10 +496,10 @@ class _OutOfBudget(Exception):
 class _Reduction:
     """Mutable elimination state over S^-1 Z[z,z^-1], tracking U, V."""
 
-    def __init__(self, grid, budget):
+    def __init__(self, grid, nc, budget):
         self.A = [[_rat(e) for e in row] for row in grid]
         self.nr = len(grid)
-        self.nc = len(grid[0]) if grid else 0
+        self.nc = nc
         self.U = [[_rat(1 if i == j else 0) for j in range(self.nr)]
                   for i in range(self.nr)]
         self.V = [[_rat(1 if i == j else 0) for j in range(self.nc)]
@@ -647,10 +618,8 @@ def novikov_diagonalize(m: Matrix,
     """
     grid = [list(row) for row in m.entries]
     if direction is Direction.MINUS:
-        grid = [[reverse_variable(e if isinstance(e, (LaurentPoly, RationalFunction))
-                                  else LaurentPoly({0: e})) for e in row]
-                for row in grid]
-    red = _Reduction(grid, _Budget(budget))
+        grid = [[reverse_variable(e) for e in row] for row in grid]
+    red = _Reduction(grid, m.cols, _Budget(budget))
     A, nr, nc = red.A, red.nr, red.nc
     finalized = 0
     try:
@@ -680,7 +649,7 @@ def novikov_diagonalize(m: Matrix,
     for s in range(rank - 1):
         if _try_div(A[s + 1][s + 1], A[s][s]) is None:  # pragma: no cover
             raise AssertionError("divisibility chain broken")
-    return SNFResult(factors, rank, True, um, vm)
+    return SNFResult(factors, rank, um, vm)
 
 
 def _reduce_pivot(red, t):

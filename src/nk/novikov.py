@@ -21,57 +21,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rings import Direction
-from .complexes import BasedChainComplex, Grade
+from .complexes import BasedChainComplex, Grade, HomologyReport
 # b_i + q_i + q_{i-1} reads the same off a NovikovReport
 from .complexes import morse_lower_bounds as morse_novikov_bounds  # noqa: F401
 from .linalg import Inconclusive, novikov_diagonalize, rank_over_function_field
 
 
 @dataclass(frozen=True)
-class NovikovReport:
+class NovikovReport(HomologyReport):
     """Per-degree Novikov numbers of a complex.
 
     ``betti[i]`` is the free rank of H_i over the Novikov ring;
     ``torsion_factors[i]`` lists the normalized non-unit invariant
     factors presenting its torsion (q_i generators).  When some degree's
-    diagonalization was Inconclusive, ``conclusive`` is False and the
-    factor lists are lower bounds.
+    diagonalization was Inconclusive, ``conclusive`` is False, the
+    factor lists are lower bounds and ``all_zero`` is no vanishing
+    certificate.
     """
 
     direction: Direction
-    lo: int
-    hi: int
-    betti: dict
-    torsion_factors: dict
     conclusive: bool = True
 
-    def b(self, i):
-        return self.betti.get(i, 0)
-
-    def torsion_count(self, i):
-        return len(self.torsion_factors.get(i, ()))
-
-    @property
-    def all_zero(self):
-        """Every reported group is zero.  Meaningful as a vanishing
-        certificate only when conclusive."""
-        return (all(b == 0 for b in self.betti.values())
-                and all(not t for t in self.torsion_factors.values()))
-
-    def factors_by_degree(self):
-        return {i: tuple(self.torsion_factors.get(i, ()))
-                for i in range(self.lo, self.hi + 1)}
-
     def to_json(self):
-        return {
-            "direction": self.direction.value,
-            "lo": self.lo,
-            "hi": self.hi,
-            "conclusive": self.conclusive,
-            "betti": {str(i): self.betti[i] for i in sorted(self.betti)},
-            "torsion": {str(i): [f.to_json() for f in self.torsion_factors[i]]
-                        for i in sorted(self.torsion_factors)},
-        }
+        return {**super().to_json(), "direction": self.direction.value,
+                "conclusive": self.conclusive}
 
 
 @dataclass(frozen=True)
@@ -117,17 +90,11 @@ def novikov_homology(c: BasedChainComplex,
             continue
         try:
             res = novikov_diagonalize(c.differential(i + 1), direction)
-            torsion[i] = [f for f in res.invariant_factors
-                          if not _factor_is_unit(f)]
+            torsion[i] = list(res.torsion_factors)
         except Inconclusive as exc:
             conclusive = False
-            torsion[i] = [f for f in exc.partial_factors
-                          if not _factor_is_unit(f)]
-    return NovikovReport(direction, c.lo, c.hi, betti, torsion, conclusive)
-
-
-def _factor_is_unit(f):
-    return f == 1
+            torsion[i] = [f for f in exc.partial_factors if f != 1]
+    return NovikovReport(c.lo, c.hi, betti, torsion, direction, conclusive)
 
 
 def check_inequalities(critical_counts: dict, bounds: dict) -> list:

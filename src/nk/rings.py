@@ -80,14 +80,6 @@ class LaurentPoly:
                     c[int(j)] = int(n)
         self._c = c
 
-    @classmethod
-    def const(cls, n):
-        return cls({0: n})
-
-    @classmethod
-    def monomial(cls, exp, coeff=1):
-        return cls({exp: coeff})
-
     @property
     def coeffs(self):
         return dict(self._c)
@@ -226,12 +218,6 @@ class LaurentPoly:
 
     def to_json(self):
         return {str(j): n for j, n in self.items()}
-
-    @classmethod
-    def from_json(cls, obj):
-        if isinstance(obj, int):
-            return cls.const(obj)
-        return cls({int(j): int(n) for j, n in obj.items()})
 
 
 def _coerce_poly(x):

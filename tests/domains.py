@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from nk.rings import LaurentPoly, RationalFunction
-from nk.linalg import Matrix
+from nk.rings import Direction, LaurentPoly, RationalFunction, reverse_variable
+from nk.linalg import Matrix, matmul
 from nk.complexes import BasedChainComplex, ChainMap, Grade, direct_sum
 from nk.fundomain import AlgebraicFundamentalDomain
 from nk.models import SeifertData, knot_fundamental_domain
@@ -69,6 +69,32 @@ def det_oracle(m):
                            else LaurentPoly({0: e}))
         total = total + term
     return total
+
+
+def assert_diagonalizes(m, res, direction=None):
+    """Re-multiply a diagonalization of m instead of trusting it.
+
+    direction None: res is a Smith normal form over Z and
+    U m V == diag(invariant factors).  Otherwise res is a Z((z))
+    (resp. Z((z^-1))) diagonalization and U m' V, with m' the entries of
+    m as RationalFunction (variable-reversed for MINUS), is diagonal
+    with exactly ``rank`` nonzero entries, leading.
+    """
+    assert (res.U.rows, res.U.cols) == (m.rows, m.rows)
+    assert (res.V.rows, res.V.cols) == (m.cols, m.cols)
+    if direction is None:
+        diag = Matrix(m.rows, m.cols,
+                      [[res.invariant_factors[i] if i == j and i < res.rank
+                        else 0 for j in range(m.cols)] for i in range(m.rows)])
+        assert matmul(matmul(res.U, m), res.V) == diag
+        return
+    flip = reverse_variable if direction is Direction.MINUS else (lambda e: e)
+    m2 = m.map_entries(lambda e: RationalFunction(flip(e)))
+    prod = matmul(matmul(res.U, m2), res.V).entries
+    assert all(not prod[i][j] for i in range(m.rows) for j in range(m.cols)
+               if i != j)
+    assert [bool(prod[i][i]) for i in range(min(m.rows, m.cols))] == \
+        [i < res.rank for i in range(min(m.rows, m.cols))]
 
 
 def random_int_matrix(rng, rows, cols, max_coeff=2):

@@ -55,6 +55,7 @@ from nk.models import (
 )
 
 from domains import (
+    assert_diagonalizes,
     domain_corpus,
     random_unit_scalar_equivalence,
     rng_for,
@@ -273,22 +274,27 @@ def test_criterion_13_self_verification():
     for _ in range(50):
         m = random_int_matrix(rng, rng.randint(1, 3), rng.randint(1, 3),
                               max_coeff=5)
-        assert smith_normal_form_int(m).transforms_valid
+        assert_diagonalizes(m, smith_normal_form_int(m))
     inconclusive = 0
     for fd in CORPUS:
         cone = assemble_mapping_cone(fd)
         for i in range(cone.lo + 1, cone.hi + 1):
+            d = cone.differential(i)
             for direction in (Direction.PLUS, Direction.MINUS):
                 try:
-                    res = novikov_diagonalize(cone.differential(i), direction)
-                    assert res.transforms_valid
+                    res = novikov_diagonalize(d, direction)
                 except Inconclusive:
                     inconclusive += 1
+                    continue
+                assert_diagonalizes(d, res, direction)
     for s in SEIFERT:
         cone = assemble_mapping_cone(knot_fundamental_domain(s))
         for i in range(cone.lo + 1, cone.hi + 1):
+            d = cone.differential(i)
             try:
-                assert novikov_diagonalize(cone.differential(i)).transforms_valid
+                res = novikov_diagonalize(d)
             except Inconclusive:
                 inconclusive += 1
+                continue
+            assert_diagonalizes(d, res, Direction.PLUS)
     assert inconclusive == 0

@@ -95,6 +95,55 @@ def test_parse_bad_option_values():
         parse_document(job("novikov", payload, {"direction": "sideways"}))
 
 
+INT_FIELDS = {
+    "novikov": {"kind": "novikov", "options": {"precision": 8}, "payload": {
+        "complex": {"lo": 0, "hi": 1, "ranks": [1, 2], "differentials": {
+            "1": [[{"0": 1, "1": -1}, 3]]}}}},
+    "inequalities": {"kind": "inequalities",
+                     "payload": {"lo": 0, "counts": [1, 2], "bounds": [1, 1]}},
+}
+
+INT_POSITIONS = {
+    "entry": ("novikov", ("payload", "complex", "differentials", "1", 0, 1),
+              "$.payload.complex.differentials.1[0][1]"),
+    "coeff": ("novikov",
+              ("payload", "complex", "differentials", "1", 0, 0, "1"),
+              "$.payload.complex.differentials.1[0][0].1"),
+    "lo": ("novikov", ("payload", "complex", "lo"), "$.payload.complex.lo"),
+    "hi": ("novikov", ("payload", "complex", "hi"), "$.payload.complex.hi"),
+    "rank": ("novikov", ("payload", "complex", "ranks", 1),
+             "$.payload.complex.ranks[1]"),
+    "precision": ("novikov", ("options", "precision"), "$.options.precision"),
+    "ineq-lo": ("inequalities", ("payload", "lo"), "$.payload.lo"),
+    "counts": ("inequalities", ("payload", "counts", 1),
+               "$.payload.counts[1]"),
+    "bounds": ("inequalities", ("payload", "bounds", 0),
+               "$.payload.bounds[0]"),
+}
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "5", None],
+                         ids=["float", "bool", "string", "null"])
+@pytest.mark.parametrize("kind, keys, path", list(INT_POSITIONS.values()),
+                         ids=list(INT_POSITIONS))
+def test_integer_fields_take_json_integers_only(tmp_path, capsys, kind, keys,
+                                                path, bad):
+    doc = json.loads(json.dumps(INT_FIELDS[kind]))
+    parse_document(json.dumps(doc))  # well formed before the edit
+    slot = doc
+    for k in keys[:-1]:
+        slot = slot[k]
+    slot[keys[-1]] = bad
+    text = json.dumps(doc)
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert exc.value.path == path
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == 2
+    assert path in capsys.readouterr().err
+
+
 # --- running -------------------------------------------------------------------
 
 def test_run_torus_minus_reports_factor():

@@ -1,5 +1,7 @@
 """Chain complexes: validation, cones, base change, integral homology."""
 
+import json
+
 import pytest
 
 from nk.rings import LaurentPoly
@@ -19,6 +21,7 @@ from nk.complexes import (
     validate_complex,
 )
 from nk.novikov import novikov_homology
+from nk.cli import parse_document
 
 from domains import random_z_complex, rng_for
 
@@ -202,4 +205,6 @@ def test_chain_map_must_commute():
 def test_json_roundtrip():
     c = BasedChainComplex(Grade.LAURENT, 0, 1, [1, 1],
                           {1: Matrix.from_rows([[one - z]])})
-    assert BasedChainComplex.from_json(c.to_json()) == c
+    doc = parse_document(json.dumps({"kind": "novikov",
+                                     "payload": {"complex": c.to_json()}}))
+    assert doc.payload["complex"] == c

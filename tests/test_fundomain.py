@@ -291,6 +291,13 @@ def test_cone_and_fhat_reports_agree():
 
 # --- one elimination per degree ---------------------------------------------------------------
 
+def test_domain_json_roundtrip():
+    fd = dense_domain(2)
+    doc = parse_document(json.dumps({"kind": "fundomain",
+                                     "payload": {"domain": fd.to_json()}}))
+    assert doc.payload["domain"] == fd
+
+
 def test_rank_eight_dense_domain():
     fd = dense_domain(8)
     for i in (0, 1):

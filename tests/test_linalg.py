@@ -1,18 +1,19 @@
 """Matrices, Smith normal form, function-field rank, Z((z)) reduction."""
 
 import itertools
+import json
 import math
 
 import pytest
 
 from nk import linalg
+from nk.cli import parse_document
 from nk.rings import Direction, LaurentPoly, RationalFunction
 from nk.linalg import (
     DimensionMismatch,
     Matrix,
     kernel_basis_int,
     matmul,
-    matrix_from_json,
     matrix_to_json,
     novikov_diagonalize,
     rank_over_function_field,
@@ -21,7 +22,13 @@ from nk.linalg import (
     solve_laurent,
 )
 
-from domains import det_oracle, random_int_matrix, random_laurent, rng_for
+from domains import (
+    assert_diagonalizes,
+    det_oracle,
+    random_int_matrix,
+    random_laurent,
+    rng_for,
+)
 
 z = LaurentPoly({1: 1})
 one = LaurentPoly({0: 1})
@@ -93,17 +100,22 @@ def test_matmul_dimension_mismatch():
 
 def test_matrix_json_roundtrip():
     m = Matrix.from_rows([[1, one - 2 * z], [LaurentPoly({-1: 3}), 0]])
-    back = matrix_from_json(matrix_to_json(m))
+    doc = parse_document(json.dumps({"kind": "novikov", "payload": {
+        "complex": {"lo": 0, "hi": 1, "ranks": [2, 2],
+                    "differentials": {"1": matrix_to_json(m)}}}}))
+    back = doc.payload["complex"].differential(1)
     # ints decode as ints, polynomials as polynomials; values agree
-    assert back == Matrix.from_rows(
-        [[1, one - 2 * z], [LaurentPoly({-1: 3}), 0]])
+    assert back == m
+    assert [type(e) for row in back.entries for e in row] == \
+        [int, LaurentPoly, LaurentPoly, int]
 
 
 # --- integer SNF ----------------------------------------------------------------
 
 def test_snf_identity():
     s = smith_normal_form_int(Matrix.identity(2))
-    assert s.invariant_factors == (1, 1) and s.rank == 2 and s.transforms_valid
+    assert s.invariant_factors == (1, 1) and s.rank == 2
+    assert_diagonalizes(Matrix.identity(2), s)
 
 
 def test_snf_zero():
@@ -125,7 +137,7 @@ def test_snf_matches_minor_oracle_randomly():
                               max_coeff=4)
         s = smith_normal_form_int(m)
         assert s.invariant_factors == invariant_factors_via_minors(m)
-        assert s.transforms_valid
+        assert_diagonalizes(m, s)
 
 
 def test_snf_unimodular_invariance():
@@ -243,10 +255,11 @@ def test_solve_laurent_row_swap_sign():
 # --- diagonalization over Z((z)) ---------------------------------------------------
 
 def test_diag_unit_entry_means_zero_module():
-    r = novikov_diagonalize(Matrix.from_rows([[one - 2 * z]]))
+    m = Matrix.from_rows([[one - 2 * z]])
+    r = novikov_diagonalize(m)
     assert r.invariant_factors == (one,)
     assert r.torsion_factors == ()
-    assert r.transforms_valid
+    assert_diagonalizes(m, r, Direction.PLUS)
 
 
 def test_diag_z_minus_two():
@@ -305,6 +318,18 @@ def test_diag_unit_rescaling_invariance():
             [[e * LaurentPoly({k: -1}) for e in row] for row in base.entries])
         assert novikov_diagonalize(scaled).invariant_factors == \
             r0.invariant_factors
+
+
+@pytest.mark.parametrize("direction", [Direction.PLUS, Direction.MINUS])
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_transform_shapes_without_rows_or_columns(rows, cols, direction):
+    """U is rows x rows and V is cols x cols even when the input has no
+    rows (the column count cannot be read off an empty grid)."""
+    m = Matrix.zeros(rows, cols)
+    r = novikov_diagonalize(m, direction)
+    assert r.rank == 0 and r.invariant_factors == ()
+    assert_diagonalizes(m, r, direction)
+    assert_diagonalizes(m, smith_normal_form_int(m))
 
 
 @pytest.mark.parametrize("method, side", [("row_add", "U"), ("col_add", "V")])

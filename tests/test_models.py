@@ -1,5 +1,7 @@
 """Mapping tori, the circle fixture, knot domains, fibering."""
 
+import json
+
 from nk.rings import Direction, LaurentPoly, is_novikov_unit, reverse_variable
 from nk.linalg import Matrix, novikov_diagonalize
 from nk.complexes import BasedChainComplex, ChainMap, Grade
@@ -19,6 +21,7 @@ from nk.models import (
     mapping_torus_complex,
 )
 from nk.novikov import finite_domination_check, novikov_homology
+from nk.cli import parse_document
 
 from domains import (
     det_oracle,
@@ -243,6 +246,13 @@ def test_unknot_empty_base_fibers():
     s = SeifertData(base, ChainMap(base, base, {}))
     v = fibering_check(s)
     assert v.fibers and v.alexander == {1: one}
+
+
+def test_seifert_json_roundtrip():
+    for s in [seifert(TREFOIL)] + seifert_corpus(10):
+        doc = parse_document(json.dumps({"kind": "knot",
+                                         "payload": s.to_json()}))
+        assert doc.payload["seifert"] == s
 
 
 def test_criteria_agree_on_corpus():
