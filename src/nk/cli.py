@@ -39,6 +39,7 @@ from .linalg import (
     DimensionMismatch,
     Inconclusive,
     Matrix,
+    associate,
     novikov_diagonalize,
     rank_over_function_field,
 )
@@ -123,12 +124,28 @@ def _need(obj, key, path, type_=None):
     return v
 
 
+#: largest |exponent| a document may use: polynomials are stored densely,
+#: so an exponent allocates its whole span when the document is parsed
+MAX_EXPONENT = 100_000
+
+
 def _int(value, path):
     """The one integer rule: a JSON integer, never a float, a string or
     a boolean."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(path, f"expected an integer, got {json.dumps(value)}")
     return value
+
+
+def _int_key(key, seen, path, what):
+    """A degree or exponent key as an int, new among the ints in seen."""
+    try:
+        i = int(key)
+    except ValueError:
+        raise ParseError(path, f"{what} keys must be integers")
+    if i in seen:
+        raise ParseError(path, f"repeats {what} {i}")
+    return i
 
 
 def _ints(obj, key, path):
@@ -142,10 +159,10 @@ def _parse_entry(e, path):
         return _int(e, path)
     coeffs = {}
     for k, v in e.items():
-        try:
-            j = int(k)
-        except ValueError:
-            raise ParseError(f"{path}.{k}", "exponent keys must be integers")
+        j = _int_key(k, coeffs, f"{path}.{k}", "exponent")
+        if abs(j) > MAX_EXPONENT:
+            raise ParseError(f"{path}.{k}",
+                             f"|exponent| exceeds {MAX_EXPONENT}")
         coeffs[j] = _int(v, f"{path}.{k}")
     return LaurentPoly(coeffs)
 
@@ -188,11 +205,7 @@ def _parse_complex(obj, path, grade=None):
     if not isinstance(raw, dict):
         raise ParseError(f"{path}.differentials", "expected an object")
     for key, mat in raw.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise ParseError(f"{path}.differentials.{key}",
-                             "degree keys must be integers")
+        i = _int_key(key, diffs, f"{path}.differentials.{key}", "degree")
         if not lo < i <= hi:
             raise ParseError(f"{path}.differentials.{key}",
                              f"degree outside ({lo},{hi}]")
@@ -224,10 +237,7 @@ def _parse_matrix_family(obj, path):
         raise ParseError(path, "expected an object keyed by degree")
     out = {}
     for key, mat in obj.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise ParseError(f"{path}.{key}", "degree keys must be integers")
+        i = _int_key(key, out, f"{path}.{key}", "degree")
         out[i] = _parse_matrix(mat, f"{path}.{key}")
     return out
 
@@ -516,13 +526,19 @@ def _exact_vs_truncated_check(fd, fhat, k):
             "detail": f"windows through z^{k}"}
 
 
+def _same_factors(fa, fb, dirn):
+    """Equal lengths, and each pair of entries generates the same ideal."""
+    return len(fa) == len(fb) and all(associate(a, b, dirn)
+                                      for a, b in zip(fa, fb))
+
+
 def _cone_vs_fhat_check(cone, rb, dirn):
     """The cone's Novikov report against rb, the report of F^."""
     ra = novikov_homology(cone, dirn)
     lo, hi = min(ra.lo, rb.lo), max(ra.hi, rb.hi)
     ok = all(ra.b(i) == rb.b(i)
-             and list(ra.torsion_factors.get(i, [])) ==
-             list(rb.torsion_factors.get(i, []))
+             and _same_factors(ra.torsion_factors.get(i, ()),
+                               rb.torsion_factors.get(i, ()), dirn)
              for i in range(lo, hi + 1))
     return {"check": "cone-vs-algebraic-novikov", "ok": ok,
             "detail": "reports compared degreewise"}
@@ -596,7 +612,7 @@ def _ses_check(s, factors, dirn):
                       if f != 1]
         except Inconclusive:
             continue
-        if list(factors.get(i, ())) != direct:
+        if not _same_factors(factors.get(i, ()), direct, dirn):
             ok = False
             details.append(f"degree {i}")
     return {"check": "short-exact-sequence-factors", "ok": ok,

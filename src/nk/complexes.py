@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .rings import LaurentPoly, RationalFunction
+from .rings import LaurentPoly, RationalFunction, _coerce_poly, _coerce_rational
 from .linalg import (
     Matrix,
     matmul,
@@ -224,9 +224,9 @@ def direct_sum(a: BasedChainComplex, b: BasedChainComplex) -> BasedChainComplex:
 
 def _widen_entry(e, grade):
     if grade is Grade.LAURENT:
-        return e if isinstance(e, LaurentPoly) else LaurentPoly({0: e})
+        return _coerce_poly(e)
     if grade is Grade.RATIONAL:
-        return e if isinstance(e, RationalFunction) else RationalFunction(e)
+        return _coerce_rational(e)
     return e
 
 

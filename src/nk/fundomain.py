@@ -33,12 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rings import LaurentPoly, RationalFunction, truncate_poly
+from .rings import (ONE, Z, LaurentPoly, RationalFunction, _coerce_poly,
+                    truncate_poly)
 from .linalg import Matrix, matmul, matrix_to_json, solve_laurent
 from .complexes import BasedChainComplex, Grade
-
-Z = LaurentPoly({1: 1})
-ONE = LaurentPoly({0: 1})
 
 
 class InvalidDomain(Exception):
@@ -166,11 +164,6 @@ def validate_fundamental_domain(fd) -> tuple | None:
     return None
 
 
-def _lau(m: Matrix) -> Matrix:
-    return m.map_entries(lambda e: e if isinstance(e, LaurentPoly)
-                         else LaurentPoly({0: e}))
-
-
 def assemble_mapping_cone(fd: AlgebraicFundamentalDomain) -> BasedChainComplex:
     """The Laurent complex C(phi), phi = g - z h.
 
@@ -190,12 +183,14 @@ def assemble_mapping_cone(fd: AlgebraicFundamentalDomain) -> BasedChainComplex:
     ranks = [D.rank(i - 1) + D.rank(i) + F.rank(i) for i in range(lo, hi + 1)]
     diffs = {}
     for i in range(lo + 1, hi + 1):
-        dd_prev = _lau(D.differential(i - 1))
+        dd_prev, dd, c, df = (m.map_entries(_coerce_poly) for m in (
+            D.differential(i - 1), D.differential(i), fd.c_at(i),
+            F.differential(i)))
         phi_top = Matrix.identity(D.rank(i - 1)) - fd.h_D_at(i - 1).scaled(Z)
         diffs[i] = Matrix.block(
             [[-dd_prev, None, None],
-             [_lau(phi_top), _lau(D.differential(i)), _lau(fd.c_at(i))],
-             [-fd.h_F_at(i - 1).scaled(Z), None, _lau(F.differential(i))]],
+             [phi_top.map_entries(_coerce_poly), dd, c],
+             [-fd.h_F_at(i - 1).scaled(Z), None, df]],
             row_sizes=[D.rank(i - 2), D.rank(i - 1), F.rank(i - 1)],
             col_sizes=[D.rank(i - 1), D.rank(i), F.rank(i)])
     return BasedChainComplex(Grade.LAURENT, lo, hi, ranks, diffs)
@@ -270,13 +265,13 @@ def algebraic_novikov_complex(fd: AlgebraicFundamentalDomain, mode="exact",
         raise ValueError("truncated mode needs an order")
     diffs = {}
     for i in range(F.lo + 1, F.hi + 1):
-        acc = _lau(F.differential(i))
+        acc = F.differential(i).map_entries(_coerce_poly)
         hd = fd.h_D_at(i - 1)
         power = Matrix.identity(hd.rows)
-        c = _lau(fd.c_at(i))
-        hf = _lau(fd.h_F_at(i - 1))
+        c = fd.c_at(i).map_entries(_coerce_poly)
+        hf = fd.h_F_at(i - 1).map_entries(_coerce_poly)
         for j in range(1, order + 1):
-            term = matmul(matmul(hf, _lau(power)), c)
+            term = matmul(matmul(hf, power.map_entries(_coerce_poly)), c)
             acc = acc + term.scaled(LaurentPoly({j: 1}))
             power = matmul(power, hd)
         diffs[i] = acc

@@ -26,15 +26,15 @@ import math
 from dataclasses import dataclass, field
 
 from .rings import (
+    ONE,
     LaurentPoly,
     NotInRationalSubring,
     RationalFunction,
     Direction,
+    _coerce_poly,
     divexact,
     reverse_variable,
 )
-
-ONE = LaurentPoly({0: 1})
 
 
 class DimensionMismatch(Exception):
@@ -408,10 +408,6 @@ def _bareiss(A, n, jordan=False):
     return r, prev, sign
 
 
-def _poly(e):
-    return e if isinstance(e, LaurentPoly) else LaurentPoly({0: e})
-
-
 def _laurent_rows(m: Matrix):
     """Rows as LaurentPoly, clearing any RationalFunction denominators
     row by row (which does not change the rank over Q(z))."""
@@ -428,7 +424,7 @@ def _laurent_rows(m: Matrix):
                 assert v.is_polynomial
                 new.append(v.numerator)
             else:
-                new.append(_poly(e) * den)
+                new.append(_coerce_poly(e) * den)
         out.append(new)
     return out
 
@@ -454,7 +450,7 @@ def solve_laurent(m: Matrix, b: Matrix):
         raise DimensionMismatch(
             f"cannot solve a {m.rows}x{m.cols} system for {b.rows}x{b.cols}")
     n = m.rows
-    rows = [[_poly(e) for e in ra + rb]
+    rows = [[_coerce_poly(e) for e in ra + rb]
             for ra, rb in zip(m.entries, b.entries)]
     rank, det, sign = _bareiss(rows, n, jordan=True)
     if rank < n:
@@ -574,6 +570,17 @@ def _try_div(a, p):
         return a / p
     except NotInRationalSubring:
         return None
+
+
+def associate(a, b, direction=Direction.PLUS) -> bool:
+    """Do the nonzero Laurent polynomials a and b generate the same ideal
+    of Z((z)) (PLUS) resp. Z((z^-1)) (MINUS)?  True when a/b and b/a
+    both lie in the rational subring, which by Fatou decides it exactly.
+    """
+    if direction is Direction.MINUS:
+        a, b = reverse_variable(a), reverse_variable(b)
+    a, b = RationalFunction(a), RationalFunction(b)
+    return _try_div(a, b) is not None and _try_div(b, a) is not None
 
 
 def _select_pivot(A, t, nr, nc):

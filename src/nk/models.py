@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import LaurentPoly, Direction
+from .rings import Z, LaurentPoly, Direction, _coerce_poly
 from .linalg import (
     Matrix,
     kernel_basis_int,
@@ -37,9 +37,6 @@ from .complexes import (
 )
 from .fundomain import AlgebraicFundamentalDomain, assemble_mapping_cone
 from .novikov import finite_domination_check
-
-Z = LaurentPoly({1: 1})
-ONE = LaurentPoly({0: 1})
 
 
 class InternalInconsistency(Exception):
@@ -63,7 +60,7 @@ def mapping_torus_complex(h: ChainMap, orientation="plus") -> BasedChainComplex:
             comps[i] = ident - h.component(i).scaled(Z)
         elif orientation == "minus":
             comps[i] = ident.scaled(Z) - h.component(i).map_entries(
-                lambda e: LaurentPoly({0: e}))
+                _coerce_poly)
         else:
             raise ValueError(f"unknown orientation {orientation!r}")
     return mapping_cone(ChainMap(n, n, comps))

@@ -7,12 +7,13 @@ finitely many negative-exponent terms; its units are exactly the series
 whose lowest coefficient is +-1.  This module never materializes a full
 series.  It works with three exact stand-ins:
 
-* ``LaurentPoly``       -- finitely supported integer coefficient maps;
+* ``LaurentPoly``       -- a shift plus a dense integer coefficient tuple,
+  the one coefficient format of this module;
 * ``RationalFunction``  -- quotients r(z)/s(z) with s(0) = 1, i.e. the
   subring S^-1 Z[z,z^-1] of Z((z)) (S = polynomials with constant
   coefficient 1, the polynomials invertible in Z[[z]] up to sign);
-* ``TruncatedSeries``   -- a window of a Z((z)) element: the coefficients
-  below an explicit cutoff exponent, nothing more.
+* ``TruncatedSeries``   -- a window of a Z((z)) element: a LaurentPoly of
+  the coefficients below an explicit cutoff exponent, nothing more.
 
 Everything is immutable and pure; integer coefficients are arbitrary
 precision.  Computations "at z = infinity" (the ring Z((z^-1))) are done
@@ -57,11 +58,13 @@ class Direction(enum.Enum):
 
 
 class LaurentPoly:
-    """An element of Z[z,z^-1] as a finite map {exponent: coefficient}.
+    """An element of Z[z,z^-1] as a shift plus a dense coefficient tuple.
 
-    Zero coefficients are never stored; the zero polynomial is the empty
-    map.  Instances are immutable and hashable, and mix freely with ints
-    in arithmetic.
+    ``_t[i]`` is the coefficient of z^(_s + i).  The tuple is empty for
+    zero (with shift 0) and otherwise starts and ends with a nonzero
+    entry, so each value has exactly one representation.  The
+    constructor takes a map {exponent: coefficient} of ints.  Instances
+    are immutable and hashable, and mix freely with ints in arithmetic.
 
     >>> p = LaurentPoly({0: 1, 1: -2})
     >>> p * LaurentPoly({-1: 1})
@@ -70,91 +73,118 @@ class LaurentPoly:
     LaurentPoly('0')
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_s", "_t")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for j, n in coeffs.items():
-                if n:
-                    c[int(j)] = int(n)
-        self._c = c
+        self._s, self._t = 0, ()
+        if not coeffs:
+            return
+        for j, n in coeffs.items():
+            if j.__class__ is not int or n.__class__ is not int:
+                _check_int(j)
+                _check_int(n)
+        lo, hi = min(coeffs), max(coeffs)
+        if lo == hi:  # the common single-term case, without a list
+            if coeffs[lo]:
+                self._s, self._t = lo, (coeffs[lo],)
+            return
+        t = [0] * (hi - lo + 1)
+        for j, n in coeffs.items():
+            t[j - lo] = n
+        self._s, self._t = _trim(lo, t)
+
+    @classmethod
+    def _dense(cls, shift, coeffs):
+        """sum coeffs[i] z^(shift + i) for a sequence of ints."""
+        self = object.__new__(cls)
+        self._s, self._t = _trim(shift, coeffs)
+        return self
 
     @property
     def coeffs(self):
-        return dict(self._c)
+        return dict(self.items())
 
     def coeff(self, j):
-        return self._c.get(j, 0)
+        i = j - self._s
+        return self._t[i] if 0 <= i < len(self._t) else 0
 
     def items(self):
         """Coefficients sorted by exponent."""
-        return sorted(self._c.items())
+        return [(self._s + i, n) for i, n in enumerate(self._t) if n]
 
     @property
     def is_zero(self):
-        return not self._c
+        return not self._t
 
     def ord(self):
         """Lowest exponent with nonzero coefficient."""
-        if not self._c:
+        if not self._t:
             raise ValueError("ord of the zero polynomial is undefined")
-        return min(self._c)
+        return self._s
 
     def deg(self):
         """Highest exponent with nonzero coefficient."""
-        if not self._c:
+        if not self._t:
             raise ValueError("deg of the zero polynomial is undefined")
-        return max(self._c)
+        return self._s + len(self._t) - 1
 
     def lowest_coeff(self):
-        return self._c[self.ord()]
+        return self.coeff(self.ord())
 
     def highest_coeff(self):
-        return self._c[self.deg()]
+        return self.coeff(self.deg())
 
     def shifted(self, k):
         """Multiply by z^k."""
-        if k == 0:
+        if k == 0 or not self._t:
             return self
-        return LaurentPoly({j + k: n for j, n in self._c.items()})
+        return LaurentPoly._dense(self._s + k, self._t)
 
     def content(self):
         """gcd of the coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self._c.values()) if self._c else 0
+        return math.gcd(*self._t)
 
     def map_coeffs(self, f):
-        return LaurentPoly({j: f(n) for j, n in self._c.items()})
+        return LaurentPoly({j: f(n) for j, n in self.items()})
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self._t)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly({0: other})
+            return self._t == ((other,) if other else ()) and not self._s
         if isinstance(other, LaurentPoly):
-            return self._c == other._c
+            return self._s == other._s and self._t == other._t
         return NotImplemented
 
     def __hash__(self):
         # constants hash like the ints they equal
-        if not self._c:
+        if not self._t:
             return hash(0)
-        if set(self._c) == {0}:
-            return hash(self._c[0])
-        return hash(tuple(self.items()))
+        if self._s == 0 and len(self._t) == 1:
+            return hash(self._t[0])
+        return hash((self._s, self._t))
 
     def __neg__(self):
-        return LaurentPoly({j: -n for j, n in self._c.items()})
+        return LaurentPoly._dense(self._s, [-n for n in self._t])
 
     def __add__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        c = dict(self._c)
-        for j, n in other._c.items():
-            c[j] = c.get(j, 0) + n
-        return LaurentPoly(c)
+        a, b = self, other
+        if not b._t:
+            return a
+        if not a._t:
+            return b
+        if a._s > b._s:
+            a, b = b, a
+        out = list(a._t)
+        off = b._s - a._s
+        out.extend([0] * (off + len(b._t) - len(out)))
+        for i, n in enumerate(b._t, off):
+            out[i] += n
+        return LaurentPoly._dense(a._s, out)
 
     __radd__ = __add__
 
@@ -171,22 +201,26 @@ class LaurentPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        c = {}
-        for i, a in self._c.items():
-            for j, b in other._c.items():
-                k = i + j
-                c[k] = c.get(k, 0) + a * b
-        return LaurentPoly(c)
+        a, b = self._t, other._t
+        if not a or not b:
+            return ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a, j):
+                    out[i] += x * y
+        return LaurentPoly._dense(self._s + other._s, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
-            if len(self._c) == 1 and abs(self.lowest_coeff()) == 1:
-                j = self.ord()
-                return LaurentPoly({-j: self._c[j]}) ** (-n)
+            if len(self._t) == 1 and abs(self._t[0]) == 1:
+                return LaurentPoly._dense(-self._s, self._t) ** (-n)
             raise ValueError("negative powers only for monomials with coefficient +-1")
-        out = LaurentPoly({0: 1})
+        out = ONE
         for _ in range(n):
             out = out * self
         return out
@@ -196,7 +230,7 @@ class LaurentPoly:
 
     def pretty(self, var="z"):
         """Human-readable form, ascending exponents: '1 - 2*z'."""
-        if not self._c:
+        if not self._t:
             return "0"
         parts = []
         for j, n in self.items():
@@ -218,6 +252,23 @@ class LaurentPoly:
 
     def to_json(self):
         return {str(j): n for j, n in self.items()}
+
+
+def _trim(shift, coeffs):
+    """(shift, tuple) of the LaurentPoly sum coeffs[i] z^(shift + i):
+    zero ends dropped, (0, ()) for zero."""
+    lo, hi = 0, len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    return (shift + lo, tuple(coeffs[lo:hi])) if lo < hi else (0, ())
+
+
+def _check_int(n):
+    """The integer rule of the constructors: an int, never a bool."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"expected an integer, got {n!r}")
 
 
 def _coerce_poly(x):
@@ -243,7 +294,7 @@ def reverse_variable(p):
         return RationalFunction(reverse_variable(p.numerator),
                                 reverse_variable(p.denominator))
     p = _coerce_poly(p)
-    return LaurentPoly({-j: n for j, n in p._c.items()})
+    return LaurentPoly._dense(1 - p._s - len(p._t), p._t[::-1])
 
 
 def is_novikov_unit(p, direction=Direction.PLUS) -> bool:
@@ -268,14 +319,7 @@ def is_novikov_unit(p, direction=Direction.PLUS) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomial helpers (ascending coefficient lists, for gcd work)
-
-
-def _to_dense(p: LaurentPoly):
-    """(shift, ascending coefficient list) with list[0] != 0; p nonzero."""
-    c = p._c
-    lo = min(c)
-    return lo, [c.get(j, 0) for j in range(lo, max(c) + 1)]
+# kernels on ascending coefficient sequences (LaurentPoly._t), for gcd work
 
 
 def _dense_trim(a):
@@ -322,14 +366,10 @@ def _coprime_mod_p(a, b):
     mod p has degree 0 for some p not dividing both leading coefficients
     (degrees can only drop under reduction, never the gcd's)."""
     for p in _FILTER_PRIMES:
+        if a[-1] % p == 0 or b[-1] % p == 0:
+            continue  # a leading coefficient vanishes: p is unusable
         am = [x % p for x in a]
         bm = [x % p for x in b]
-        while am and am[-1] == 0:
-            am.pop()
-        while bm and bm[-1] == 0:
-            bm.pop()
-        if len(am) != len(a) or len(bm) != len(b):
-            continue  # a leading coefficient vanished: p is unusable
         while bm:
             inv = pow(bm[-1], -1, p)
             for k in range(len(am) - len(bm), -1, -1):
@@ -337,8 +377,7 @@ def _coprime_mod_p(a, b):
                 if c:
                     for j, y in enumerate(bm):
                         am[k + j] = (am[k + j] - c * y) % p
-            while am and am[-1] == 0:
-                am.pop()
+            _dense_trim(am)
             am, bm = bm, am
         return len(am) == 1
     return False
@@ -376,12 +415,10 @@ def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
-    sa, da = _to_dense(a)
-    sb, db = _to_dense(b)
-    q = _dense_divexact(da, db)
+    q = _dense_divexact(a._t, b._t)
     if q is None:
         raise ValueError("not divisible in Z[z,z^-1]")
-    return LaurentPoly({sa - sb + j: n for j, n in enumerate(q)})
+    return LaurentPoly._dense(a._s - b._s, q)
 
 
 class RationalFunction:
@@ -488,7 +525,7 @@ class RationalFunction:
             return other
         d1, d2 = self.denominator, other.denominator
         # work over lcm(d1, d2) rather than the raw product
-        e1, e2 = _split_pair(d1, d2)
+        e1, e2 = _cancel(d1, d2)
         return RationalFunction(self.numerator * e2 + other.numerator * e1,
                                 d1 * e2)
 
@@ -511,8 +548,8 @@ class RationalFunction:
             return RationalFunction._wrap(ZERO, ONE)
         # cross-cancel first: the product of the reduced pairs is
         # already in lowest terms (see the class docstring)
-        n1, d2 = _cross_cancel(self.numerator, other.denominator)
-        n2, d1 = _cross_cancel(other.numerator, self.denominator)
+        n1, d2 = _cancel(self.numerator, other.denominator)
+        n2, d1 = _cancel(other.numerator, self.denominator)
         return RationalFunction._wrap(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
@@ -527,8 +564,8 @@ class RationalFunction:
             return RationalFunction(ZERO)
         # cancel numerator against numerator and denominator against
         # denominator before the S-membership check on the result
-        n1, n2 = _cancel_common(self.numerator, other.numerator)
-        d2, d1 = _split_pair(other.denominator, self.denominator)
+        n1, n2 = _cancel(self.numerator, other.numerator)
+        d2, d1 = _cancel(other.denominator, self.denominator)
         return RationalFunction(n1 * d2, d1 * n2)
 
     def __rtruediv__(self, other):
@@ -563,54 +600,24 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Primitive gcd over Q of the polynomial parts (monomials stripped),
     with positive leading coefficient; 1 when either side is zero or a
     monomial."""
-    if len(a._c) <= 1 or len(b._c) <= 1:
+    if len(a._t) <= 1 or len(b._t) <= 1:
         return ONE
-    _, da = _to_dense(a)
-    _, db = _to_dense(b)
-    return LaurentPoly({j: n for j, n in enumerate(_dense_gcd(da, db))})
+    return LaurentPoly._dense(0, _dense_gcd(a._t, b._t))
 
 
-def _split_pair(d1: LaurentPoly, d2: LaurentPoly):
-    """(d1/g, d2/g) for denominators in S, g their gcd with g(0) = 1."""
-    if d1 == d2:
+def _cancel(a: LaurentPoly, b: LaurentPoly):
+    """(a/g, b/g) for g the primitive gcd over Q of the polynomial parts,
+    signed so that g(0) > 0.  Any divisor g of an element of S then has
+    g(0) = 1, so a denominator stays in S.  Common integer content is
+    left to the constructor that follows."""
+    if a == b and a:
         return ONE, ONE
-    if d1 == ONE or d2 == ONE:
-        return d1, d2
-    g = _poly_gcd(d1, d2)
-    if g == ONE:
-        return d1, d2
-    if g.coeff(0) == -1:
-        g = -g
-    return divexact(d1, g), divexact(d2, g)
-
-
-def _cross_cancel(num: LaurentPoly, den: LaurentPoly):
-    """Divide the gcd over Q out of a numerator and an S-denominator;
-    the denominator stays in S (any divisor of it has constant
-    coefficient +-1 up to sign)."""
-    if num.is_zero or den == ONE:
-        return num, den
-    g = _poly_gcd(num, den)
-    if g == ONE:
-        return num, den
-    if g.coeff(0) == -1:
-        g = -g
-    return divexact(num, g), divexact(den, g)
-
-
-def _cancel_common(a: LaurentPoly, b: LaurentPoly):
-    """Divide two Laurent polynomials by their common polynomial factor
-    over Q and their common integer content."""
     g = _poly_gcd(a, b)
-    if g != ONE:
-        if g.highest_coeff() < 0:
-            g = -g
-        a, b = divexact(a, g), divexact(b, g)
-    c = math.gcd(a.content(), b.content())
-    if c > 1:
-        a = a.map_coeffs(lambda n: n // c)
-        b = b.map_coeffs(lambda n: n // c)
-    return a, b
+    if g == ONE:
+        return a, b
+    if g._t[0] < 0:
+        g = -g
+    return divexact(a, g), divexact(b, g)
 
 
 def _canonical(num: LaurentPoly, den: LaurentPoly):
@@ -627,20 +634,9 @@ def _canonical(num: LaurentPoly, den: LaurentPoly):
     # common integer content
     g = math.gcd(num.content(), den.content())
     if g > 1:
-        num = num.map_coeffs(lambda n: n // g)
-        den = den.map_coeffs(lambda n: n // g)
-    if den != ONE:
-        # cancel the polynomial gcd over Q
-        sn, dn = _to_dense(num)
-        sd, dd = _to_dense(den)
-        gp = _dense_gcd(dn, dd)
-        if len(gp) > 1:
-            qn = _dense_divexact(dn, gp)
-            qd = _dense_divexact(dd, gp)
-            if qn is None or qd is None:  # pragma: no cover - Gauss's lemma
-                raise AssertionError("gcd cancellation must stay integral")
-            num = LaurentPoly({sn + j: n for j, n in enumerate(qn)})
-            den = LaurentPoly({sd + j: n for j, n in enumerate(qd)})
+        num = LaurentPoly._dense(num._s, [n // g for n in num._t])
+        den = LaurentPoly._dense(den._s, [n // g for n in den._t])
+    num, den = _cancel(num, den)
     c0 = den.coeff(0)
     if c0 == -1:
         num, den = -num, -den
@@ -653,27 +649,27 @@ def _canonical(num: LaurentPoly, den: LaurentPoly):
 class TruncatedSeries:
     """A window of a Z((z)) element: exact coefficients below a cutoff.
 
-    ``coeffs[i]`` is the coefficient of z^(lowest+i); every exponent
-    below ``lowest + len(coeffs)`` (the cutoff) is known exactly, and
-    nothing is asserted at or above the cutoff.  If the window is
-    nonzero its first stored coefficient is nonzero; a window that is
-    known to vanish below the cutoff stores no coefficients and sets
-    ``lowest`` to the cutoff itself.
+    Held as the Laurent polynomial of the known terms plus ``cutoff``:
+    every exponent below the cutoff is known exactly, and nothing is
+    asserted at or above it.  ``coeffs[i]`` is the coefficient of
+    z^(lowest+i) for the exponents from ``lowest`` up to the cutoff;
+    ``lowest`` is the first exponent with a nonzero coefficient, and a
+    window that is known to vanish below the cutoff has no coefficients
+    and ``lowest`` equal to the cutoff itself.
 
     ``precision`` counts the retained exponents beyond the lowest.
-    Arithmetic tracks the surviving window: the min rule under addition,
-    the order-shift rule under multiplication.
+    Arithmetic is Laurent arithmetic cut to the surviving window: the
+    min rule under addition, the order-shift rule under multiplication.
     """
 
-    __slots__ = ("lowest", "coeffs")
+    __slots__ = ("_p", "cutoff")
 
     def __init__(self, lowest, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            lowest += 1
-        object.__setattr__(self, "lowest", lowest)
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            _check_int(c)
+        object.__setattr__(self, "_p", LaurentPoly._dense(lowest, coeffs))
+        object.__setattr__(self, "cutoff", lowest + len(coeffs))
 
     def __setattr__(self, *a):
         raise AttributeError("TruncatedSeries is immutable")
@@ -681,75 +677,62 @@ class TruncatedSeries:
     @classmethod
     def of_poly(cls, p, upto):
         """The window of a Laurent polynomial through exponent `upto`."""
-        p = _coerce_poly(p)
-        if p.is_zero or p.ord() > upto:
-            return cls(upto + 1, ())
-        lo = p.ord()
-        return cls(lo, [p.coeff(j) for j in range(lo, upto + 1)])
+        self = object.__new__(cls)
+        object.__setattr__(self, "_p", truncate_poly(p, upto))
+        object.__setattr__(self, "cutoff", upto + 1)
+        return self
 
     @property
-    def cutoff(self):
-        """First exponent whose coefficient is unknown."""
-        return self.lowest + len(self.coeffs)
+    def lowest(self):
+        return self._p._s if self._p else self.cutoff
+
+    @property
+    def coeffs(self):
+        p = self._p
+        return p._t + (0,) * (self.cutoff - p._s - len(p._t)) if p else ()
 
     @property
     def precision(self):
-        return len(self.coeffs) - 1
+        return self.cutoff - self.lowest - 1
 
     @property
     def is_zero_window(self):
-        return not self.coeffs
+        return not self._p
 
     def coeff(self, j):
         if j >= self.cutoff:
             raise ValueError(f"coefficient of z^{j} is beyond the window")
-        if j < self.lowest:
-            return 0
-        return self.coeffs[j - self.lowest]
+        return self._p.coeff(j)
 
     def truncate(self, upto):
-        """Shrink the window to exponents <= upto."""
+        """Shrink the window to exponents <= upto (never below lowest)."""
         if upto + 1 >= self.cutoff:
             return self
-        return TruncatedSeries(
-            self.lowest, self.coeffs[:max(0, upto + 1 - self.lowest)])
+        return TruncatedSeries.of_poly(self._p, max(upto, self.lowest - 1))
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
-            return self.lowest == other.lowest and self.coeffs == other.coeffs
+            return self.cutoff == other.cutoff and self._p == other._p
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.lowest, self.coeffs))
+        return hash((self._p, self.cutoff))
 
     def __neg__(self):
-        return TruncatedSeries(self.lowest, [-c for c in self.coeffs])
-
-    def _parts(self):
-        """(effective order or None, cutoff)."""
-        return (self.lowest if self.coeffs else None), self.cutoff
+        return TruncatedSeries.of_poly(-self._p, self.cutoff - 1)
 
     def __add__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             other = TruncatedSeries.of_poly(other, self.cutoff - 1)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        cut = min(self.cutoff, other.cutoff)
-        lo = min(self.lowest, other.lowest, cut)
-        out = [0] * (cut - lo)
-        for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                j = s.lowest + i
-                if j < cut:
-                    out[j - lo] += c
-        return TruncatedSeries(lo, out)
+        return TruncatedSeries.of_poly(self._p + other._p,
+                                       min(self.cutoff, other.cutoff) - 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = TruncatedSeries.of_poly(other, self.cutoff - 1)
-        if not isinstance(other, TruncatedSeries):
+        if not isinstance(other, (int, LaurentPoly, TruncatedSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -760,41 +743,18 @@ class TruncatedSeries:
                 # exact zero: known through self's window shifted arbitrarily
                 return TruncatedSeries(self.cutoff, ())
             # exact factor: only the O(z^cutoff) tail limits the result
-            cut = self.cutoff + p.ord()
-            out = [0] * (cut - (self.lowest + p.ord()))
-            for i, c in enumerate(self.coeffs):
-                for j, n in p.items():
-                    k = self.lowest + i + j
-                    if k < cut:
-                        out[k - (self.lowest + p.ord())] += c * n
-            return TruncatedSeries(self.lowest + p.ord(), out)
+            return TruncatedSeries.of_poly(self._p * p,
+                                           self.cutoff + p.ord() - 1)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        orda, cuta = self._parts()
-        ordb, cutb = other._parts()
-        cands = [cuta + cutb]
-        if orda is not None:
-            cands.append(orda + cutb)
-        if ordb is not None:
-            cands.append(ordb + cuta)
-        cut = min(cands)
-        if orda is None or ordb is None:
-            return TruncatedSeries(cut, ())
-        lo = orda + ordb
-        out = [0] * max(0, cut - lo)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                k = lo + i + j
-                if k < cut:
-                    out[k - lo] += a * b
-        return TruncatedSeries(lo, out)
+        # a zero window has lowest == cutoff, so this covers it too
+        cut = min(self.lowest + other.cutoff, other.lowest + self.cutoff)
+        return TruncatedSeries.of_poly(self._p * other._p, cut - 1)
 
     __rmul__ = __mul__
 
     def pretty(self, var="z"):
-        body = LaurentPoly({self.lowest + i: c
-                            for i, c in enumerate(self.coeffs)}).pretty(var)
-        return f"{body} + O({var}^{self.cutoff})"
+        return f"{self._p.pretty(var)} + O({var}^{self.cutoff})"
 
     def __repr__(self):
         return f"TruncatedSeries('{self.pretty()}')"
@@ -865,4 +825,4 @@ def expand(r, direction=Direction.PLUS, precision=DEFAULT_PRECISION):
 def truncate_poly(p, upto) -> LaurentPoly:
     """Drop every term of exponent > upto."""
     p = _coerce_poly(p)
-    return LaurentPoly({j: n for j, n in p._c.items() if j <= upto})
+    return LaurentPoly._dense(p._s, p._t[:max(0, upto + 1 - p._s)])

@@ -144,6 +144,56 @@ def test_integer_fields_take_json_integers_only(tmp_path, capsys, kind, keys,
     assert path in capsys.readouterr().err
 
 
+def _rejected_with_path(tmp_path, capsys, text, path):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert exc.value.path == path
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == 2
+    assert path in capsys.readouterr().err
+
+
+DUPLICATE_KEYS = {
+    "exponent": (job("novikov", {"complex": {
+        "lo": 0, "hi": 1, "ranks": [1, 1],
+        "differentials": {"1": [[{"1": 2, "01": 3}]]}}}),
+        "$.payload.complex.differentials.1[0][0].01"),
+    "complex-degree": (job("novikov", {"complex": {
+        "lo": 0, "hi": 1, "ranks": [1, 1],
+        "differentials": {"1": [[1]], "01": [[2]]}}}),
+        "$.payload.complex.differentials.01"),
+    "family-degree": (job("knot", {
+        "base": {"lo": 1, "hi": 1, "ranks": [2], "differentials": {}},
+        "e": {"1": [[0, 1], [-1, 1]], "+1": [[1, 0], [0, 1]]}}),
+        "$.payload.e.+1"),
+}
+
+
+@pytest.mark.parametrize("text, path", list(DUPLICATE_KEYS.values()),
+                         ids=list(DUPLICATE_KEYS))
+def test_duplicate_keys_after_normalisation(tmp_path, capsys, text, path):
+    _rejected_with_path(tmp_path, capsys, text, path)
+
+
+def _novikov_entry(coeffs):
+    return job("novikov", {"complex": {"lo": 0, "hi": 1, "ranks": [1, 1],
+                                       "differentials": {"1": [[coeffs]]}}})
+
+
+@pytest.mark.parametrize("exponent", ["100001", "-100001"])
+def test_exponent_bound(tmp_path, capsys, exponent):
+    _rejected_with_path(tmp_path, capsys,
+                        _novikov_entry({"0": 1, exponent: 1}),
+                        f"$.payload.complex.differentials.1[0][0].{exponent}")
+
+
+def test_exponent_at_the_bound_is_accepted():
+    doc = parse_document(_novikov_entry({"-100000": 1, "100000": 1}))
+    entry = doc.payload["complex"].differential(1).entry(0, 0)
+    assert (entry.ord(), entry.deg()) == (-100_000, 100_000)
+
+
 # --- running -------------------------------------------------------------------
 
 def test_run_torus_minus_reports_factor():
@@ -189,6 +239,17 @@ def test_knot_job_builds_one_cone(monkeypatch, direction):
     assert factors[1]
     assert report.data["novikov_factors"] == {
         str(i): [f.to_json() for f in fs] for i, fs in factors.items() if fs}
+
+
+@pytest.mark.parametrize("direction", ["plus", "minus"])
+def test_knot_oracle_compares_factors_as_ideals(direction):
+    # minus: the cone gives 4 - 9z + 4z^2 and the direct reduction
+    # -8 + 22z - 17z^2 + 4z^3; they differ by z - 2, a unit of Z((z^-1))
+    doc = parse_document(job("knot", {
+        "base": {"lo": 1, "hi": 1, "ranks": [3], "differentials": {}},
+        "e": {"1": [[-1, 1, 2], [0, 2, 0], [1, 0, 2]]}}))
+    report = run(doc, direction=direction, oracle=True)
+    assert [c["ok"] for c in report.data["oracle"]] == [True, True]
 
 
 def test_run_circle_all_zero():

@@ -12,6 +12,7 @@ from nk.rings import Direction, LaurentPoly, RationalFunction
 from nk.linalg import (
     DimensionMismatch,
     Matrix,
+    associate,
     kernel_basis_int,
     matmul,
     matrix_to_json,
@@ -71,6 +72,24 @@ def invariant_factors_via_minors(m: Matrix):
         out.append(g // prev)
         prev = g
     return tuple(out)
+
+
+# --- associate: factors compared as ideals -----------------------------------
+
+def test_associate():
+    z = LaurentPoly({1: 1})
+    f = 2 - z
+    for d in Direction:
+        assert associate(f, f * (1 - z), d)
+        assert associate(f * (1 - z), f, d)
+        assert associate(f, -f * z ** 3, d)
+        assert not associate(f, 2 * f, d)
+    # 2 - z and 3 - z are units of Z((z^-1)) but not of Z((z))
+    assert not associate(f, 3 - z, Direction.PLUS)
+    assert associate(f, 3 - z, Direction.MINUS)
+    cone, direct = 4 - 9 * z + 4 * z ** 2, -8 + 22 * z - 17 * z ** 2 + 4 * z ** 3
+    assert associate(cone, direct, Direction.MINUS)
+    assert not associate(cone, direct, Direction.PLUS)
 
 
 # --- matmul --------------------------------------------------------------------

@@ -17,7 +17,7 @@ from nk.rings import (
     reverse_variable,
     truncate_poly,
 )
-from nk.rings import _dense_gcd, _poly_gcd, _to_dense
+from nk.rings import _dense_gcd, _poly_gcd
 
 from domains import random_denominator, random_laurent, random_rational, rng_for
 
@@ -45,6 +45,23 @@ def test_laurent_empty_is_zero():
 
 def test_laurent_already_normal():
     assert L({-1: 2, 0: -2}).coeffs == {-1: 2, 0: -2}
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "1"],
+                         ids=["float", "bool", "string"])
+def test_constructors_take_ints_only(bad):
+    with pytest.raises(TypeError):
+        L({0: bad})
+    with pytest.raises(TypeError):
+        L({bad: 1})
+    with pytest.raises(TypeError):
+        L({0: 1, 1: bad})
+    with pytest.raises(TypeError):
+        L({0: 1, bad: 1})
+    with pytest.raises(TypeError):
+        TruncatedSeries(0, [1, bad])
+    with pytest.raises(TypeError):
+        TruncatedSeries(0, [bad])
 
 
 # --- is_novikov_unit ---------------------------------------------------------
@@ -318,8 +335,7 @@ def test_poly_gcd_monomial_side_matches_dense_gcd():
         p = random_laurent(rng, max_coeff=6)
         if p.is_zero:
             continue
-        dense = LaurentPoly(dict(enumerate(
-            _dense_gcd(_to_dense(m)[1], _to_dense(p)[1]))))
+        dense = LaurentPoly(dict(enumerate(_dense_gcd(m._t, p._t))))
         assert _poly_gcd(m, p) == _poly_gcd(p, m) == dense == one
 
 
