@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -137,12 +138,16 @@ def _int(value, path):
     return value
 
 
+#: an exponent or degree key: ASCII decimal with an optional minus sign;
+#: leading zeros are allowed, so "01" names the same integer as "1"
+_INT_KEY = re.compile(r"-?[0-9]+")
+
+
 def _int_key(key, seen, path, what):
     """A degree or exponent key as an int, new among the ints in seen."""
-    try:
-        i = int(key)
-    except ValueError:
+    if not _INT_KEY.fullmatch(key):
         raise ParseError(path, f"{what} keys must be integers")
+    i = int(key)
     if i in seen:
         raise ParseError(path, f"repeats {what} {i}")
     return i
@@ -599,14 +604,11 @@ def _run_knot(payload, k, dirn, oracle):
 def _ses_check(s, factors, dirn):
     """Novikov factors of the knot complex match the non-unit invariant
     factors of e + z(1-e) on each H_i."""
-    from .models import induced_map_on_free_homology, _alex_entry
+    from .models import alexander_matrix
     ok = True
     details = []
     for i in s.base.degrees():
-        ebar = induced_map_on_free_homology(s.base, s.e, i)
-        n = ebar.rows
-        m = Matrix(n, n, [[_alex_entry(ebar.entries[r][c], r == c)
-                           for c in range(n)] for r in range(n)])
+        m = alexander_matrix(s, i)
         try:
             direct = [f for f in novikov_diagonalize(m, dirn).invariant_factors
                       if f != 1]

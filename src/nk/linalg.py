@@ -2,8 +2,8 @@
 Exact dense matrices over the ring hierarchy, with the three reductions
 the homology computations run on:
 
-* Smith normal form over Z, with the transforming matrices tracked and
-  the factorization re-multiplied on every call;
+* Smith normal form over Z, with the transforming matrices and their
+  inverses tracked and the factorization re-multiplied on every call;
 * one fraction-free (Bareiss) elimination kernel over Z[z,z^-1]: run
   forward it gives the rank over the function field Q(z) -- Q(z)
   contains the rational subring of Z((z)) and rank is insensitive to
@@ -205,13 +205,17 @@ class SNFResult:
 
     ``invariant_factors`` are the nonzero diagonal entries, each dividing
     the next.  Every reduction re-multiplies its factorization before
-    returning and raises when the check fails.
+    returning and raises when the check fails.  Over Z, ``U_inv`` and
+    ``V_inv`` are the verified inverses of U and V; Novikov results
+    leave them None.
     """
 
     invariant_factors: tuple
     rank: int
     U: Matrix = field(repr=False)
     V: Matrix = field(repr=False)
+    U_inv: Matrix = field(default=None, repr=False)
+    V_inv: Matrix = field(default=None, repr=False)
 
     @property
     def torsion_factors(self):
@@ -225,7 +229,8 @@ def smith_normal_form_int(m: Matrix) -> SNFResult:
 
     Total on integer matrices; the invariant factors come out positive
     with the divisibility chain d1 | d2 | ... verified, and the
-    transforms are re-multiplied against the input before returning.
+    transforms and their inverses are re-multiplied against the input
+    and each other before returning.
     """
     A = [[int(e) for e in row] for row in m.entries]
     nr, nc = m.rows, m.cols
@@ -309,47 +314,21 @@ def smith_normal_form_int(m: Matrix) -> SNFResult:
         t += 1
 
     factors = tuple(A[i][i] for i in range(t))
-    um = Matrix.from_rows(U, nr)
-    vm = Matrix.from_rows(V, nc)
+    um, uim = Matrix.from_rows(U, nr), Matrix.from_rows(Ui, nr)
+    vm, vim = Matrix.from_rows(V, nc), Matrix.from_rows(Vi, nc)
     diag = Matrix(nr, nc, [[factors[i] if i == j and i < t else 0
                             for j in range(nc)] for i in range(nr)])
     ok = (matmul(matmul(um, m), vm) == diag
-          and matmul(um, Matrix.from_rows(Ui, nr)) == Matrix.identity(nr)
-          and matmul(Matrix.from_rows(Vi, nc), vm) == Matrix.identity(nc)
+          and matmul(um, uim) == Matrix.identity(nr)
+          and matmul(vim, vm) == Matrix.identity(nc)
           and all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)))
     if not ok:  # pragma: no cover - internal invariant
         raise AssertionError("SNF self-verification failed")
-    return SNFResult(factors, t, um, vm)
+    return SNFResult(factors, t, um, vm, uim, vim)
 
 
 def _ident(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def kernel_basis_int(m: Matrix) -> Matrix:
-    """Columns spanning ker(m) over Z (a saturated direct summand)."""
-    s = smith_normal_form_int(m)
-    cols = list(range(s.rank, m.cols))
-    return Matrix(m.cols, len(cols),
-                  [[s.V.entries[i][j] for j in cols] for i in range(m.cols)])
-
-
-def solve_int(m: Matrix, b: Matrix):
-    """An integer solution X of m @ X = b, or None when there is none."""
-    s = smith_normal_form_int(m)
-    y = matmul(s.U, b)
-    w = [[0] * b.cols for _ in range(m.cols)]
-    for j in range(b.cols):
-        for i in range(m.rows):
-            yi = y.entries[i][j]
-            if i < s.rank:
-                d = s.invariant_factors[i]
-                if yi % d:
-                    return None
-                w[i][j] = yi // d
-            elif yi:
-                return None
-    return matmul(s.V, Matrix.from_rows(w, b.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -475,92 +454,72 @@ def _unit_monomial(k):
     return RationalFunction(LaurentPoly({k: 1}))
 
 
-class _Budget:
-    def __init__(self, limit):
-        self.left = limit
-
-    def spend(self, n=1):
-        self.left -= n
-        if self.left < 0:
-            raise _OutOfBudget
-
-
 class _OutOfBudget(Exception):
     pass
 
 
 class _Reduction:
-    """Mutable elimination state over S^-1 Z[z,z^-1], tracking U, V."""
+    """Mutable elimination state over S^-1 Z[z,z^-1]: A, its row
+    transform U and its column transform V, kept as Vt = V^T.
+
+    Every operation acts on rows of A and U.  ``transpose()`` turns A
+    into A^T and swaps U with Vt, so a column operation is the row
+    operation of the same name between two transposes.
+    """
 
     def __init__(self, grid, nc, budget):
         self.A = [[_rat(e) for e in row] for row in grid]
-        self.nr = len(grid)
-        self.nc = nc
+        self.nr, self.nc = len(grid), nc
         self.U = [[_rat(1 if i == j else 0) for j in range(self.nr)]
                   for i in range(self.nr)]
-        self.V = [[_rat(1 if i == j else 0) for j in range(self.nc)]
-                  for i in range(self.nc)]
-        self.budget = budget
+        self.Vt = [[_rat(1 if i == j else 0) for j in range(nc)]
+                   for i in range(nc)]
+        self.left = budget
 
-    def row_add(self, i, j, q):
-        self.budget.spend()
+    def _spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise _OutOfBudget
+
+    def transpose(self):
+        self.A = [[row[j] for row in self.A] for j in range(self.nc)]
+        self.nr, self.nc = self.nc, self.nr
+        self.U, self.Vt = self.Vt, self.U
+
+    def add(self, i, j, q):  # row_i += q*row_j
+        self._spend()
         for mat in (self.A, self.U):
             dst, src = mat[i], mat[j]
             for k, e in enumerate(src):
                 if e:
                     dst[k] = dst[k] + q * e
 
-    def col_add(self, j, k, q):
-        self.budget.spend()
-        for rows in (self.A, self.V):
-            for row in rows:
-                e = row[k]
-                if e:
-                    row[j] = row[j] + q * e
-
-    def row_swap(self, i, j):
+    def swap(self, i, j):
         if i == j:
             return
-        self.budget.spend()
-        self.A[i], self.A[j] = self.A[j], self.A[i]
-        self.U[i], self.U[j] = self.U[j], self.U[i]
+        self._spend()
+        for mat in (self.A, self.U):
+            mat[i], mat[j] = mat[j], mat[i]
 
-    def col_swap(self, j, k):
-        if j == k:
-            return
-        self.budget.spend()
-        for row in self.A:
-            row[j], row[k] = row[k], row[j]
-        for row in self.V:
-            row[j], row[k] = row[k], row[j]
+    def scale(self, i, u):
+        self._spend()
+        for mat in (self.A, self.U):
+            mat[i] = [u * e for e in mat[i]]
 
-    def row_scale(self, i, u):
-        self.budget.spend()
-        self.A[i] = [u * e for e in self.A[i]]
-        self.U[i] = [u * e for e in self.U[i]]
-
-    def col_scale(self, j, u):
-        self.budget.spend()
-        for row in self.A:
-            row[j] = row[j] * u
-        for row in self.V:
-            row[j] = row[j] * u
-
-    def col_mix(self, t, j, x, y, dg, cg):
-        """cols (t, j) <- (x*t + y*j, -dg*t + cg*j); det = x*cg + y*dg = 1."""
-        self.budget.spend()
-        for rows in (self.A, self.V):
-            for row in rows:
-                a, b = row[t], row[j]
-                row[t] = x * a + y * b
-                row[j] = cg * b - dg * a
-
-    def row_mix(self, t, i, x, y, dg, cg):
-        self.budget.spend()
+    def mix(self, t, i, x, y, dg, cg):
+        """rows (t, i) <- (x*t + y*i, cg*i - dg*t); det x*cg + y*dg = +-1."""
+        self._spend()
         for mat in (self.A, self.U):
             a, b = mat[t], mat[i]
             mat[t] = [x * p + y * q for p, q in zip(a, b)]
             mat[i] = [cg * q - dg * p for p, q in zip(a, b)]
+
+
+def _on_columns(step, red, *args):
+    """step(red, *args) with columns in the place of rows."""
+    red.transpose()
+    step(red, *args)
+    red.transpose()
 
 
 def _try_div(a, p):
@@ -626,27 +585,29 @@ def novikov_diagonalize(m: Matrix,
     grid = [list(row) for row in m.entries]
     if direction is Direction.MINUS:
         grid = [[reverse_variable(e) for e in row] for row in grid]
-    red = _Reduction(grid, m.cols, _Budget(budget))
-    A, nr, nc = red.A, red.nr, red.nc
+    red = _Reduction(grid, m.cols, budget)
+    nr, nc = red.nr, red.nc
     finalized = 0
     try:
         t = 0
         while t < min(nr, nc):
-            if _select_pivot(A, t, nr, nc) is None:
+            if _select_pivot(red.A, t, nr, nc) is None:
                 break
             _reduce_pivot(red, t)
             finalized = t + 1
             t += 1
     except _OutOfBudget:
-        partial = [_factor_rep(A[s][s], direction) for s in range(finalized)]
+        # transposing keeps the diagonal, so red.A may be either way round
+        partial = [_factor_rep(red.A[s][s], direction)
+                   for s in range(finalized)]
         raise Inconclusive(
             f"reduction exceeded {budget} elementary operations", partial)
 
-    rank = finalized
+    rank, A = finalized, red.A
     factors = tuple(_factor_rep(A[s][s], direction) for s in range(rank))
     # re-multiply: U @ (input as seen by the reduction) @ V == diag
     um = Matrix.from_rows(red.U, nr)
-    vm = Matrix.from_rows(red.V, nc)
+    vm = Matrix(nc, nc, [[row[j] for row in red.Vt] for j in range(nc)])
     base = Matrix.from_rows([[_rat(e) for e in row] for row in grid], nc)
     diag = Matrix(nr, nc, [[A[i][j] if i == j else _rat(0)
                             for j in range(nc)] for i in range(nr)])
@@ -660,51 +621,52 @@ def novikov_diagonalize(m: Matrix,
 
 
 def _reduce_pivot(red, t):
-    A, nr, nc = red.A, red.nr, red.nc
     while True:
-        i, j = _select_pivot(A, t, nr, nc)
-        red.row_swap(t, i)
-        red.col_swap(t, j)
-        p = A[t][t]
+        i, j = _select_pivot(red.A, t, red.nr, red.nc)
+        red.swap(t, i)
+        _on_columns(_Reduction.swap, red, t, j)
+        p = red.A[t][t]
         if p.is_unit():
-            red.row_scale(t, p.inverse())
-            for i in range(nr):
-                if i != t and A[i][t]:
-                    red.row_add(i, t, -A[i][t])
-            for j in range(nc):
-                if j != t and A[t][j]:
-                    red.col_add(j, t, -A[t][j])
+            red.scale(t, p.inverse())
+            _clear(red, t)
+            _on_columns(_clear, red, t)
             return
         # exact rational clears
-        for j in range(t + 1, nc):
-            if A[t][j]:
-                q = _try_div(A[t][j], p)
-                if q is not None:
-                    red.col_add(j, t, -q)
-        for i in range(t + 1, nr):
-            if A[i][t]:
-                q = _try_div(A[i][t], p)
-                if q is not None:
-                    red.row_add(i, t, -q)
-        stuck_col = next((j for j in range(t + 1, nc) if A[t][j]), None)
-        stuck_row = next((i for i in range(t + 1, nr) if A[i][t]), None)
+        _on_columns(_clear, red, t, p)
+        _clear(red, t, p)
+        A = red.A
+        stuck_col = next((j for j in range(t + 1, red.nc) if A[t][j]), None)
+        stuck_row = next((i for i in range(t + 1, red.nr) if A[i][t]), None)
         if stuck_col is not None:
-            _attack(red, t, stuck_col, rowwise=False)
+            _on_columns(_attack, red, t, stuck_col)
             continue
         if stuck_row is not None:
-            _attack(red, t, stuck_row, rowwise=True)
+            _attack(red, t, stuck_row)
             continue
         # row and column clear: the pivot must divide everything left
-        bad = next(((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc)
+        bad = next(((i, j) for i in range(t + 1, red.nr)
+                    for j in range(t + 1, red.nc)
                     if A[i][j] and _try_div(A[i][j], p) is None), None)
         if bad is None:
             return
-        red.row_add(t, bad[0], 1)
+        red.add(t, bad[0], 1)
 
 
-def _attack(red, t, pos, rowwise):
-    """One reduction step against a non-divisible entry in the pivot's
-    row (rowwise=False: entry at (t, pos)) or column (rowwise=True).
+def _clear(red, t, p=None):
+    """Clear the pivot column below row t: every entry when p is None
+    (the pivot has been scaled to 1), else each entry that p divides
+    in the rational subring.  Rows above t are already zero there."""
+    A = red.A
+    for i in range(t + 1, red.nr):
+        if A[i][t]:
+            q = A[i][t] if p is None else _try_div(A[i][t], p)
+            if q is not None:
+                red.add(i, t, -q)
+
+
+def _attack(red, t, pos):
+    """One reduction step against the entry (pos, t) in the pivot's
+    column that the pivot does not divide.
 
     The pivot has (ord, extreme coeff) = (k, c), the entry (l, d) with
     l >= k by pivot minimality.  Every move only shifts entries upward
@@ -715,7 +677,7 @@ def _attack(red, t, pos, rowwise):
     """
     A = red.A
     p = A[t][t]
-    a = A[pos][t] if rowwise else A[t][pos]
+    a = A[pos][t]
     k, c = p.series_ord(), p.extreme_coeff()
     l, d = a.series_ord(), a.extreme_coeff()
     if d % c == 0:
@@ -723,29 +685,20 @@ def _attack(red, t, pos, rowwise):
         # forever the full quotient would be an integer series, i.e.
         # rational-subring divisible, and the exact clear would have
         # fired instead.
-        q = RationalFunction(LaurentPoly({l - k: -(d // c)}))
-        if rowwise:
-            red.row_add(pos, t, q)
-        else:
-            red.col_add(pos, t, q)
+        red.add(pos, t, RationalFunction(LaurentPoly({l - k: -(d // c)})))
         return
     # lift the pivot line to order l, then run the integer Bezout mix at
     # equal order: the new pivot-position entry has extreme coefficient
-    # gcd(c, d), strictly smaller than |c|
+    # +-gcd(c, d), strictly smaller than c in absolute value
     g = math.gcd(c, d)
     x, y = _bezout(c, d)
-    if rowwise:
-        if l > k:
-            red.row_scale(t, _unit_monomial(l - k))
-        red.row_mix(t, pos, _rat(x), _rat(y), _rat(d // g), _rat(c // g))
-    else:
-        if l > k:
-            red.col_scale(t, _unit_monomial(l - k))
-        red.col_mix(t, pos, _rat(x), _rat(y), _rat(d // g), _rat(c // g))
+    if l > k:
+        red.scale(t, _unit_monomial(l - k))
+    red.mix(t, pos, _rat(x), _rat(y), _rat(d // g), _rat(c // g))
 
 
 def _bezout(a, b):
-    """x, y with x*a + y*b = gcd(a, b)."""
+    """x, y with x*a + y*b = +-gcd(a, b)."""
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
         q, a, b = a // b, b, a % b

@@ -20,14 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rings import Z, LaurentPoly, Direction, _coerce_poly
-from .linalg import (
-    Matrix,
-    kernel_basis_int,
-    matmul,
-    smith_normal_form_int,
-    solve_int,
-    solve_laurent,
-)
+from .linalg import Matrix, matmul, smith_normal_form_int, solve_laurent
 from .complexes import (
     BasedChainComplex,
     ChainMap,
@@ -176,45 +169,35 @@ def knot_fundamental_domain(s: SeifertData) -> AlgebraicFundamentalDomain:
     return AlgebraicFundamentalDomain(D, F, c=c, h_D={}, h_F=h_F)
 
 
-def homology_free_data(c: BasedChainComplex, i: int):
-    """(projection data) for the free part of H_i of a Z-complex.
-
-    Returns (K, U, rank) where the columns of K span ker d_i, U is the
-    left Smith transform of the presentation of H_i in kernel
-    coordinates, and rank is the number of torsion-or-unit relations:
-    rows rank.. of U project kernel coordinates onto H_i / torsion.
-    """
-    K = kernel_basis_int(c.differential(i))
-    B = c.differential(i + 1)
-    X = solve_int(K, B)
-    if X is None:  # pragma: no cover - boundaries always lie in the kernel
-        raise AssertionError("boundaries must lie in the kernel")
-    s = smith_normal_form_int(X)
-    return K, s.U, s.rank
-
-
 def induced_map_on_free_homology(c: BasedChainComplex, f: ChainMap, i: int):
-    """Matrix of the map induced by f on H_i(c)/torsion, for f: c -> c."""
-    K, U, r = homology_free_data(c, i)
-    k = K.cols
-    free = k - r
+    """Matrix of the map induced by f on H_i(c)/torsion, for f: c -> c.
+
+    With U d_i V in Smith form of rank r, the last columns K of V span
+    ker d_i and rows r.. of V^-1 give kernel coordinates.  With U' X V'
+    in Smith form of rank r' for the boundaries X in those coordinates,
+    rows r'.. of U' project onto H_i / torsion and the last columns of
+    U'^-1 lift back.
+    """
+    s = smith_normal_form_int(c.differential(i))
+    n, r = s.V.rows, s.rank
+    k = n - r
+    K = Matrix(n, k, [row[r:] for row in s.V.entries])
+    to_kernel = Matrix(k, n, s.V_inv.entries[r:])
+
+    def kernel_coords(cols):
+        coords = matmul(to_kernel, cols)
+        if matmul(K, coords) != cols:  # pragma: no cover - cols in ker d_i
+            raise AssertionError("columns must lie in the kernel")
+        return coords
+
+    h = smith_normal_form_int(kernel_coords(c.differential(i + 1)))
+    rh = h.rank
+    free = k - rh
     if free == 0:
         return Matrix.zeros(0, 0)
-    s_u = smith_normal_form_int(U)  # U is unimodular, so V_s @ U_s = U^-1
-    u_inv = matmul(s_u.V, s_u.U)
-    if matmul(U, u_inv) != Matrix.identity(U.rows):  # pragma: no cover
-        raise AssertionError("failed to invert unimodular transform")
-    lift = matmul(K, Matrix(k, free,
-                            [[u_inv.entries[row][r + j] for j in range(free)]
-                             for row in range(k)]))
-    image = matmul(f.component(i), lift)
-    W = solve_int(K, image)
-    if W is None:  # pragma: no cover - f preserves the kernel
-        raise AssertionError("chain map must preserve the kernel")
-    coords = matmul(U, W)
-    return Matrix(free, free,
-                  [[coords.entries[r + row][j] for j in range(free)]
-                   for row in range(free)])
+    lift = matmul(K, Matrix(k, free, [row[rh:] for row in h.U_inv.entries]))
+    coords = matmul(h.U, kernel_coords(matmul(f.component(i), lift)))
+    return Matrix(free, free, coords.entries[rh:])
 
 
 def base_homology_torsion(c: BasedChainComplex) -> dict:
@@ -235,18 +218,19 @@ def alexander_polynomials(s: SeifertData) -> dict:
     """
     out = {}
     for i in s.base.degrees():
-        ebar = induced_map_on_free_homology(s.base, s.e, i)
-        n = ebar.rows
-        m = Matrix(n, n, [[_alex_entry(ebar.entries[r][cidx], r == cidx)
-                           for cidx in range(n)] for r in range(n)])
-        det, _ = solve_laurent(m, Matrix.zeros(n, 0))
+        m = alexander_matrix(s, i)
+        det, _ = solve_laurent(m, Matrix.zeros(m.rows, 0))
         out[i] = _normalize_alexander(det)
     return out
 
 
-def _alex_entry(e, diag):
-    # entry of e + z(1 - e)
-    return LaurentPoly({0: e, 1: (1 if diag else 0) - e})
+def alexander_matrix(s: SeifertData, i: int) -> Matrix:
+    """e + z(1 - e) on the free part of H_i(base), over Z[z,z^-1]."""
+    ebar = induced_map_on_free_homology(s.base, s.e, i)
+    n = ebar.rows
+    return Matrix(n, n, [[LaurentPoly({0: e, 1: (1 if r == c else 0) - e})
+                          for c, e in enumerate(row)]
+                         for r, row in enumerate(ebar.entries)])
 
 
 def _normalize_alexander(p: LaurentPoly) -> LaurentPoly:

@@ -144,9 +144,6 @@ class LaurentPoly:
         """gcd of the coefficients (0 for the zero polynomial)."""
         return math.gcd(*self._t)
 
-    def map_coeffs(self, f):
-        return LaurentPoly({j: f(n) for j, n in self.items()})
-
     def __bool__(self):
         return bool(self._t)
 

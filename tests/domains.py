@@ -74,11 +74,12 @@ def det_oracle(m):
 def assert_diagonalizes(m, res, direction=None):
     """Re-multiply a diagonalization of m instead of trusting it.
 
-    direction None: res is a Smith normal form over Z and
-    U m V == diag(invariant factors).  Otherwise res is a Z((z))
-    (resp. Z((z^-1))) diagonalization and U m' V, with m' the entries of
-    m as RationalFunction (variable-reversed for MINUS), is diagonal
-    with exactly ``rank`` nonzero entries, leading.
+    direction None: res is a Smith normal form over Z,
+    U m V == diag(invariant factors), and U_inv, V_inv invert U, V.
+    Otherwise res is a Z((z)) (resp. Z((z^-1))) diagonalization and
+    U m' V, with m' the entries of m as RationalFunction
+    (variable-reversed for MINUS), is diagonal with exactly ``rank``
+    nonzero entries, leading.
     """
     assert (res.U.rows, res.U.cols) == (m.rows, m.rows)
     assert (res.V.rows, res.V.cols) == (m.cols, m.cols)
@@ -87,6 +88,8 @@ def assert_diagonalizes(m, res, direction=None):
                       [[res.invariant_factors[i] if i == j and i < res.rank
                         else 0 for j in range(m.cols)] for i in range(m.rows)])
         assert matmul(matmul(res.U, m), res.V) == diag
+        assert matmul(res.U, res.U_inv) == Matrix.identity(m.rows)
+        assert matmul(res.V_inv, res.V) == Matrix.identity(m.cols)
         return
     flip = reverse_variable if direction is Direction.MINUS else (lambda e: e)
     m2 = m.map_entries(lambda e: RationalFunction(flip(e)))

@@ -165,8 +165,8 @@ DUPLICATE_KEYS = {
         "$.payload.complex.differentials.01"),
     "family-degree": (job("knot", {
         "base": {"lo": 1, "hi": 1, "ranks": [2], "differentials": {}},
-        "e": {"1": [[0, 1], [-1, 1]], "+1": [[1, 0], [0, 1]]}}),
-        "$.payload.e.+1"),
+        "e": {"1": [[0, 1], [-1, 1]], "01": [[1, 0], [0, 1]]}}),
+        "$.payload.e.01"),
 }
 
 
@@ -179,6 +179,25 @@ def test_duplicate_keys_after_normalisation(tmp_path, capsys, text, path):
 def _novikov_entry(coeffs):
     return job("novikov", {"complex": {"lo": 0, "hi": 1, "ranks": [1, 1],
                                        "differentials": {"1": [[coeffs]]}}})
+
+
+@pytest.mark.parametrize("key", ["+1", " 1", "1 ", "\uff11", "1_0"])
+@pytest.mark.parametrize("position", ["exponent", "degree"])
+def test_keys_are_ascii_decimal(tmp_path, capsys, position, key):
+    if position == "exponent":
+        text = _novikov_entry({"0": 1, key: 1})
+        path = f"$.payload.complex.differentials.1[0][0].{key}"
+    else:
+        text = job("novikov", {"complex": {
+            "lo": 0, "hi": 1, "ranks": [1, 1], "differentials": {key: [[2]]}}})
+        path = f"$.payload.complex.differentials.{key}"
+    _rejected_with_path(tmp_path, capsys, text, path)
+
+
+def test_keys_keep_sign_and_leading_zeros():
+    doc = parse_document(_novikov_entry({"-01": 1, "002": 3}))
+    entry = doc.payload["complex"].differential(1).entry(0, 0)
+    assert (entry.ord(), entry.deg(), entry.coeff(2)) == (-1, 2, 3)
 
 
 @pytest.mark.parametrize("exponent", ["100001", "-100001"])

@@ -13,13 +13,11 @@ from nk.linalg import (
     DimensionMismatch,
     Matrix,
     associate,
-    kernel_basis_int,
     matmul,
     matrix_to_json,
     novikov_diagonalize,
     rank_over_function_field,
     smith_normal_form_int,
-    solve_int,
     solve_laurent,
 )
 
@@ -178,18 +176,6 @@ def _random_unimodular(rng, n):
             for k in range(n):
                 m[i][k] += q * m[j][k]
     return Matrix.from_rows(m, n)
-
-
-def test_kernel_and_solve():
-    rng = rng_for("kernel")
-    for _ in range(30):
-        m = random_int_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
-        k = kernel_basis_int(m)
-        assert matmul(m, k).is_zero
-        x = random_int_matrix(rng, m.cols, 2)
-        b = matmul(m, x)
-        sol = solve_int(m, b)
-        assert sol is not None and matmul(m, sol) == b
 
 
 # --- rank over Q(z) --------------------------------------------------------------
@@ -351,25 +337,42 @@ def test_transform_shapes_without_rows_or_columns(rows, cols, direction):
     assert_diagonalizes(m, smith_normal_form_int(m))
 
 
-@pytest.mark.parametrize("method, side", [("row_add", "U"), ("col_add", "V")])
-def test_diag_self_check_catches_a_corrupted_transform(monkeypatch, method,
-                                                       side):
-    """One tracked U (resp. V) entry is corrupted after the first row (resp.
-    column) operation; the reduction of A runs as before, and only the
-    re-multiplication U A V == diag can notice."""
-    original = getattr(linalg._Reduction, method)
+@pytest.mark.parametrize("side", ["U", "V"])
+def test_diag_self_check_catches_a_corrupted_transform(monkeypatch, side):
+    """One tracked U (resp. V) entry is corrupted after the first add on
+    rows (resp. the first add between two transposes, on columns); the
+    reduction of A runs as before, and only the re-multiplication
+    U A V == diag can notice."""
+    add, transpose = linalg._Reduction.add, linalg._Reduction.transpose
+    transposed = [False]
     done = []
 
-    def corrupting(self, *args):
-        original(self, *args)
-        if not done:
-            done.append(args)
-            rows = getattr(self, side)
-            rows[0][0] = rows[0][0] + RationalFunction(z)
+    def flipping(self):
+        transpose(self)
+        transposed[0] = not transposed[0]
 
-    monkeypatch.setattr(linalg._Reduction, method, corrupting)
+    def corrupting(self, *args):
+        add(self, *args)
+        if not done and transposed[0] == (side == "V"):
+            done.append(args)
+            # the transform of the current rows: U, or Vt when transposed
+            self.U[0][0] = self.U[0][0] + RationalFunction(z)
+
+    monkeypatch.setattr(linalg._Reduction, "transpose", flipping)
+    monkeypatch.setattr(linalg._Reduction, "add", corrupting)
     m = Matrix.from_rows([[one, 2 * one], [3 * one, 4 + z]])
     with pytest.raises(AssertionError,
                        match="novikov diagonalization self-check failed"):
         novikov_diagonalize(m)
     assert done
+
+
+def test_bezout_mix_has_unit_determinant_for_every_sign_pair():
+    """The mix in _attack has det x*(c/g) + y*(d/g) = +-1, not always 1:
+    _bezout(-2, -3) gives x*(-2) + y*(-3) = -1."""
+    assert linalg._bezout(-2, -3) == (-1, 1)
+    for c, d in itertools.product(range(-9, 10), repeat=2):
+        if c and d:
+            g = math.gcd(c, d)
+            x, y = linalg._bezout(c, d)
+            assert abs(x * (c // g) + y * (d // g)) == 1

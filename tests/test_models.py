@@ -2,6 +2,7 @@
 
 import json
 
+import nk.models
 from nk.rings import Direction, LaurentPoly, is_novikov_unit, reverse_variable
 from nk.linalg import Matrix, novikov_diagonalize
 from nk.complexes import BasedChainComplex, ChainMap, Grade
@@ -226,6 +227,28 @@ def test_alexander_uses_induced_map_on_homology():
     alex = alexander_polynomials(SeifertData(base, e))
     # det(-1 + 2z) normalized to positive leading coefficient
     assert alex[1] == 2 * z - 1
+
+
+def test_induced_map_reduces_two_integer_matrices(monkeypatch):
+    """One Smith form of d_i gives the kernel and its coordinates, one of
+    the boundaries in those coordinates gives H_i / torsion."""
+    calls = []
+    snf = nk.models.smith_normal_form_int
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return snf(m)
+
+    monkeypatch.setattr(nk.models, "smith_normal_form_int", counted)
+    # H_1 = Z/2 (+) Z: f fixes the torsion and negates the free part
+    base = BasedChainComplex(Grade.Z, 0, 2, [1, 3, 1],
+                             {1: Matrix.from_rows([[0, 0, 1]]),
+                              2: Matrix.from_rows([[2], [0], [0]])})
+    comp = {0: Matrix.from_rows([[1]]), 2: Matrix.from_rows([[1]]),
+            1: Matrix.from_rows([[1, 1, 0], [0, -1, 0], [0, 0, 1]])}
+    ebar = induced_map_on_free_homology(base, ChainMap(base, base, comp), 1)
+    assert ebar == Matrix.from_rows([[-1]])
+    assert calls == [(1, 3), (2, 1)]
 
 
 # --- fibering ------------------------------------------------------------------------------
