@@ -34,6 +34,7 @@ from .rings import (
     LaurentPoly,
     NotAUnit,
     NotInRationalSubring,
+    TruncatedSeries,
     expand,
 )
 from .linalg import (
@@ -42,7 +43,6 @@ from .linalg import (
     Matrix,
     associate,
     novikov_diagonalize,
-    rank_over_function_field,
 )
 from .complexes import (
     BasedChainComplex,
@@ -58,7 +58,6 @@ from .fundomain import (
     AlgebraicFundamentalDomain,
     InvalidDomain,
     algebraic_novikov_complex,
-    assemble_mapping_cone,
     cokernel_iso_check,
     torsion_zeta,
 )
@@ -272,6 +271,8 @@ def parse_document(text: str) -> JobDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}", exc.msg)
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ParseError("$", str(exc))
     kind = _need(obj, "kind", "$", str)
     if kind not in KINDS:
         raise ParseError("$.kind", f"unknown kind {kind!r}; expected one of "
@@ -378,13 +379,21 @@ class Report:
 def run(job: JobDocument, precision=None, direction=None,
         oracle=False) -> Report:
     """Dispatch a parsed job.  CLI flags beat document options beat
-    defaults for precision and direction."""
+    defaults for precision and direction.  Runners return (data, lines,
+    conclusive, checks), checks being zero-argument oracle checks over
+    what the runner computed, or None for a kind without them."""
     k = precision if precision is not None else \
         job.options.get("precision", DEFAULT_PRECISION)
     d = direction if direction is not None else \
         job.options.get("direction", "plus")
     dirn = Direction.PLUS if d == "plus" else Direction.MINUS
-    return _RUNNERS[job.kind](job.payload, k, dirn, oracle)
+    data, lines, conclusive, checks = _RUNNERS[job.kind](job.payload, k, dirn)
+    if oracle and checks is not None:
+        data["oracle"] = [check() for check in checks]
+        lines += [f"oracle {c['check']}: {'ok' if c['ok'] else 'FAIL'} "
+                  f"({c['detail']})" for c in data["oracle"]]
+    return Report(job.kind, 0 if conclusive else 1, data,
+                  "\n".join(lines) + "\n")
 
 
 def _novikov_section(rep):
@@ -402,7 +411,7 @@ def _bounds_line(bounds):
     return " ".join(f"{i}:{bounds[i]}" for i in sorted(bounds))
 
 
-def _run_complex_homology(payload, k, dirn, oracle):
+def _run_complex_homology(payload, k, dirn):
     c = payload["complex"]
     rep = integral_homology(c)
     bounds = morse_lower_bounds(rep)
@@ -414,11 +423,7 @@ def _run_complex_homology(payload, k, dirn, oracle):
         lines.append(f"{i:>6}  {rep.b(i)}  {len(t)}  "
                      f"{', '.join(map(str, t)) if t else '-'}")
     lines.append(f"morse lower bounds: {_bounds_line(bounds)}")
-    if oracle:
-        checks = [_euler_check_int(c, rep)]
-        data["oracle"] = checks
-        lines += _oracle_lines(checks)
-    return Report("complex-homology", 0, data, "\n".join(lines) + "\n")
+    return data, lines, True, [lambda: _euler_check_int(c, rep)]
 
 
 def _euler_check_int(c, rep):
@@ -429,65 +434,55 @@ def _euler_check_int(c, rep):
                       f"sum (-1)^i b_i = {chi_b}"}
 
 
-def _rank_vs_diag_check(c, dirn):
-    ok = True
-    details = []
-    for i in range(c.lo + 1, c.hi + 1):
-        d = c.differential(i)
-        r = rank_over_function_field(d)
-        try:
-            s = novikov_diagonalize(d, dirn)
-            agree = s.rank == r
-        except Inconclusive:
-            agree = True  # nothing to compare against
-        if not agree:
-            ok = False
-            details.append(f"degree {i}: rank {r} vs diagonal {s.rank}")
-    return {"check": "rank-vs-diagonalization", "ok": ok,
+def _rank_vs_diag_check(rep):
+    """The Q(z) rank of each differential of a NovikovReport against the
+    rank of its diagonalization; Inconclusive degrees are skipped."""
+    details = [f"degree {i}: rank {r} vs diagonal {s}"
+               for i, (r, s) in sorted(rep.ranks.items())
+               if s is not None and s != r]
+    return {"check": "rank-vs-diagonalization", "ok": not details,
             "detail": "; ".join(details) if details else "all degrees agree"}
 
 
-def _oracle_lines(checks):
-    return [f"oracle {c['check']}: {'ok' if c['ok'] else 'FAIL'} "
-            f"({c['detail']})" for c in checks]
+def _laurent(c):
+    return base_change(c, Grade.LAURENT) if c.grade is Grade.Z else c
 
 
-def _run_novikov(payload, k, dirn, oracle):
-    c = base_change(payload["complex"], Grade.LAURENT) \
-        if payload["complex"].grade is Grade.Z else payload["complex"]
+def _run_novikov(payload, k, dirn):
+    """novikov and mapping-torus jobs: the Novikov homology of one
+    Laurent complex and its Morse-Novikov bounds."""
+    if "orientation" in payload:
+        o = payload["orientation"]
+        c = mapping_torus_complex(payload["h"], o)
+        data = {"orientation": o}
+        lines = [f"kind: mapping-torus (orientation {o}, "
+                 f"direction {dirn.value})"]
+    else:
+        c = _laurent(payload["complex"])
+        data = {}
+        lines = [f"kind: novikov (direction {dirn.value})"]
     rep = novikov_homology(c, dirn)
     bounds = morse_novikov_bounds(rep)
-    data = {"novikov": rep.to_json(),
-            "morse_novikov_bounds": {str(i): bounds[i] for i in sorted(bounds)}}
-    lines = [f"kind: novikov (direction {dirn.value})"]
+    data["novikov"] = rep.to_json()
+    data["morse_novikov_bounds"] = {str(i): bounds[i] for i in sorted(bounds)}
     lines += _novikov_section(rep)
     lines.append(f"morse-novikov bounds: {_bounds_line(bounds)}")
-    code = 0 if rep.conclusive else 1
-    if oracle:
-        checks = [_rank_vs_diag_check(c, dirn)]
-        data["oracle"] = checks
-        lines += _oracle_lines(checks)
-    return Report("novikov", code, data, "\n".join(lines) + "\n")
+    return data, lines, rep.conclusive, [lambda: _rank_vs_diag_check(rep)]
 
 
-def _run_domination(payload, k, dirn, oracle):
-    c = base_change(payload["complex"], Grade.LAURENT) \
-        if payload["complex"].grade is Grade.Z else payload["complex"]
-    verdict = finite_domination_check(c)
+def _run_domination(payload, k, dirn):
+    verdict = finite_domination_check(_laurent(payload["complex"]))
     data = {"domination": verdict.to_json()}
     lines = ["kind: domination",
              f"vanishes over Z((z)): {verdict.vanishes_plus}",
              f"vanishes over Z((z^-1)): {verdict.vanishes_minus}",
              f"finitely dominated: {verdict.finitely_dominated}"]
-    if oracle:
-        checks = [_rank_vs_diag_check(c, Direction.PLUS),
-                  _rank_vs_diag_check(c, Direction.MINUS)]
-        data["oracle"] = checks
-        lines += _oracle_lines(checks)
-    return Report("domination", 0, data, "\n".join(lines) + "\n")
+    checks = [lambda: _rank_vs_diag_check(verdict.reports[Direction.PLUS]),
+              lambda: _rank_vs_diag_check(verdict.reports[Direction.MINUS])]
+    return data, lines, True, checks
 
 
-def _run_fundomain(payload, k, dirn, oracle):
+def _run_fundomain(payload, k, dirn):
     fd = payload["domain"]
     fhat = algebraic_novikov_complex(fd, "exact")
     rep = novikov_homology(fhat, dirn)
@@ -507,17 +502,12 @@ def _run_fundomain(payload, k, dirn, oracle):
     lines.append(f"zeta (torsion of projection): {zeta.pretty()}")
     lines.append(f"cokernel identification through order {k}: "
                  f"{'pass' if coker.passed else f'FAIL at degree {coker.degree}, order {coker.order}'}")
-    code = 0 if rep.conclusive else 1
-    if oracle:
-        checks = [_exact_vs_truncated_check(fd, fhat, k),
-                  _cone_vs_fhat_check(assemble_mapping_cone(fd), rep, dirn)]
-        data["oracle"] = checks
-        lines += _oracle_lines(checks)
-    return Report("fundomain", code, data, "\n".join(lines) + "\n")
+    checks = [lambda: _exact_vs_truncated_check(fd, fhat, k),
+              lambda: _cone_vs_fhat_check(fd.cone, rep, dirn)]
+    return data, lines, rep.conclusive, checks
 
 
 def _exact_vs_truncated_check(fd, fhat, k):
-    from .rings import TruncatedSeries
     trunc = algebraic_novikov_complex(fd, "truncated", order=k)
     ok = True
     for i in range(fhat.lo + 1, fhat.hi + 1):
@@ -549,28 +539,8 @@ def _cone_vs_fhat_check(cone, rb, dirn):
             "detail": "reports compared degreewise"}
 
 
-def _run_mapping_torus(payload, k, dirn, oracle):
-    c = mapping_torus_complex(payload["h"], payload["orientation"])
-    rep = novikov_homology(c, dirn)
-    bounds = morse_novikov_bounds(rep)
-    data = {"orientation": payload["orientation"],
-            "novikov": rep.to_json(),
-            "morse_novikov_bounds": {str(i): bounds[i] for i in sorted(bounds)}}
-    lines = [f"kind: mapping-torus (orientation {payload['orientation']}, "
-             f"direction {dirn.value})"]
-    lines += _novikov_section(rep)
-    lines.append(f"morse-novikov bounds: {_bounds_line(bounds)}")
-    code = 0 if rep.conclusive else 1
-    if oracle:
-        checks = [_rank_vs_diag_check(c, dirn)]
-        data["oracle"] = checks
-        lines += _oracle_lines(checks)
-    return Report("mapping-torus", code, data, "\n".join(lines) + "\n")
-
-
-def _run_knot(payload, k, dirn, oracle):
-    s = payload["seifert"]
-    verdict = fibering_check(s)
+def _run_knot(payload, k, dirn):
+    verdict = fibering_check(payload["seifert"])
     factors = verdict.novikov[dirn].factors_by_degree()
     data = {"fibering": verdict.to_json(),
             "novikov_factors": {str(i): [f.to_json() for f in fs]
@@ -590,38 +560,31 @@ def _run_knot(payload, k, dirn, oracle):
                      "criterion cannot see: "
                      + ", ".join(f"H_{i}: {list(t)}"
                                  for i, t in sorted(verdict.base_torsion.items())))
-    if oracle:
-        checks = [_ses_check(s, factors, dirn),
-                  {"check": "fibering-criteria-agree",
-                   "ok": verdict.novikov_vanishes == verdict.extreme_coeffs_unit
-                   or bool(verdict.base_torsion),
-                   "detail": "(ii) vs (iii)"}]
-        data["oracle"] = checks
-        lines += _oracle_lines(checks)
-    return Report("knot", 0, data, "\n".join(lines) + "\n")
+    agree = (verdict.novikov_vanishes == verdict.extreme_coeffs_unit
+             or bool(verdict.base_torsion))
+    checks = [lambda: _ses_check(verdict.matrices, factors, dirn),
+              lambda: {"check": "fibering-criteria-agree", "ok": agree,
+                       "detail": "(ii) vs (iii)"}]
+    return data, lines, True, checks
 
 
-def _ses_check(s, factors, dirn):
+def _ses_check(matrices, factors, dirn):
     """Novikov factors of the knot complex match the non-unit invariant
-    factors of e + z(1-e) on each H_i."""
-    from .models import alexander_matrix
-    ok = True
+    factors of the Alexander matrix e + z(1-e) on each H_i."""
     details = []
-    for i in s.base.degrees():
-        m = alexander_matrix(s, i)
+    for i, m in sorted(matrices.items()):
         try:
             direct = [f for f in novikov_diagonalize(m, dirn).invariant_factors
                       if f != 1]
         except Inconclusive:
             continue
         if not _same_factors(factors.get(i, ()), direct, dirn):
-            ok = False
             details.append(f"degree {i}")
-    return {"check": "short-exact-sequence-factors", "ok": ok,
+    return {"check": "short-exact-sequence-factors", "ok": not details,
             "detail": "; ".join(details) if details else "all degrees agree"}
 
 
-def _run_inequalities(payload, k, dirn, oracle):
+def _run_inequalities(payload, k, dirn):
     lo = payload["lo"]
     counts = {lo + i: v for i, v in enumerate(payload["counts"])}
     bounds = {lo + i: v for i, v in enumerate(payload["bounds"])}
@@ -632,7 +595,7 @@ def _run_inequalities(payload, k, dirn, oracle):
     if violations:
         lines.append("violated at degrees: "
                      + ", ".join(str(i) for i in violations))
-    return Report("inequalities", 0, data, "\n".join(lines) + "\n")
+    return data, lines, True, None
 
 
 _RUNNERS = {
@@ -640,7 +603,7 @@ _RUNNERS = {
     "novikov": _run_novikov,
     "domination": _run_domination,
     "fundomain": _run_fundomain,
-    "mapping-torus": _run_mapping_torus,
+    "mapping-torus": _run_novikov,
     "knot": _run_knot,
     "inequalities": _run_inequalities,
 }
@@ -667,7 +630,8 @@ def _build_argparser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--precision", type=int, default=None, metavar="K",
+        p.add_argument("--precision", type=_precision, default=None,
+                       metavar="K",
                        help="series window size (default 32 or the "
                             "document's option)")
         p.add_argument("--direction", choices=("plus", "minus"), default=None,
@@ -691,6 +655,14 @@ def _build_argparser():
     p_all = ex_sub.add_parser("run-all", help="run every bundled document")
     add_common(p_all)
     return ap
+
+
+def _precision(text):
+    """--precision follows the document rule: a nonnegative integer."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _emit(report, fmt, out):
@@ -725,10 +697,7 @@ def main(argv=None) -> int:
                 _emit(report, args.format, out)
                 code = max(code, report.exit_code)
             return code
-    except (ParseError, ValidationError) as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
     except Inconclusive as exc:

@@ -36,7 +36,7 @@ from functools import cached_property
 from .rings import (ONE, Z, LaurentPoly, RationalFunction, _coerce_poly,
                     truncate_poly)
 from .linalg import Matrix, matmul, matrix_to_json, solve_laurent
-from .complexes import BasedChainComplex, Grade
+from .complexes import BasedChainComplex, Grade, direct_sum
 
 
 class InvalidDomain(Exception):
@@ -107,6 +107,24 @@ class AlgebraicFundamentalDomain:
     def adjugate_at(self, i):
         """(det, adj) of 1 - z h_D on D_i; (1, empty) where D_i = 0."""
         return self.adjugates.get(i) or (ONE, Matrix.zeros(0, 0))
+
+    @cached_property
+    def cone(self):
+        """The mapping cone C(phi), built once per domain."""
+        return assemble_mapping_cone(self)
+
+    @cached_property
+    def numerators(self):
+        """{i: (det, N)} with d_F^ = N / det, for each differential of
+        C(phi): det = det(1 - z h_D) on D_{i-1} and
+        N = det d_F + z h_F adj(1 - z h_D) c over Z[z,z^-1]."""
+        out = {}
+        for i in range(min(self.D.lo, self.F.lo) + 1,
+                       max(self.D.hi + 1, self.F.hi) + 1):
+            det, adj = self.adjugate_at(i - 1)
+            tail = matmul(matmul(self.h_F_at(i - 1), adj), self.c_at(i))
+            out[i] = det, self.F.differential(i).scaled(det) + tail.scaled(Z)
+        return out
 
     def to_json(self):
         return {
@@ -201,14 +219,6 @@ def _one_minus_zh(fd, i) -> Matrix:
     return Matrix.identity(fd.D.rank(i)) - fd.h_D_at(i).scaled(Z)
 
 
-def _fhat_numerator(fd, i):
-    """(det, N) with d_F^ = N / det in degree i: det = det(1 - z h_D) on
-    D_{i-1} and N = det d_F + z h_F adj(1 - z h_D) c over Z[z,z^-1]."""
-    det, adj = fd.adjugate_at(i - 1)
-    tail = matmul(matmul(fd.h_F_at(i - 1), adj), fd.c_at(i)).scaled(Z)
-    return det, fd.F.differential(i).scaled(det) + tail
-
-
 @dataclass(frozen=True)
 class TruncatedComplexPresentation:
     """Ranks plus differentials summed through series order `order`;
@@ -255,7 +265,7 @@ def algebraic_novikov_complex(fd: AlgebraicFundamentalDomain, mode="exact",
     if mode == "exact":
         diffs = {}
         for i in range(F.lo + 1, F.hi + 1):
-            det, num = _fhat_numerator(fd, i)
+            det, num = fd.numerators[i]
             diffs[i] = num.map_entries(lambda e: RationalFunction(e, det))
         return BasedChainComplex(Grade.RATIONAL, F.lo, F.hi,
                                  [F.rank(i) for i in F.degrees()], diffs)
@@ -308,7 +318,7 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
     order 0 and constant coefficient 1, so the series order of a
     mismatch is the order of its Laurent numerator.
     """
-    cone = assemble_mapping_cone(fd)
+    cone = fd.cone
     proj = {}
     for i in cone.degrees():
         det, adj = fd.adjugate_at(i)
@@ -319,7 +329,7 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
             col_sizes=[fd.D.rank(i - 1), fd.D.rank(i), fd.F.rank(i)])
     first = None
     for i in range(cone.lo + 1, cone.hi + 1):
-        _, num = _fhat_numerator(fd, i)
+        _, num = fd.numerators[i]
         det, p_i = proj[i]
         diff = (matmul(proj[i - 1][1], cone.differential(i)).scaled(det)
                 - matmul(num, p_i))
@@ -372,7 +382,6 @@ def torsion_zeta(fd: AlgebraicFundamentalDomain) -> ZetaFunction:
 def direct_sum_domains(a: AlgebraicFundamentalDomain,
                        b: AlgebraicFundamentalDomain) -> AlgebraicFundamentalDomain:
     """Blockwise direct sum; all five identities are preserved."""
-    from .complexes import direct_sum
     D = direct_sum(a.D, b.D)
     F = direct_sum(a.F, b.F)
     span = range(min(D.lo, F.lo) - 1, max(D.hi, F.hi) + 2)

@@ -20,16 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rings import Z, LaurentPoly, Direction, _coerce_poly
-from .linalg import Matrix, matmul, smith_normal_form_int, solve_laurent
+from .linalg import (Matrix, matmul, matrix_to_json, smith_normal_form_int,
+                     solve_laurent)
 from .complexes import (
     BasedChainComplex,
     ChainMap,
     Grade,
     base_change,
+    integral_homology,
     mapping_cone,
 )
-from .fundomain import AlgebraicFundamentalDomain, assemble_mapping_cone
-from .novikov import finite_domination_check
+from .fundomain import AlgebraicFundamentalDomain
+from .novikov import finite_domination_check, novikov_homology
 
 
 class InternalInconsistency(Exception):
@@ -103,7 +105,6 @@ class SeifertData:
             raise ValueError("e must be a chain self-map of the base")
 
     def to_json(self):
-        from .linalg import matrix_to_json
         return {"base": self.base.to_json(),
                 "e": {str(i): matrix_to_json(self.e.component(i))
                       for i in self.base.degrees()}}
@@ -202,7 +203,6 @@ def induced_map_on_free_homology(c: BasedChainComplex, f: ChainMap, i: int):
 
 def base_homology_torsion(c: BasedChainComplex) -> dict:
     """Degrees of a Z-complex with torsion in homology, with coefficients."""
-    from .complexes import integral_homology
     rep = integral_homology(c)
     return {i: tuple(t) for i, t in rep.torsion_factors.items() if t}
 
@@ -216,12 +216,8 @@ def alexander_polynomials(s: SeifertData) -> dict:
     representative has nonnegative exponents, a nonzero constant term,
     and positive leading coefficient.
     """
-    out = {}
-    for i in s.base.degrees():
-        m = alexander_matrix(s, i)
-        det, _ = solve_laurent(m, Matrix.zeros(m.rows, 0))
-        out[i] = _normalize_alexander(det)
-    return out
+    return {i: _alexander_polynomial(alexander_matrix(s, i))
+            for i in s.base.degrees()}
 
 
 def alexander_matrix(s: SeifertData, i: int) -> Matrix:
@@ -233,7 +229,9 @@ def alexander_matrix(s: SeifertData, i: int) -> Matrix:
                          for r, row in enumerate(ebar.entries)])
 
 
-def _normalize_alexander(p: LaurentPoly) -> LaurentPoly:
+def _alexander_polynomial(m: Matrix) -> LaurentPoly:
+    """det m, normalized as in ``alexander_polynomials``."""
+    p, _ = solve_laurent(m, Matrix.zeros(m.rows, 0))
     if p.is_zero:  # pragma: no cover - det(e + z(1-e)) never vanishes
         raise AssertionError("Alexander polynomial cannot be zero: "
                              "a common kernel of e and 1-e is impossible")
@@ -256,7 +254,8 @@ class FiberingVerdict:
     equivalent whenever the base homology is torsion-free; disagreement
     there raises InternalInconsistency.  ``base_torsion`` flags degrees
     whose homology torsion the determinant criterion cannot see.
-    ``novikov`` holds the complement's NovikovReport per Direction.
+    ``novikov`` holds the complement's NovikovReport per Direction and
+    ``matrices`` the Alexander matrix e + z(1 - e) per degree.
     """
 
     alexander: dict
@@ -265,6 +264,7 @@ class FiberingVerdict:
     fibers: bool
     base_torsion: dict = field(default_factory=dict)
     novikov: dict = field(default_factory=dict, repr=False, compare=False)
+    matrices: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -288,24 +288,22 @@ def fibering_check(s: SeifertData) -> FiberingVerdict:
     0 -> H_i((z)) --e+z(1-e)--> H_i((z)) -> H^Nov_i -> 0, so any
     disagreement is an internal error.
     """
-    alex = alexander_polynomials(s)
+    matrices = {i: alexander_matrix(s, i) for i in s.base.degrees()}
+    alex = {i: _alexander_polynomial(m) for i, m in matrices.items()}
     extreme = all(abs(p.coeff(0)) == 1 and abs(p.highest_coeff()) == 1
                   for p in alex.values())
-    fd = knot_fundamental_domain(s)
-    cone = assemble_mapping_cone(fd)
-    verdict = finite_domination_check(cone)
+    verdict = finite_domination_check(knot_fundamental_domain(s).cone)
     nov = verdict.finitely_dominated
     torsion = base_homology_torsion(s.base)
     if not torsion and nov != extreme:
         raise InternalInconsistency(
             f"criteria disagree: novikov_vanishes={nov}, "
             f"extreme_coeffs_unit={extreme}")
-    return FiberingVerdict(alex, nov, extreme, nov, torsion, verdict.reports)
+    return FiberingVerdict(alex, nov, extreme, nov, torsion, verdict.reports,
+                           matrices)
 
 
 def knot_novikov_factors(s: SeifertData, direction=Direction.PLUS) -> dict:
     """Non-unit Novikov invariant factors of the knot complex per degree."""
-    from .novikov import novikov_homology
-    cone = assemble_mapping_cone(knot_fundamental_domain(s))
-    rep = novikov_homology(cone, direction)
-    return rep.factors_by_degree()
+    cone = knot_fundamental_domain(s).cone
+    return novikov_homology(cone, direction).factors_by_degree()

@@ -36,11 +36,13 @@ class NovikovReport(HomologyReport):
     factors presenting its torsion (q_i generators).  When some degree's
     diagonalization was Inconclusive, ``conclusive`` is False, the
     factor lists are lower bounds and ``all_zero`` is no vanishing
-    certificate.
+    certificate.  ``ranks[i]`` pairs the rank of d_i over Q(z) with the
+    rank of its diagonalization (None where that was Inconclusive).
     """
 
     direction: Direction
     conclusive: bool = True
+    ranks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_json(self):
         return {**super().to_json(), "direction": self.direction.value,
@@ -76,25 +78,33 @@ def novikov_homology(c: BasedChainComplex,
     torsion factors of H_i are the non-unit invariant factors of d_{i+1}
     over the chosen completion.
     """
+    return _novikov_homology(c, direction, _function_field_ranks(c))
+
+
+def _function_field_ranks(c):
     if c.grade is Grade.Z:
         raise ValueError("novikov homology needs Laurent or rational entries")
-    ranks = {i: rank_over_function_field(c.differential(i))
-             for i in range(c.lo + 1, c.hi + 1)}
+    return {i: rank_over_function_field(c.differential(i))
+            for i in range(c.lo + 1, c.hi + 1)}
+
+
+def _novikov_homology(c, direction, ranks):
     betti = {i: c.rank(i) - ranks.get(i, 0) - ranks.get(i + 1, 0)
              for i in c.degrees()}
-    torsion = {}
+    torsion = {i: [] for i in c.degrees()}
+    pairs = {}
     conclusive = True
-    for i in c.degrees():
-        if i + 1 > c.hi:
-            torsion[i] = []
-            continue
+    for i in range(c.lo + 1, c.hi + 1):
         try:
-            res = novikov_diagonalize(c.differential(i + 1), direction)
-            torsion[i] = list(res.torsion_factors)
+            res = novikov_diagonalize(c.differential(i), direction)
+            torsion[i - 1] = list(res.torsion_factors)
+            pairs[i] = ranks[i], res.rank
         except Inconclusive as exc:
             conclusive = False
-            torsion[i] = [f for f in exc.partial_factors if f != 1]
-    return NovikovReport(c.lo, c.hi, betti, torsion, direction, conclusive)
+            torsion[i - 1] = [f for f in exc.partial_factors if f != 1]
+            pairs[i] = ranks[i], None
+    return NovikovReport(c.lo, c.hi, betti, torsion, direction, conclusive,
+                         pairs)
 
 
 def check_inequalities(critical_counts: dict, bounds: dict) -> list:
@@ -125,9 +135,10 @@ def finite_domination_check(c: BasedChainComplex) -> DominationVerdict:
     Both vanish iff the complex is chain equivalent over Z to a finite
     projective complex (finite domination of the underlying space).
     """
-    plus = novikov_homology(c, Direction.PLUS)
+    ranks = _function_field_ranks(c)
+    plus = _novikov_homology(c, Direction.PLUS, ranks)
     vp = vanishes(plus)
-    minus = novikov_homology(c, Direction.MINUS)
+    minus = _novikov_homology(c, Direction.MINUS, ranks)
     vm = vanishes(minus)
     return DominationVerdict(vp, vm, vp and vm,
                              {Direction.PLUS: plus, Direction.MINUS: minus})

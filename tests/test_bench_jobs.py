@@ -4,7 +4,9 @@ Loads ``bench/jobs.py`` and ``bench/verify.py`` read-only (no bytecode is
 written under ``bench/``), builds the seed-1 job list of every workload
 and runs the smallest job of each size bucket through the real entry
 point, so neither the generator nor the checks can drift away from the
-program without a tier-1 failure.
+program without a tier-1 failure.  A picked job timed without
+``--oracle`` is run again with it, and the two reports are compared as
+the benchmark compares them once per invocation.
 """
 
 import importlib.util
@@ -62,3 +64,9 @@ def test_smallest_job_of_each_bucket_verifies(workload, tmp_path, capsys):
                   if job.golden else None)
         assert code in (0, 1), job.name
         assert verify.check_report(job, code, out, golden) == [], job.name
+        if not job.oracle:
+            ref_code = main(["run", str(path), "--format", "machine",
+                             *job.args, "--oracle"])
+            ref_out = capsys.readouterr().out
+            assert verify.check_reference(job, out, ref_code, ref_out) \
+                == [], job.name

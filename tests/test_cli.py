@@ -1,16 +1,19 @@
 """Document parsing, dispatch, report formats, exit codes."""
 
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
 from nk.rings import Direction
+from nk.novikov import NovikovReport
 from nk.cli import (
     JobDocument,
     ParseError,
     ValidationError,
     bundled_examples,
+    _rank_vs_diag_check,
     _read_bundled,
     main,
     parse_document,
@@ -213,6 +216,17 @@ def test_exponent_at_the_bound_is_accepted():
     assert (entry.ord(), entry.deg()) == (-100_000, 100_000)
 
 
+@pytest.mark.parametrize("slot", ["option", "entry"])
+def test_integers_past_the_digit_limit_exit_2(tmp_path, capsys, slot):
+    # json.loads raises a plain ValueError past Python's 4,300 digits
+    text = (job("novikov", json.loads(CIRCLE)["payload"], {"precision": 123456})
+            if slot == "option" else _novikov_entry(123456))
+    _rejected_with_path(tmp_path, capsys, text.replace("123456", "9" * 5000),
+                        "$")
+    assert main(["run", str(tmp_path / "bad.json")]) == 2
+    assert "error: $: " in capsys.readouterr().err
+
+
 # --- running -------------------------------------------------------------------
 
 def test_run_torus_minus_reports_factor():
@@ -231,28 +245,37 @@ def test_run_trefoil_fibers():
     assert "fibers: True" in report.text
 
 
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of the calls of module.name, made through any
+    nk module that binds that function."""
+    real = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for m in ("nk.cli", "nk.novikov", "nk.fundomain", "nk.models"):
+        if getattr(importlib.import_module(m), name, None) is real:
+            monkeypatch.setattr(f"{m}.{name}", counted)
+    return calls
+
+
 @pytest.mark.parametrize("direction", ["plus", "minus"])
 def test_knot_job_builds_one_cone(monkeypatch, direction):
-    """The knot factors come from the fibering check's reports: one cone
-    and one Novikov homology per completion, whatever the direction."""
+    """The knot factors come from the fibering check's reports: one cone,
+    and one Q(z) rank per cone differential for both completions,
+    whatever the direction."""
     import nk.models
-    import nk.novikov
-    cones, homologies = [], []
-    cone, homology = nk.models.assemble_mapping_cone, nk.novikov.novikov_homology
-
-    def counted_cone(fd):
-        cones.append(fd)
-        return cone(fd)
-
-    def counted_homology(c, d):
-        homologies.append(d.value)
-        return homology(c, d)
-
-    monkeypatch.setattr(nk.models, "assemble_mapping_cone", counted_cone)
-    monkeypatch.setattr(nk.novikov, "novikov_homology", counted_homology)
+    cones = count_calls(monkeypatch, "nk.fundomain", "assemble_mapping_cone")
+    ranks = count_calls(monkeypatch, "nk.linalg", "rank_over_function_field")
     doc = parse_document(_read_bundled("knot_nonfibered.json"))
-    report = run(doc, direction=direction)
-    assert len(cones) == 1 and homologies == ["plus", "minus"]
+    report = run(doc, direction=direction, oracle=True)
+    assert all(c["ok"] for c in report.data["oracle"])
+    assert len(cones) == 1
+    cone = cones[0][0].cone
+    assert [m for m, in ranks] == [cone.differential(i)
+                                   for i in range(cone.lo + 1, cone.hi + 1)]
     factors = nk.models.knot_novikov_factors(doc.payload["seifert"],
                                              Direction(direction))
     assert factors[1]
@@ -269,6 +292,63 @@ def test_knot_oracle_compares_factors_as_ideals(direction):
         "e": {"1": [[-1, 1, 2], [0, 2, 0], [1, 0, 2]]}}))
     report = run(doc, direction=direction, oracle=True)
     assert [c["ok"] for c in report.data["oracle"]] == [True, True]
+
+
+def test_knot_oracle_builds_each_alexander_matrix_once(monkeypatch):
+    seen = count_calls(monkeypatch, "nk.models",
+                       "induced_map_on_free_homology")
+    report = run(parse_document(TREFOIL), oracle=True)
+    assert all(c["ok"] for c in report.data["oracle"])
+    assert [i for _, _, i in seen] == [1]
+
+
+NOVIKOV_TWO_STEP = job("novikov", {"complex": {
+    "lo": 0, "hi": 2, "ranks": [1, 2, 1],
+    "differentials": {"1": [[{"1": 1}, 1]], "2": [[1], [{"1": -1}]]}}})
+
+
+@pytest.mark.parametrize("text", [NOVIKOV_TWO_STEP, TORUS_MINUS],
+                         ids=["novikov", "mapping-torus"])
+def test_novikov_job_reduces_and_ranks_each_differential_once(monkeypatch,
+                                                              text):
+    ranks = count_calls(monkeypatch, "nk.linalg", "rank_over_function_field")
+    reductions = count_calls(monkeypatch, "nk.linalg", "novikov_diagonalize")
+    report = run(parse_document(text), direction="minus", oracle=True)
+    assert [c["ok"] for c in report.data["oracle"]] == [True]
+    assert len(ranks) == 2
+    assert [m for m, in ranks] == [m for m, _ in reductions]
+    assert {d for _, d in reductions} == {Direction.MINUS}
+
+
+def test_domination_job_ranks_once_and_reduces_once_per_direction(
+        monkeypatch):
+    ranks = count_calls(monkeypatch, "nk.linalg", "rank_over_function_field")
+    reductions = count_calls(monkeypatch, "nk.linalg", "novikov_diagonalize")
+    text = NOVIKOV_TWO_STEP.replace('"novikov"', '"domination"')
+    report = run(parse_document(text), oracle=True)
+    assert [c["ok"] for c in report.data["oracle"]] == [True, True]
+    assert len(ranks) == 2
+    assert reductions == [(m, d) for d in (Direction.PLUS, Direction.MINUS)
+                          for m, in ranks]
+
+
+def test_fundomain_job_builds_one_cone(monkeypatch):
+    cones = count_calls(monkeypatch, "nk.fundomain", "assemble_mapping_cone")
+    report = run(parse_document(_read_bundled("scalar_domain.json")),
+                 precision=8, oracle=True)
+    assert [c["ok"] for c in report.data["oracle"]] == [True, True]
+    assert len(cones) == 1
+
+
+def test_rank_vs_diag_check_reads_the_report_ranks():
+    def check(ranks):
+        return _rank_vs_diag_check(NovikovReport(
+            0, 2, {}, {}, Direction.PLUS, False, ranks))
+
+    assert check({1: (1, 0), 2: (1, None)}) == {
+        "check": "rank-vs-diagonalization", "ok": False,
+        "detail": "degree 1: rank 1 vs diagonal 0"}
+    assert check({1: (1, 1), 2: (0, None)})["ok"] is True
 
 
 def test_run_circle_all_zero():
@@ -399,6 +479,20 @@ def test_main_examples_list(capsys):
     assert main(["examples", "list"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "trefoil.json" in out and len(out) == 7
+
+
+@pytest.mark.parametrize("command", ["run", "run-all"])
+def test_precision_flag_takes_nonnegative_integers(tmp_path, capsys,
+                                                   command):
+    f = tmp_path / "scalar.json"
+    f.write_text(_read_bundled("scalar_domain.json"))
+    argv = ["run", str(f)] if command == "run" else ["examples", "run-all"]
+    for bad in ("-5", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--precision={bad}", "--oracle"])
+        assert exc.value.code == 2
+        assert "expected a nonnegative integer" in capsys.readouterr().err
+    assert main([*argv, "--precision=0", "--oracle"]) == 0
 
 
 def test_main_examples_run_all(capsys):
