@@ -15,30 +15,15 @@ degree i is b_i + q_i + q_{i-1} with q counting torsion generators.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from .rings import LaurentPoly, RationalFunction, _coerce_poly, _coerce_rational
+from .rings import LaurentPoly, RationalFunction
 from .linalg import (
     Matrix,
     matmul,
     matrix_to_json,
     smith_normal_form_int,
 )
-
-
-class Grade(enum.Enum):
-    """Coefficient ring of a complex, ordered by widening."""
-
-    Z = "Z"
-    LAURENT = "laurent"
-    RATIONAL = "rational"
-
-    def __repr__(self):
-        return f"Grade.{self.name}"
-
-
-_WIDENING = {Grade.Z: 0, Grade.LAURENT: 1, Grade.RATIONAL: 2}
 
 
 class NotAComplex(Exception):
@@ -50,26 +35,18 @@ class NotAComplex(Exception):
         self.product = product
 
 
-class NarrowingNotSupported(Exception):
-    """Base change only widens Z -> Laurent -> Rational."""
-
-
-def _entry_ok(e, grade):
-    if isinstance(e, bool):
-        return False
-    if grade is Grade.Z:
-        return isinstance(e, int)
-    if grade is Grade.LAURENT:
-        return isinstance(e, (int, LaurentPoly))
-    return isinstance(e, (int, LaurentPoly, RationalFunction))
+def _entry_ok(e):
+    return isinstance(e, (int, LaurentPoly, RationalFunction)) and \
+        not isinstance(e, bool)
 
 
 class BasedChainComplex:
-    """Bounded based f.g. free chain complex; validated on construction."""
+    """Bounded based f.g. free chain complex; validated on construction.
+    Its ring is read off its entries: ints, LaurentPolys, RationalFunctions."""
 
-    __slots__ = ("grade", "lo", "hi", "ranks", "differentials")
+    __slots__ = ("lo", "hi", "ranks", "differentials")
 
-    def __init__(self, grade, lo, hi, ranks, differentials):
+    def __init__(self, lo, hi, ranks, differentials):
         if hi < lo:
             raise ValueError("degree range is empty")
         ranks = tuple(int(r) for r in ranks)
@@ -84,15 +61,14 @@ class BasedChainComplex:
                 raise ValueError(
                     f"differential at degree {i} is {d.rows}x{d.cols}, "
                     f"expected {ranks[i - 1 - lo]}x{ranks[i - lo]}")
-            if not all(_entry_ok(e, grade) for row in d.entries for e in row):
+            if not all(_entry_ok(e) for row in d.entries for e in row):
                 raise ValueError(f"differential at degree {i} has entries "
-                                 f"outside grade {grade.value}")
+                                 f"that are not ring elements")
             diffs[i] = d
         extra = set(differentials) - set(diffs)
         if extra:
             raise ValueError(f"differentials at degrees {sorted(extra)} "
                              f"outside (lo, hi]")
-        object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "ranks", ranks)
@@ -119,19 +95,25 @@ class BasedChainComplex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
+    @property
+    def is_integral(self):
+        """Every differential entry is an int: a complex over Z."""
+        return all(isinstance(e, int) for d in self.differentials.values()
+                   for row in d.entries for e in row)
+
     def __eq__(self, other):
         if not isinstance(other, BasedChainComplex):
             return NotImplemented
-        return (self.grade, self.lo, self.hi, self.ranks, self.differentials) == \
-               (other.grade, other.lo, other.hi, other.ranks, other.differentials)
+        return (self.lo, self.hi, self.ranks, self.differentials) == \
+               (other.lo, other.hi, other.ranks, other.differentials)
 
     def __hash__(self):
-        return hash((self.grade, self.lo, self.hi, self.ranks,
+        return hash((self.lo, self.hi, self.ranks,
                      tuple(sorted(self.differentials.items()))))
 
     def __repr__(self):
-        return (f"BasedChainComplex({self.grade.value}, degrees "
-                f"[{self.lo},{self.hi}], ranks {list(self.ranks)})")
+        return (f"BasedChainComplex(degrees [{self.lo},{self.hi}], "
+                f"ranks {list(self.ranks)})")
 
     def to_json(self):
         return {
@@ -162,8 +144,6 @@ class ChainMap:
     components: dict
 
     def __post_init__(self):
-        if self.source.grade is not self.target.grade:
-            raise ValueError("chain map between different grades")
         comps = {}
         for i in range(min(self.source.lo, self.target.lo),
                        max(self.source.hi, self.target.hi) + 1):
@@ -206,12 +186,10 @@ def mapping_cone(f: ChainMap) -> BasedChainComplex:
              [f.component(i - 1), t.differential(i)]],
             row_sizes=[s.rank(i - 2), t.rank(i - 1)],
             col_sizes=[s.rank(i - 1), t.rank(i)])
-    return BasedChainComplex(s.grade, lo, hi, ranks, diffs)
+    return BasedChainComplex(lo, hi, ranks, diffs)
 
 
 def direct_sum(a: BasedChainComplex, b: BasedChainComplex) -> BasedChainComplex:
-    if a.grade is not b.grade:
-        raise ValueError("direct sum of different grades")
     lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
     ranks = [a.rank(i) + b.rank(i) for i in range(lo, hi + 1)]
     diffs = {i: Matrix.block([[a.differential(i), None],
@@ -219,25 +197,7 @@ def direct_sum(a: BasedChainComplex, b: BasedChainComplex) -> BasedChainComplex:
                              row_sizes=[a.rank(i - 1), b.rank(i - 1)],
                              col_sizes=[a.rank(i), b.rank(i)])
              for i in range(lo + 1, hi + 1)}
-    return BasedChainComplex(a.grade, lo, hi, ranks, diffs)
-
-
-def _widen_entry(e, grade):
-    if grade is Grade.LAURENT:
-        return _coerce_poly(e)
-    if grade is Grade.RATIONAL:
-        return _coerce_rational(e)
-    return e
-
-
-def base_change(c: BasedChainComplex, grade: Grade) -> BasedChainComplex:
-    """Reinterpret the entries in a wider ring (Z -> Laurent -> Rational);
-    the differentials are unchanged."""
-    if _WIDENING[grade] < _WIDENING[c.grade]:
-        raise NarrowingNotSupported(f"{c.grade.value} -> {grade.value}")
-    diffs = {i: d.map_entries(lambda e: _widen_entry(e, grade))
-             for i, d in c.differentials.items()}
-    return BasedChainComplex(grade, c.lo, c.hi, c.ranks, diffs)
+    return BasedChainComplex(lo, hi, ranks, diffs)
 
 
 @dataclass(frozen=True)
@@ -288,8 +248,8 @@ def integral_homology(c: BasedChainComplex) -> HomologyReport:
     H_i are the nonunit invariant factors of d_{i+1} (its image sits
     inside the saturated summand ker d_i, so the factors agree).
     """
-    if c.grade is not Grade.Z:
-        raise ValueError("integral homology needs a Z-graded complex")
+    if not c.is_integral:
+        raise ValueError("integral homology needs integer entries")
     snf = {i: smith_normal_form_int(c.differential(i))
            for i in range(c.lo + 1, c.hi + 1)}
     betti, torsion = {}, {}

@@ -33,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rings import (ONE, Z, LaurentPoly, RationalFunction, _coerce_poly,
-                    truncate_poly)
+from .rings import ONE, Z, LaurentPoly, RationalFunction, truncate_poly
 from .linalg import Matrix, matmul, matrix_to_json, solve_laurent
-from .complexes import BasedChainComplex, Grade, direct_sum
+from .complexes import BasedChainComplex, direct_sum
 
 
 class InvalidDomain(Exception):
@@ -67,8 +66,8 @@ class AlgebraicFundamentalDomain:
     h_F: dict
 
     def __post_init__(self):
-        if self.D.grade is not Grade.Z or self.F.grade is not Grade.Z:
-            raise InvalidDomain("grade", self.D.lo, "D and F must be over Z")
+        if not (self.D.is_integral and self.F.is_integral):
+            raise InvalidDomain("entries", self.D.lo, "D and F must be over Z")
         object.__setattr__(self, "c", _conform(
             self.c, lambda i: (self.D.rank(i - 1), self.F.rank(i)),
             self._span(), "c"))
@@ -201,17 +200,13 @@ def assemble_mapping_cone(fd: AlgebraicFundamentalDomain) -> BasedChainComplex:
     ranks = [D.rank(i - 1) + D.rank(i) + F.rank(i) for i in range(lo, hi + 1)]
     diffs = {}
     for i in range(lo + 1, hi + 1):
-        dd_prev, dd, c, df = (m.map_entries(_coerce_poly) for m in (
-            D.differential(i - 1), D.differential(i), fd.c_at(i),
-            F.differential(i)))
-        phi_top = Matrix.identity(D.rank(i - 1)) - fd.h_D_at(i - 1).scaled(Z)
         diffs[i] = Matrix.block(
-            [[-dd_prev, None, None],
-             [phi_top.map_entries(_coerce_poly), dd, c],
-             [-fd.h_F_at(i - 1).scaled(Z), None, df]],
+            [[-D.differential(i - 1), None, None],
+             [_one_minus_zh(fd, i - 1), D.differential(i), fd.c_at(i)],
+             [-fd.h_F_at(i - 1).scaled(Z), None, F.differential(i)]],
             row_sizes=[D.rank(i - 2), D.rank(i - 1), F.rank(i - 1)],
             col_sizes=[D.rank(i - 1), D.rank(i), F.rank(i)])
-    return BasedChainComplex(Grade.LAURENT, lo, hi, ranks, diffs)
+    return BasedChainComplex(lo, hi, ranks, diffs)
 
 
 def _one_minus_zh(fd, i) -> Matrix:
@@ -267,7 +262,7 @@ def algebraic_novikov_complex(fd: AlgebraicFundamentalDomain, mode="exact",
         for i in range(F.lo + 1, F.hi + 1):
             det, num = fd.numerators[i]
             diffs[i] = num.map_entries(lambda e: RationalFunction(e, det))
-        return BasedChainComplex(Grade.RATIONAL, F.lo, F.hi,
+        return BasedChainComplex(F.lo, F.hi,
                                  [F.rank(i) for i in F.degrees()], diffs)
     if mode != "truncated":
         raise ValueError(f"unknown mode {mode!r}")
@@ -275,13 +270,13 @@ def algebraic_novikov_complex(fd: AlgebraicFundamentalDomain, mode="exact",
         raise ValueError("truncated mode needs an order")
     diffs = {}
     for i in range(F.lo + 1, F.hi + 1):
-        acc = F.differential(i).map_entries(_coerce_poly)
+        acc = F.differential(i)
         hd = fd.h_D_at(i - 1)
         power = Matrix.identity(hd.rows)
-        c = fd.c_at(i).map_entries(_coerce_poly)
-        hf = fd.h_F_at(i - 1).map_entries(_coerce_poly)
+        c = fd.c_at(i)
+        hf = fd.h_F_at(i - 1)
         for j in range(1, order + 1):
-            term = matmul(matmul(hf, power.map_entries(_coerce_poly)), c)
+            term = matmul(matmul(hf, power), c)
             acc = acc + term.scaled(LaurentPoly({j: 1}))
             power = matmul(power, hd)
         diffs[i] = acc

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import Z, LaurentPoly, Direction, _coerce_poly
+from .rings import Z, LaurentPoly, Direction
 from .linalg import (Matrix, matmul, matrix_to_json, smith_normal_form_int,
                      solve_laurent)
 from .complexes import (
     BasedChainComplex,
     ChainMap,
-    Grade,
-    base_change,
     integral_homology,
     mapping_cone,
 )
@@ -47,15 +45,14 @@ def mapping_torus_complex(h: ChainMap, orientation="plus") -> BasedChainComplex:
     """
     if h.source != h.target:
         raise ValueError("mapping torus needs a chain self-map")
-    n = base_change(h.source, Grade.LAURENT)
+    n = h.source
     comps = {}
     for i in n.degrees():
         ident = Matrix.identity(n.rank(i))
         if orientation == "plus":
             comps[i] = ident - h.component(i).scaled(Z)
         elif orientation == "minus":
-            comps[i] = ident.scaled(Z) - h.component(i).map_entries(
-                _coerce_poly)
+            comps[i] = ident.scaled(Z) - h.component(i)
         else:
             raise ValueError(f"unknown orientation {orientation!r}")
     return mapping_cone(ChainMap(n, n, comps))
@@ -79,8 +76,8 @@ def circle_exercise() -> AlgebraicFundamentalDomain:
     algebraic Novikov complex is acyclic, as it must be for any Morse
     function on the circle.
     """
-    D = BasedChainComplex(Grade.Z, 0, 0, [1], {})
-    F = BasedChainComplex(Grade.Z, 0, 1, [1, 1],
+    D = BasedChainComplex(0, 0, [1], {})
+    F = BasedChainComplex(0, 1, [1, 1],
                           {1: Matrix.from_rows([[1]])})
     return AlgebraicFundamentalDomain(
         D, F,
@@ -99,8 +96,10 @@ class SeifertData:
     e: ChainMap
 
     def __post_init__(self):
-        if self.base.grade is not Grade.Z:
+        if not self.base.is_integral:
             raise ValueError("Seifert base must be a Z-complex")
+        if self.base.lo < 0:
+            raise ValueError("Seifert base must live in nonnegative degrees")
         if self.e.source != self.base or self.e.target != self.base:
             raise ValueError("e must be a chain self-map of the base")
 
@@ -122,8 +121,6 @@ def knot_fundamental_domain(s: SeifertData) -> AlgebraicFundamentalDomain:
       c = (0 1): F_i -> D_{i-1},  h_D = 0,  h_F = (1 - e; 0).
     """
     b = s.base
-    if b.lo < 0:
-        raise ValueError("Seifert base must live in nonnegative degrees")
     d_lo, d_hi = 0, max(b.hi, 0)
     d_ranks = [(1 if i == 0 else 0) + b.rank(i) for i in range(d_lo, d_hi + 1)]
     d_diffs = {}
@@ -132,9 +129,9 @@ def knot_fundamental_domain(s: SeifertData) -> AlgebraicFundamentalDomain:
             [[None], [b.differential(i)]] if i == 1 else [[b.differential(i)]],
             row_sizes=([1, b.rank(0)] if i == 1 else [b.rank(i - 1)]),
             col_sizes=[b.rank(i)])
-    D = BasedChainComplex(Grade.Z, d_lo, d_hi, d_ranks, d_diffs)
+    D = BasedChainComplex(d_lo, d_hi, d_ranks, d_diffs)
 
-    f_lo, f_hi = min(b.lo, 0), b.hi + 1
+    f_lo, f_hi = 0, b.hi + 1
     f_ranks = [b.rank(i) + b.rank(i - 1) for i in range(f_lo, f_hi + 1)]
     f_diffs = {}
     for i in range(f_lo + 1, f_hi + 1):
@@ -143,7 +140,7 @@ def knot_fundamental_domain(s: SeifertData) -> AlgebraicFundamentalDomain:
              [None, -b.differential(i - 1)]],
             row_sizes=[b.rank(i - 1), b.rank(i - 2)],
             col_sizes=[b.rank(i), b.rank(i - 1)])
-    F = BasedChainComplex(Grade.Z, f_lo, f_hi, f_ranks, f_diffs)
+    F = BasedChainComplex(f_lo, f_hi, f_ranks, f_diffs)
 
     c = {}
     for i in range(f_lo, f_hi + 1):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rings import Direction
-from .complexes import BasedChainComplex, Grade, HomologyReport
+from .complexes import BasedChainComplex, HomologyReport
 # b_i + q_i + q_{i-1} reads the same off a NovikovReport
 from .complexes import morse_lower_bounds as morse_novikov_bounds  # noqa: F401
 from .linalg import Inconclusive, novikov_diagonalize, rank_over_function_field
@@ -70,7 +70,7 @@ class DominationVerdict:
 
 def novikov_homology(c: BasedChainComplex,
                      direction=Direction.PLUS) -> NovikovReport:
-    """Novikov numbers of a Laurent (or rational-entry) complex.
+    """Novikov numbers of a complex with int, Laurent or rational entries.
 
     Free ranks are computed from function-field ranks of adjacent
     differentials (independent of the torsion path, and of direction:
@@ -82,8 +82,6 @@ def novikov_homology(c: BasedChainComplex,
 
 
 def _function_field_ranks(c):
-    if c.grade is Grade.Z:
-        raise ValueError("novikov homology needs Laurent or rational entries")
     return {i: rank_over_function_field(c.differential(i))
             for i in range(c.lo + 1, c.hi + 1)}
 

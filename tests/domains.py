@@ -25,7 +25,7 @@ import random
 
 from nk.rings import Direction, LaurentPoly, RationalFunction, reverse_variable
 from nk.linalg import Matrix, matmul
-from nk.complexes import BasedChainComplex, ChainMap, Grade, direct_sum
+from nk.complexes import BasedChainComplex, ChainMap, direct_sum
 from nk.fundomain import AlgebraicFundamentalDomain
 from nk.models import SeifertData, knot_fundamental_domain
 
@@ -122,8 +122,8 @@ def _summands(rng, max_summands=3):
 
 def _summand_complex(kind, i, x):
     if kind == "free":
-        return BasedChainComplex(Grade.Z, i, i, [x], {})
-    return BasedChainComplex(Grade.Z, i - 1, i, [1, 1],
+        return BasedChainComplex(i, i, [x], {})
+    return BasedChainComplex(i - 1, i, [1, 1],
                              {i: Matrix.from_rows([[x]])})
 
 
@@ -187,14 +187,14 @@ def random_chain_selfmap(rng):
 
 def random_seifert(rng, n=None):
     n = n if n is not None else rng.choice((2, 3))
-    base = BasedChainComplex(Grade.Z, 1, 1, [n], {})
+    base = BasedChainComplex(1, 1, [n], {})
     e = ChainMap(base, base, {1: random_int_matrix(rng, n, n)})
     return SeifertData(base, e)
 
 
 def _cone_family(rng):
     d, selfmap = random_chain_selfmap(rng)
-    f0 = BasedChainComplex(Grade.Z, d.lo, d.lo, [0], {})
+    f0 = BasedChainComplex(d.lo, d.lo, [0], {})
     return AlgebraicFundamentalDomain(
         d, f0, c={}, h_D=dict(selfmap.components), h_F={})
 
@@ -205,8 +205,8 @@ def _zero_family(rng):
     d_ranks = [rng.randint(0, 2) for _ in range(hi - lo + 1)]
     s_ranks = [rng.randint(0, 2) for _ in range(hi - lo + 1)]
     t_ranks = [rng.randint(0, 2) for _ in range(hi - lo + 1)]
-    D = BasedChainComplex(Grade.Z, lo, hi, d_ranks, {})
-    F = BasedChainComplex(Grade.Z, lo, hi,
+    D = BasedChainComplex(lo, hi, d_ranks, {})
+    F = BasedChainComplex(lo, hi,
                           [s + t for s, t in zip(s_ranks, t_ranks)], {})
     h_D, h_F, c = {}, {}, {}
     for i in range(lo, hi + 1):
@@ -228,8 +228,8 @@ def _zero_family(rng):
 
 
 def _scalar_family(rng):
-    D = BasedChainComplex(Grade.Z, 0, 0, [1], {})
-    F = BasedChainComplex(Grade.Z, 0, 1, [1, 1],
+    D = BasedChainComplex(0, 0, [1], {})
+    F = BasedChainComplex(0, 1, [1, 1],
                           {1: Matrix.from_rows([[rng.randint(-2, 2)]])})
     return AlgebraicFundamentalDomain(
         D, F,

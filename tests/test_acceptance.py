@@ -28,7 +28,6 @@ from nk.linalg import (
 from nk.complexes import (
     BasedChainComplex,
     ChainMap,
-    Grade,
     integral_homology,
     mapping_cone,
     morse_lower_bounds,
@@ -85,12 +84,12 @@ def criterion(number, title):
 
 
 def cone_one_minus_z():
-    pt = BasedChainComplex(Grade.LAURENT, 0, 0, [1], {})
+    pt = BasedChainComplex(0, 0, [1], {})
     return mapping_cone(ChainMap(pt, pt, {0: Matrix.from_rows([[one - z]])}))
 
 
 def torus_double(orientation):
-    c = BasedChainComplex(Grade.Z, 0, 1, [1, 1], {})
+    c = BasedChainComplex(0, 1, [1, 1], {})
     h = ChainMap(c, c, {0: Matrix.from_rows([[1]]),
                         1: Matrix.from_rows([[2]])})
     return mapping_torus_complex(h, orientation)
@@ -98,7 +97,7 @@ def torus_double(orientation):
 
 def seifert(entries):
     n = len(entries)
-    base = BasedChainComplex(Grade.Z, 1, 1, [n], {})
+    base = BasedChainComplex(1, 1, [n], {})
     return SeifertData(base, ChainMap(base, base,
                                       {1: Matrix.from_rows(entries, n)}))
 

@@ -6,17 +6,22 @@ and runs the smallest job of each size bucket through the real entry
 point, so neither the generator nor the checks can drift away from the
 program without a tier-1 failure.  A picked job timed without
 ``--oracle`` is run again with it, and the two reports are compared as
-the benchmark compares them once per invocation.
+the benchmark compares them once per invocation.  The generator's
+fundomain documents also run in the minus direction, which no workload
+times.
 """
 
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from nk.cli import main
+from nk.cli import main, parse_document
+from nk.novikov import novikov_homology
+from nk.rings import Direction
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -70,3 +75,19 @@ def test_smallest_job_of_each_bucket_verifies(workload, tmp_path, capsys):
             ref_out = capsys.readouterr().out
             assert verify.check_reference(job, out, ref_code, ref_out) \
                 == [], job.name
+
+
+def test_fundomain_documents_run_in_the_minus_direction(tmp_path, capsys):
+    rng = random.Random(1)
+    for variant in range(60):
+        doc, _ = jobs.fundomain_doc(rng, variant)
+        path = tmp_path / f"{variant:02d}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path), "--format", "machine",
+                     "--direction", "minus", "--oracle"])
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert code == 0, variant
+        assert all(c["ok"] for c in report["oracle"]), variant
+        cone = parse_document(path.read_text()).payload["domain"].cone
+        assert report["novikov"] == \
+            novikov_homology(cone, Direction.MINUS).to_json(), variant

@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 from nk.rings import Direction
-from nk.novikov import NovikovReport
+from nk.novikov import NovikovReport, novikov_homology
 from nk.cli import (
     JobDocument,
     ParseError,
     ValidationError,
     bundled_examples,
+    _RUNNERS,
     _rank_vs_diag_check,
     _read_bundled,
     main,
@@ -227,6 +228,39 @@ def test_integers_past_the_digit_limit_exit_2(tmp_path, capsys, slot):
     assert "error: $: " in capsys.readouterr().err
 
 
+# Documents that name a block the runners use over Z with a Laurent entry,
+# or a knot base below degree 0: both are refused where they are parsed
+RUNNER_ASSUMPTIONS = {
+    "domain-hD": (job("fundomain", {"domain": {
+        "D": {"lo": 0, "hi": 0, "ranks": [1]},
+        "F": {"lo": 0, "hi": 1, "ranks": [1, 1]},
+        "c": {"1": [[1]]}, "hF": {"0": [[1]]}, "hD": {"0": [[{"-1": 1}]]}}}),
+        "$.payload.domain.hD.0"),
+    "knot-e": (job("knot", {"base": {"lo": 1, "hi": 1, "ranks": [1]},
+                            "e": {"1": [[{"1": 1}]]}}), "$.payload.e.1"),
+    "torus-h": (job("mapping-torus", {
+        "complex": {"lo": 0, "hi": 0, "ranks": [1]},
+        "h": {"0": [[{"1": 2}]]}, "orientation": "plus"}), "$.payload.h.0"),
+    "knot-base-lo": (job("knot", {
+        "base": {"lo": -1, "hi": 1, "ranks": [0, 0, 2]},
+        "e": {"1": [[0, 1], [-1, 1]]}}), "$.payload.base"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("text, path", list(RUNNER_ASSUMPTIONS.values()),
+                         ids=list(RUNNER_ASSUMPTIONS))
+def test_runner_assumptions_are_checked_at_parse(tmp_path, capsys, command,
+                                                 text, path):
+    with pytest.raises(ValidationError) as exc:
+        parse_document(text)
+    assert exc.value.path == path
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main([command, str(f)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
 # --- running -------------------------------------------------------------------
 
 def test_run_torus_minus_reports_factor():
@@ -411,6 +445,35 @@ def test_fundomain_oracle_checks():
     names = {c["check"]: c["ok"] for c in report.data["oracle"]}
     assert names == {"exact-vs-truncated": True,
                      "cone-vs-algebraic-novikov": True}
+    report = run(parse_document(_read_bundled("scalar_domain.json")),
+                 precision=8, direction="minus", oracle=True)
+    assert report.data["oracle"][1] == {
+        "check": "cone-vs-algebraic-novikov", "ok": True,
+        "detail": "skipped: F^ exists over Z((z)) only"}
+    assert report.data["oracle"][0]["ok"] is True
+
+
+# A domain where det(1 - z h_D) = 1 - 2z on D_0 is no unit of Z((z^-1)):
+# F^ does not exist there, and reading the minus report off F^ gave no
+# torsion and a failing cone check
+MINUS_DOMAIN = job("fundomain", {"domain": {
+    "D": {"lo": 0, "hi": 2, "ranks": [1, 2, 1], "differentials": {}},
+    "F": {"lo": 0, "hi": 2, "ranks": [0, 1, 2], "differentials": {}},
+    "c": {"1": [[2]], "2": [[0, -2], [0, -2]]},
+    "hD": {"0": [[2]], "1": [[-2, 1], [0, -1]], "2": [[-2]]},
+    "hF": {"1": [[0, 0]], "2": [[0], [0]]}}})
+
+
+def test_fundomain_minus_reads_the_cone():
+    doc = parse_document(MINUS_DOMAIN)
+    report = run(doc, direction="minus", oracle=True)
+    assert report.exit_code == 0
+    nov = report.data["novikov"]
+    assert nov["torsion"]["1"] == [{"0": 1, "1": 3, "2": 2}]  # 1 + 3z + 2z^2
+    assert nov["torsion"]["2"] == [{"0": 1, "1": 2}]  # 1 + 2z
+    assert nov == novikov_homology(doc.payload["domain"].cone,
+                                   Direction.MINUS).to_json()
+    assert all(c["ok"] for c in report.data["oracle"])
 
 
 # --- golden round trips ------------------------------------------------------------
@@ -468,6 +531,18 @@ def test_main_validate(tmp_path, capsys):
         "differentials": {"1": [[1]], "2": [[1]]}}}))
     assert main(["validate", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch):
+    def broken(payload, k, dirn):
+        raise RuntimeError("no such state")
+
+    monkeypatch.setitem(_RUNNERS, "novikov", broken)
+    f = tmp_path / "circle.json"
+    f.write_text(CIRCLE)
+    assert main(["run", str(f)]) == 3
+    assert capsys.readouterr().err == \
+        "internal error: RuntimeError: no such state\n"
 
 
 def test_main_missing_file_exits_2(capsys):

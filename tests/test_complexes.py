@@ -1,4 +1,4 @@
-"""Chain complexes: validation, cones, base change, integral homology."""
+"""Chain complexes: validation, cones, integral homology."""
 
 import json
 
@@ -9,10 +9,7 @@ from nk.linalg import Matrix
 from nk.complexes import (
     BasedChainComplex,
     ChainMap,
-    Grade,
-    NarrowingNotSupported,
     NotAComplex,
-    base_change,
     direct_sum,
     identity_chain_map,
     integral_homology,
@@ -29,8 +26,8 @@ z = LaurentPoly({1: 1})
 one = LaurentPoly({0: 1})
 
 
-def circle_complex(grade=Grade.Z):
-    return BasedChainComplex(grade, 0, 1, [1, 1], {})
+def circle_complex():
+    return BasedChainComplex(0, 1, [1, 1], {})
 
 
 # --- validation ------------------------------------------------------------------
@@ -42,7 +39,7 @@ def test_circle_complex_is_valid():
 
 def test_d_squared_violation_reports_degree():
     with pytest.raises(NotAComplex) as exc:
-        BasedChainComplex(Grade.Z, 0, 2, [1, 1, 1],
+        BasedChainComplex(0, 2, [1, 1, 1],
                           {1: Matrix.from_rows([[1]]),
                            2: Matrix.from_rows([[1]])})
     assert exc.value.degree == 2
@@ -50,14 +47,27 @@ def test_d_squared_violation_reports_degree():
 
 
 def test_empty_complex_is_valid():
-    c = BasedChainComplex(Grade.Z, 0, 0, [0], {})
+    c = BasedChainComplex(0, 0, [0], {})
     assert validate_complex(c) is None
 
 
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        BasedChainComplex(Grade.Z, 0, 1, [1, 1],
+        BasedChainComplex(0, 1, [1, 1],
                           {1: Matrix.from_rows([[1, 2]])})
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_entries_must_be_ring_elements(entry):
+    with pytest.raises(ValueError):
+        BasedChainComplex(0, 1, [1, 1], {1: Matrix.from_rows([[entry]])})
+
+
+def test_is_integral_reads_the_entries():
+    assert BasedChainComplex(0, 1, [1, 1],
+                             {1: Matrix.from_rows([[2]])}).is_integral
+    assert not BasedChainComplex(0, 1, [1, 1],
+                                 {1: Matrix.from_rows([[one - z]])}).is_integral
 
 
 def test_constructor_output_always_validates():
@@ -70,7 +80,7 @@ def test_constructor_output_always_validates():
 # --- mapping cone ------------------------------------------------------------------
 
 def test_cone_of_identity_is_acyclic():
-    pt = BasedChainComplex(Grade.Z, 0, 0, [1], {})
+    pt = BasedChainComplex(0, 0, [1], {})
     cone = mapping_cone(identity_chain_map(pt))
     assert cone.ranks == (1, 1)
     assert cone.differential(1) == Matrix.from_rows([[1]])
@@ -80,7 +90,7 @@ def test_cone_of_identity_is_acyclic():
 
 
 def test_cone_of_one_minus_z_is_circle_complex():
-    pt = BasedChainComplex(Grade.LAURENT, 0, 0, [1], {})
+    pt = BasedChainComplex(0, 0, [1], {})
     f = ChainMap(pt, pt, {0: Matrix.from_rows([[one - z]])})
     cone = mapping_cone(f)
     assert cone.ranks == (1, 1)
@@ -88,7 +98,7 @@ def test_cone_of_one_minus_z_is_circle_complex():
 
 
 def test_cone_of_zero_map_is_direct_sum():
-    pt = BasedChainComplex(Grade.Z, 0, 0, [1], {})
+    pt = BasedChainComplex(0, 0, [1], {})
     f = ChainMap(pt, pt, {0: Matrix.zeros(1, 1)})
     cone = mapping_cone(f)
     assert cone.ranks == (1, 1)
@@ -97,7 +107,7 @@ def test_cone_of_zero_map_is_direct_sum():
 
 def test_cone_sign_convention():
     # two-term source: cone_2 = src_1, cone_1 = src_0 (+) tgt_1, cone_0 = tgt_0
-    c = BasedChainComplex(Grade.Z, 0, 1, [1, 1], {1: Matrix.from_rows([[3]])})
+    c = BasedChainComplex(0, 1, [1, 1], {1: Matrix.from_rows([[3]])})
     cone = mapping_cone(identity_chain_map(c))
     assert cone.ranks == (1, 2, 1)
     assert cone.differential(2) == Matrix.from_rows([[-3], [1]])
@@ -107,30 +117,12 @@ def test_cone_sign_convention():
 
 def test_cone_of_unit_scalar_equivalence_acyclic_over_laurent():
     from nk.novikov import novikov_homology
-    c = base_change(circle_complex(), Grade.LAURENT)
+    c = circle_complex()
     f = ChainMap(c, c, {i: Matrix.from_rows([[one - 2 * z]])
                         for i in c.degrees()})
     # 1 - 2z is a Z((z))-unit in each degree, so the cone is acyclic
     rep = novikov_homology(mapping_cone(f))
     assert rep.all_zero and rep.conclusive
-
-
-# --- base change ---------------------------------------------------------------------
-
-def test_base_change_widening():
-    c = BasedChainComplex(Grade.Z, 0, 1, [1, 1], {1: Matrix.from_rows([[2]])})
-    lau = base_change(c, Grade.LAURENT)
-    assert lau.grade is Grade.LAURENT
-    assert lau.differential(1) == Matrix.from_rows([[LaurentPoly({0: 2})]])
-    rat = base_change(lau, Grade.RATIONAL)
-    assert rat.grade is Grade.RATIONAL
-    assert rat.differential(1).entry(0, 0).denominator == one
-
-
-def test_base_change_narrowing_rejected():
-    c = base_change(circle_complex(), Grade.RATIONAL)
-    with pytest.raises(NarrowingNotSupported):
-        base_change(c, Grade.Z)
 
 
 # --- integral homology -----------------------------------------------------------------
@@ -143,7 +135,7 @@ def test_circle_homology():
 
 
 def test_multiplication_by_two():
-    c = BasedChainComplex(Grade.Z, 0, 1, [1, 1], {1: Matrix.from_rows([[2]])})
+    c = BasedChainComplex(0, 1, [1, 1], {1: Matrix.from_rows([[2]])})
     rep = integral_homology(c)
     assert rep.betti == {0: 0, 1: 0}
     assert rep.torsion_factors[0] == [2]
@@ -151,12 +143,18 @@ def test_multiplication_by_two():
 
 
 def test_diag_2_3_torsion_after_unit_stripping():
-    c = BasedChainComplex(Grade.Z, 0, 1, [2, 2],
+    c = BasedChainComplex(0, 1, [2, 2],
                           {1: Matrix.from_rows([[2, 0], [0, 3]])})
     rep = integral_homology(c)
     # SNF factors are (1, 6); the unit is stripped
     assert rep.torsion_factors[0] == [6]
     assert rep.torsion_count(0) == 1
+
+
+def test_integral_homology_needs_integer_entries():
+    c = BasedChainComplex(0, 1, [1, 1], {1: Matrix.from_rows([[2 * one]])})
+    with pytest.raises(ValueError, match="integer entries"):
+        integral_homology(c)
 
 
 def test_homology_of_direct_sum_is_degreewise_sum():
@@ -176,34 +174,33 @@ def test_homology_of_direct_sum_is_degreewise_sum():
 def test_morse_bounds_examples():
     rep = integral_homology(circle_complex())
     assert morse_lower_bounds(rep) == {0: 1, 1: 1}
-    zero = integral_homology(BasedChainComplex(Grade.Z, 0, 2, [0, 0, 0], {}))
+    zero = integral_homology(BasedChainComplex(0, 2, [0, 0, 0], {}))
     assert all(v == 0 for v in morse_lower_bounds(zero).values())
     # torsion in the top degree extends the bounds one degree up
-    top = BasedChainComplex(Grade.Z, 0, 1, [1, 1],
+    top = BasedChainComplex(0, 1, [1, 1],
                             {1: Matrix.from_rows([[2]])})
     shifted = integral_homology(top)
     assert morse_lower_bounds(shifted)[1] == 1
 
 
 def test_base_change_rank_consistency():
-    # Betti over Q(z) of the widened complex matches integral free ranks
-    # for complexes with no z in sight
+    # Betti over Q(z) of an integer complex matches its integral free
+    # ranks: there is no z in sight
     rng = rng_for("widen-rank")
     for _ in range(15):
         c, _ = random_z_complex(rng)
-        lau = base_change(c, Grade.LAURENT)
-        assert novikov_homology(lau).betti == integral_homology(c).betti
+        assert novikov_homology(c).betti == integral_homology(c).betti
 
 
 def test_chain_map_must_commute():
-    c = BasedChainComplex(Grade.Z, 0, 1, [1, 1], {1: Matrix.from_rows([[2]])})
+    c = BasedChainComplex(0, 1, [1, 1], {1: Matrix.from_rows([[2]])})
     with pytest.raises(ValueError):
         ChainMap(c, c, {0: Matrix.from_rows([[1]]),
                         1: Matrix.from_rows([[2]])})
 
 
 def test_json_roundtrip():
-    c = BasedChainComplex(Grade.LAURENT, 0, 1, [1, 1],
+    c = BasedChainComplex(0, 1, [1, 1],
                           {1: Matrix.from_rows([[one - z]])})
     doc = parse_document(json.dumps({"kind": "novikov",
                                      "payload": {"complex": c.to_json()}}))

@@ -12,7 +12,7 @@ from nk.rings import (
     truncate_poly,
 )
 from nk.linalg import Matrix, matmul
-from nk.complexes import BasedChainComplex, Grade, validate_complex
+from nk.complexes import BasedChainComplex, validate_complex
 from nk.fundomain import (
     AlgebraicFundamentalDomain,
     InvalidDomain,
@@ -34,8 +34,8 @@ one = LaurentPoly({0: 1})
 
 
 def scalar_domain():
-    D = BasedChainComplex(Grade.Z, 0, 0, [1], {})
-    F = BasedChainComplex(Grade.Z, 0, 1, [1, 1], {})
+    D = BasedChainComplex(0, 0, [1], {})
+    F = BasedChainComplex(0, 1, [1, 1], {})
     return AlgebraicFundamentalDomain(
         D, F,
         c={1: Matrix.from_rows([[1]])},
@@ -44,8 +44,8 @@ def scalar_domain():
 
 
 def f_zero_domain(h_d):
-    D = BasedChainComplex(Grade.Z, 0, 0, [1], {})
-    F = BasedChainComplex(Grade.Z, 0, 0, [0], {})
+    D = BasedChainComplex(0, 0, [1], {})
+    F = BasedChainComplex(0, 0, [0], {})
     return AlgebraicFundamentalDomain(
         D, F, c={}, h_D={0: Matrix.from_rows([[h_d]])}, h_F={})
 
@@ -63,8 +63,8 @@ def dense_domain(n):
                                     for _ in range(cols)]
                                    for _ in range(rows)])
 
-    D = BasedChainComplex(Grade.Z, 0, 1, [n, n], {})
-    F = BasedChainComplex(Grade.Z, 0, 2, [2, 4, 2], {})
+    D = BasedChainComplex(0, 1, [n, n], {})
+    F = BasedChainComplex(0, 2, [2, 4, 2], {})
     return AlgebraicFundamentalDomain(
         D, F,
         c={1: Matrix.block([[None, dense(n, 2)]],
@@ -91,8 +91,8 @@ def test_f_zero_domain_valid_for_any_selfmap():
 
 def test_invalid_domain_reports_identity():
     # d_D(1) o c_2 is nonzero while c_1 o d_F(2) vanishes
-    D = BasedChainComplex(Grade.Z, 0, 1, [1, 1], {1: Matrix.from_rows([[1]])})
-    F = BasedChainComplex(Grade.Z, 2, 2, [1], {})
+    D = BasedChainComplex(0, 1, [1, 1], {1: Matrix.from_rows([[1]])})
+    F = BasedChainComplex(2, 2, [1], {})
     with pytest.raises(InvalidDomain) as exc:
         AlgebraicFundamentalDomain(D, F, c={2: Matrix.from_rows([[1]])},
                                    h_D={}, h_F={})
@@ -100,9 +100,18 @@ def test_invalid_domain_reports_identity():
     assert exc.value.degree == 2
 
 
+def test_domain_needs_integer_entries():
+    D = BasedChainComplex(0, 1, [1, 1],
+                          {1: Matrix.from_rows([[LaurentPoly({0: 1})]])})
+    F = BasedChainComplex(0, 0, [0], {})
+    with pytest.raises(InvalidDomain) as exc:
+        AlgebraicFundamentalDomain(D, F, c={}, h_D={}, h_F={})
+    assert exc.value.identity == "entries"
+
+
 def test_invalid_shape_reported():
-    D = BasedChainComplex(Grade.Z, 0, 0, [1], {})
-    F = BasedChainComplex(Grade.Z, 0, 1, [1, 1], {})
+    D = BasedChainComplex(0, 0, [1], {})
+    F = BasedChainComplex(0, 1, [1, 1], {})
     with pytest.raises(InvalidDomain) as exc:
         AlgebraicFundamentalDomain(D, F, c={1: Matrix.zeros(2, 1)},
                                    h_D={}, h_F={})
@@ -112,8 +121,8 @@ def test_invalid_shape_reported():
 def test_broken_chain_identity_detected():
     # D = F = Z in degree 0..1 with d_D = 0, d_F = 2: then
     # d_F h_F = h_F d_D forces h_F(1) = 0 in degree-0 target
-    D = BasedChainComplex(Grade.Z, 0, 1, [1, 1], {})
-    F = BasedChainComplex(Grade.Z, 0, 1, [1, 1],
+    D = BasedChainComplex(0, 1, [1, 1], {})
+    F = BasedChainComplex(0, 1, [1, 1],
                           {1: Matrix.from_rows([[2]])})
     with pytest.raises(InvalidDomain) as exc:
         AlgebraicFundamentalDomain(
@@ -245,8 +254,8 @@ def test_cokernel_corpus():
 # --- torsion zeta ---------------------------------------------------------------------------
 
 def test_zeta_h_d_zero():
-    D = BasedChainComplex(Grade.Z, 0, 0, [1], {})
-    F = BasedChainComplex(Grade.Z, 0, 0, [0], {})
+    D = BasedChainComplex(0, 0, [1], {})
+    F = BasedChainComplex(0, 0, [0], {})
     fd = AlgebraicFundamentalDomain(D, F, c={}, h_D={}, h_F={})
     assert torsion_zeta(fd).value == RationalFunction(one)
 
@@ -256,8 +265,8 @@ def test_zeta_degree_zero_identity():
 
 
 def test_zeta_degree_one_inverts():
-    D = BasedChainComplex(Grade.Z, 1, 1, [1], {})
-    F = BasedChainComplex(Grade.Z, 1, 1, [0], {})
+    D = BasedChainComplex(1, 1, [1], {})
+    F = BasedChainComplex(1, 1, [0], {})
     fd = AlgebraicFundamentalDomain(D, F, c={},
                                     h_D={1: Matrix.from_rows([[2]])}, h_F={})
     assert torsion_zeta(fd).value == RationalFunction(one, one - 2 * z)

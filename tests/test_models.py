@@ -2,10 +2,12 @@
 
 import json
 
+import pytest
+
 import nk.models
 from nk.rings import Direction, LaurentPoly, is_novikov_unit, reverse_variable
 from nk.linalg import Matrix, novikov_diagonalize
-from nk.complexes import BasedChainComplex, ChainMap, Grade
+from nk.complexes import BasedChainComplex, ChainMap
 from nk.fundomain import (
     algebraic_novikov_complex,
     assemble_mapping_cone,
@@ -36,12 +38,12 @@ one = LaurentPoly({0: 1})
 
 
 def circle_z():
-    return BasedChainComplex(Grade.Z, 0, 1, [1, 1], {})
+    return BasedChainComplex(0, 1, [1, 1], {})
 
 
 def seifert(entries):
     n = len(entries)
-    base = BasedChainComplex(Grade.Z, 1, 1, [n], {})
+    base = BasedChainComplex(1, 1, [n], {})
     e = ChainMap(base, base, {1: Matrix.from_rows(entries, n)})
     return SeifertData(base, e)
 
@@ -101,7 +103,7 @@ def test_orientation_duality():
         minus = mapping_torus_complex(h, "minus")
         plus = mapping_torus_complex(h, "plus")
         rescaled = BasedChainComplex(
-            Grade.LAURENT, plus.lo, plus.hi, plus.ranks,
+            plus.lo, plus.hi, plus.ranks,
             {i: d.map_entries(
                 lambda e: LaurentPoly({1: -1}) * reverse_variable(e))
              for i, d in plus.differentials.items()})
@@ -218,7 +220,7 @@ def test_identity_alexander_is_one():
 
 def test_alexander_uses_induced_map_on_homology():
     # base with an actual differential: H_1 = ker d_1 (rank 1)
-    base = BasedChainComplex(Grade.Z, 0, 1, [1, 2],
+    base = BasedChainComplex(0, 1, [1, 2],
                              {1: Matrix.from_rows([[1, 0]])})
     comp = {0: Matrix.from_rows([[1]]), 1: Matrix.from_rows([[1, 0], [0, -1]])}
     e = ChainMap(base, base, comp)
@@ -241,7 +243,7 @@ def test_induced_map_reduces_two_integer_matrices(monkeypatch):
 
     monkeypatch.setattr(nk.models, "smith_normal_form_int", counted)
     # H_1 = Z/2 (+) Z: f fixes the torsion and negates the free part
-    base = BasedChainComplex(Grade.Z, 0, 2, [1, 3, 1],
+    base = BasedChainComplex(0, 2, [1, 3, 1],
                              {1: Matrix.from_rows([[0, 0, 1]]),
                               2: Matrix.from_rows([[2], [0], [0]])})
     comp = {0: Matrix.from_rows([[1]]), 2: Matrix.from_rows([[1]]),
@@ -265,10 +267,17 @@ def test_nonfibered_verdict():
 
 
 def test_unknot_empty_base_fibers():
-    base = BasedChainComplex(Grade.Z, 1, 1, [0], {})
+    base = BasedChainComplex(1, 1, [0], {})
     s = SeifertData(base, ChainMap(base, base, {}))
     v = fibering_check(s)
     assert v.fibers and v.alexander == {1: one}
+
+
+def test_seifert_base_in_nonnegative_degrees():
+    base = BasedChainComplex(-1, 1, [0, 0, 2], {})
+    with pytest.raises(ValueError, match="nonnegative degrees"):
+        SeifertData(base, ChainMap(base, base,
+                                   {1: Matrix.from_rows(TREFOIL)}))
 
 
 def test_seifert_json_roundtrip():
@@ -287,7 +296,7 @@ def test_criteria_agree_on_corpus():
 def test_one_sided_unit_still_consistent():
     # e = [[-1]]: alexander 2z - 1 is a Z((z))-unit but not Z((z^-1));
     # the two-sided reading keeps (ii) and (iii) aligned
-    base = BasedChainComplex(Grade.Z, 1, 1, [1], {})
+    base = BasedChainComplex(1, 1, [1], {})
     s = SeifertData(base, ChainMap(base, base, {1: Matrix.from_rows([[-1]])}))
     v = fibering_check(s)
     assert not v.fibers and not v.extreme_coeffs_unit

@@ -1,10 +1,8 @@
 """Novikov homology, Morse-Novikov bounds, finite domination."""
 
-import pytest
-
-from nk.rings import LaurentPoly
+from nk.rings import Direction, LaurentPoly
 from nk.linalg import Matrix
-from nk.complexes import BasedChainComplex, ChainMap, Grade, base_change, mapping_cone
+from nk.complexes import BasedChainComplex, ChainMap, mapping_cone
 from nk.novikov import (
     DominationVerdict,
     check_inequalities,
@@ -21,12 +19,12 @@ one = LaurentPoly({0: 1})
 
 
 def cone_of_scalar(p):
-    pt = BasedChainComplex(Grade.LAURENT, 0, 0, [1], {})
+    pt = BasedChainComplex(0, 0, [1], {})
     return mapping_cone(ChainMap(pt, pt, {0: Matrix.from_rows([[p]])}))
 
 
 def torus_double(orientation):
-    c = BasedChainComplex(Grade.Z, 0, 1, [1, 1], {})
+    c = BasedChainComplex(0, 1, [1, 1], {})
     h = ChainMap(c, c, {0: Matrix.from_rows([[1]]),
                         1: Matrix.from_rows([[2]])})
     return mapping_torus_complex(h, orientation)
@@ -67,7 +65,7 @@ def test_bounds_zero_report():
 
 
 def test_bounds_direct_substitution():
-    c = BasedChainComplex(Grade.LAURENT, 2, 2, [3], {})
+    c = BasedChainComplex(2, 2, [3], {})
     rep = novikov_homology(c)
     assert morse_novikov_bounds(rep) == {2: 3}
 
@@ -102,10 +100,9 @@ def test_euler_characteristic_identity():
     rng = rng_for("euler")
     for _ in range(30):
         c, _ = random_z_complex(rng)
-        lau = base_change(c, Grade.LAURENT)
-        rep = novikov_homology(lau)
-        chi_b = sum((-1) ** i * rep.b(i) for i in lau.degrees())
-        chi_r = sum((-1) ** i * lau.rank(i) for i in lau.degrees())
+        rep = novikov_homology(c)
+        chi_b = sum((-1) ** i * rep.b(i) for i in c.degrees())
+        chi_r = sum((-1) ** i * c.rank(i) for i in c.degrees())
         assert chi_b == chi_r
 
 
@@ -114,7 +111,7 @@ def test_unit_rescaling_changes_nothing():
     for k, sign in ((1, 1), (-2, -1), (3, -1)):
         u = LaurentPoly({k: sign})
         scaled = BasedChainComplex(
-            Grade.LAURENT, base.lo, base.hi, base.ranks,
+            base.lo, base.hi, base.ranks,
             {i: d.map_entries(lambda e: u * e)
              for i, d in base.differentials.items()})
         a = novikov_homology(base)
@@ -137,22 +134,31 @@ def test_novikov_bounds_hold_for_own_complex():
     rng = rng_for("pid-bounds")
     for _ in range(25):
         c, _ = random_z_complex(rng)
-        lau = base_change(c, Grade.LAURENT)
-        rep = novikov_homology(lau)
+        rep = novikov_homology(c)
         bounds = morse_novikov_bounds(rep)
-        counts = {i: lau.rank(i) for i in lau.degrees()}
+        counts = {i: c.rank(i) for i in c.degrees()}
         assert check_inequalities(counts, bounds) == []
 
 
 def test_rational_grade_complex_accepted():
     from nk.rings import RationalFunction
     d = Matrix.from_rows([[RationalFunction(z, one - z)]])
-    c = BasedChainComplex(Grade.RATIONAL, 0, 1, [1, 1], {1: d})
+    c = BasedChainComplex(0, 1, [1, 1], {1: d})
     rep = novikov_homology(c)
     assert rep.all_zero  # z/(1-z) is a unit of the subring
 
 
-def test_z_grade_rejected():
-    c = BasedChainComplex(Grade.Z, 0, 0, [1], {})
-    with pytest.raises(ValueError):
-        novikov_homology(c)
+def test_integer_complex_matches_its_laurent_copy():
+    rng = rng_for("int-vs-laurent")
+    for _ in range(15):
+        c, _ = random_z_complex(rng)
+        assert c.is_integral
+        lau = BasedChainComplex(
+            c.lo, c.hi, c.ranks,
+            {i: d.map_entries(lambda e: LaurentPoly({0: e}))
+             for i, d in c.differentials.items()})
+        for direction in Direction:
+            a = novikov_homology(c, direction)
+            b = novikov_homology(lau, direction)
+            assert a == b and a.ranks == b.ranks
+            assert a.to_json() == b.to_json()
