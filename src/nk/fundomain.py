@@ -69,14 +69,11 @@ class AlgebraicFundamentalDomain:
         if not (self.D.is_integral and self.F.is_integral):
             raise InvalidDomain("entries", self.D.lo, "D and F must be over Z")
         object.__setattr__(self, "c", _conform(
-            self.c, lambda i: (self.D.rank(i - 1), self.F.rank(i)),
-            self._span(), "c"))
+            self.c, lambda i: (self.D.rank(i - 1), self.F.rank(i)), "c"))
         object.__setattr__(self, "h_D", _conform(
-            self.h_D, lambda i: (self.D.rank(i), self.D.rank(i)),
-            self._span(), "h_D"))
+            self.h_D, lambda i: (self.D.rank(i), self.D.rank(i)), "h_D"))
         object.__setattr__(self, "h_F", _conform(
-            self.h_F, lambda i: (self.F.rank(i), self.D.rank(i)),
-            self._span(), "h_F"))
+            self.h_F, lambda i: (self.F.rank(i), self.D.rank(i)), "h_F"))
         bad = validate_fundamental_domain(self)
         if bad is not None:
             raise InvalidDomain(*bad)
@@ -135,7 +132,7 @@ class AlgebraicFundamentalDomain:
         }
 
 
-def _conform(blocks, shape, span, name):
+def _conform(blocks, shape, name):
     out = {}
     for i, m in blocks.items():
         rs, cs = shape(i)
@@ -225,16 +222,8 @@ class TruncatedComplexPresentation:
     differentials: dict
     order: int
 
-    def rank(self, i):
-        if self.lo <= i <= self.hi:
-            return self.ranks[i - self.lo]
-        return 0
-
-    def differential(self, i):
-        d = self.differentials.get(i)
-        if d is None:
-            d = Matrix.zeros(self.rank(i - 1), self.rank(i))
-        return d
+    rank = BasedChainComplex.rank
+    differential = BasedChainComplex.differential
 
     def d_squared_vanishes(self) -> bool:
         for i in range(self.lo + 2, self.hi + 1):
@@ -381,25 +370,15 @@ def direct_sum_domains(a: AlgebraicFundamentalDomain,
     F = direct_sum(a.F, b.F)
     span = range(min(D.lo, F.lo) - 1, max(D.hi, F.hi) + 2)
 
-    def glue(blk_a, blk_b, shape_a, shape_b):
-        out = {}
-        for i in span:
-            (ra, ca), (rb, cb) = shape_a(i), shape_b(i)
-            if ra + rb == 0 or ca + cb == 0:
-                continue
-            out[i] = Matrix.block(
-                [[blk_a(i), None], [None, blk_b(i)]],
-                row_sizes=[ra, rb], col_sizes=[ca, cb])
-        return out
+    def glue(at_a, at_b):
+        return {i: _diagonal(at_a(i), at_b(i)) for i in span}
 
     return AlgebraicFundamentalDomain(
-        D, F,
-        c=glue(a.c_at, b.c_at,
-               lambda i: (a.D.rank(i - 1), a.F.rank(i)),
-               lambda i: (b.D.rank(i - 1), b.F.rank(i))),
-        h_D=glue(a.h_D_at, b.h_D_at,
-                 lambda i: (a.D.rank(i), a.D.rank(i)),
-                 lambda i: (b.D.rank(i), b.D.rank(i))),
-        h_F=glue(a.h_F_at, b.h_F_at,
-                 lambda i: (a.F.rank(i), a.D.rank(i)),
-                 lambda i: (b.F.rank(i), b.D.rank(i))))
+        D, F, c=glue(a.c_at, b.c_at), h_D=glue(a.h_D_at, b.h_D_at),
+        h_F=glue(a.h_F_at, b.h_F_at))
+
+
+def _diagonal(m, n):
+    """The block matrix [[m, 0], [0, n]]."""
+    return Matrix.block([[m, None], [None, n]], row_sizes=[m.rows, n.rows],
+                        col_sizes=[m.cols, n.cols])

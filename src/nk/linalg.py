@@ -559,8 +559,7 @@ def _select_pivot(A, t, nr, nc):
 
 
 def novikov_diagonalize(m: Matrix,
-                        direction=Direction.PLUS,
-                        budget=REDUCTION_BUDGET) -> SNFResult:
+                        direction=Direction.PLUS) -> SNFResult:
     """Diagonalize a Laurent-entry matrix over Z((z)) / Z((z^-1)).
 
     Strategy: the working entries live in the rational subring.  Unit
@@ -577,7 +576,8 @@ def novikov_diagonalize(m: Matrix,
     finalized pivot divides the remaining submatrix, so the invariant
     factors come out in a divisibility chain.
 
-    Raises ``Inconclusive`` after ``budget`` elementary operations.
+    Raises ``Inconclusive`` after ``REDUCTION_BUDGET`` elementary
+    operations (read at call time).
     On success the transforms are re-multiplied and verified, and the
     factors are reported as normalized Laurent representatives (monomial
     stripped, extreme coefficient positive; units normalize to 1).
@@ -585,25 +585,22 @@ def novikov_diagonalize(m: Matrix,
     grid = [list(row) for row in m.entries]
     if direction is Direction.MINUS:
         grid = [[reverse_variable(e) for e in row] for row in grid]
-    red = _Reduction(grid, m.cols, budget)
+    red = _Reduction(grid, m.cols, REDUCTION_BUDGET)
     nr, nc = red.nr, red.nc
-    finalized = 0
+    t = 0
     try:
-        t = 0
         while t < min(nr, nc):
             if _select_pivot(red.A, t, nr, nc) is None:
                 break
             _reduce_pivot(red, t)
-            finalized = t + 1
             t += 1
     except _OutOfBudget:
         # transposing keeps the diagonal, so red.A may be either way round
-        partial = [_factor_rep(red.A[s][s], direction)
-                   for s in range(finalized)]
-        raise Inconclusive(
-            f"reduction exceeded {budget} elementary operations", partial)
+        partial = [_factor_rep(red.A[s][s], direction) for s in range(t)]
+        raise Inconclusive(f"reduction exceeded {REDUCTION_BUDGET} "
+                           f"elementary operations", partial)
 
-    rank, A = finalized, red.A
+    rank, A = t, red.A
     factors = tuple(_factor_rep(A[s][s], direction) for s in range(rank))
     # re-multiply: U @ (input as seen by the reduction) @ V == diag
     um = Matrix.from_rows(red.U, nr)

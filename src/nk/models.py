@@ -25,6 +25,7 @@ from .linalg import (Matrix, matmul, matrix_to_json, smith_normal_form_int,
 from .complexes import (
     BasedChainComplex,
     ChainMap,
+    direct_sum,
     integral_homology,
     mapping_cone,
 )
@@ -120,50 +121,32 @@ def knot_fundamental_domain(s: SeifertData) -> AlgebraicFundamentalDomain:
       F_i = B_i (+) B_{i-1},  d_F = [[d, e], [0, -d]],
       c = (0 1): F_i -> D_{i-1},  h_D = 0,  h_F = (1 - e; 0).
     """
-    b = s.base
-    d_lo, d_hi = 0, max(b.hi, 0)
-    d_ranks = [(1 if i == 0 else 0) + b.rank(i) for i in range(d_lo, d_hi + 1)]
-    d_diffs = {}
-    for i in range(1, d_hi + 1):
-        d_diffs[i] = Matrix.block(
-            [[None], [b.differential(i)]] if i == 1 else [[b.differential(i)]],
-            row_sizes=([1, b.rank(0)] if i == 1 else [b.rank(i - 1)]),
-            col_sizes=[b.rank(i)])
-    D = BasedChainComplex(d_lo, d_hi, d_ranks, d_diffs)
+    b, e = s.base, s.e
+    z = BasedChainComplex(0, 0, [1], {})
+    D = direct_sum(z, b)
 
-    f_lo, f_hi = 0, b.hi + 1
-    f_ranks = [b.rank(i) + b.rank(i - 1) for i in range(f_lo, f_hi + 1)]
-    f_diffs = {}
-    for i in range(f_lo + 1, f_hi + 1):
-        f_diffs[i] = Matrix.block(
-            [[b.differential(i), s.e.component(i - 1)],
-             [None, -b.differential(i - 1)]],
-            row_sizes=[b.rank(i - 1), b.rank(i - 2)],
-            col_sizes=[b.rank(i), b.rank(i - 1)])
-    F = BasedChainComplex(f_lo, f_hi, f_ranks, f_diffs)
+    def d_sizes(i):  # D_i = Z_i (+) B_i
+        return [z.rank(i), b.rank(i)]
 
-    c = {}
-    for i in range(f_lo, f_hi + 1):
-        if b.rank(i - 1) == 0 or D.rank(i - 1) == 0:
-            continue
-        incl = Matrix.block(
-            [[None], [Matrix.identity(b.rank(i - 1))]]
-            if i - 1 == 0 else [[Matrix.identity(b.rank(i - 1))]],
-            row_sizes=([1, b.rank(0)] if i - 1 == 0 else [b.rank(i - 1)]),
-            col_sizes=[b.rank(i - 1)])
-        c[i] = Matrix.block([[None, incl]],
-                            row_sizes=[D.rank(i - 1)],
-                            col_sizes=[b.rank(i), b.rank(i - 1)])
-    h_F = {}
-    for i in range(d_lo, d_hi + 1):
-        if D.rank(i) == 0 or F.rank(i) == 0:
-            continue
-        one_minus_e = Matrix.identity(b.rank(i)) - s.e.component(i)
-        h_F[i] = Matrix.block(
-            [[None, one_minus_e], [None, None]]
-            if i == 0 else [[one_minus_e], [None]],
-            row_sizes=[b.rank(i), b.rank(i - 1)],
-            col_sizes=([1, b.rank(0)] if i == 0 else [b.rank(i)]))
+    def f_sizes(i):  # F_i = B_i (+) B_{i-1}
+        return [b.rank(i), b.rank(i - 1)]
+
+    F = BasedChainComplex(
+        0, b.hi + 1, [sum(f_sizes(i)) for i in range(b.hi + 2)],
+        {i: Matrix.block([[b.differential(i), e.component(i - 1)],
+                          [None, -b.differential(i - 1)]],
+                         f_sizes(i - 1), f_sizes(i))
+         for i in range(1, b.hi + 2)})
+    # c and h_F in every degree: the domain drops the zero blocks
+    c = {i: Matrix.block([[None, None],
+                          [None, Matrix.identity(b.rank(i - 1))]],
+                         d_sizes(i - 1), f_sizes(i))
+         for i in F.degrees()}
+    h_F = {i: Matrix.block(
+               [[None, Matrix.identity(b.rank(i)) - e.component(i)],
+                [None, None]],
+               f_sizes(i), d_sizes(i))
+           for i in D.degrees()}
     return AlgebraicFundamentalDomain(D, F, c=c, h_D={}, h_F=h_F)
 
 
@@ -196,12 +179,6 @@ def induced_map_on_free_homology(c: BasedChainComplex, f: ChainMap, i: int):
     lift = matmul(K, Matrix(k, free, [row[rh:] for row in h.U_inv.entries]))
     coords = matmul(h.U, kernel_coords(matmul(f.component(i), lift)))
     return Matrix(free, free, coords.entries[rh:])
-
-
-def base_homology_torsion(c: BasedChainComplex) -> dict:
-    """Degrees of a Z-complex with torsion in homology, with coefficients."""
-    rep = integral_homology(c)
-    return {i: tuple(t) for i, t in rep.torsion_factors.items() if t}
 
 
 def alexander_polynomials(s: SeifertData) -> dict:
@@ -258,10 +235,14 @@ class FiberingVerdict:
     alexander: dict
     novikov_vanishes: bool
     extreme_coeffs_unit: bool
-    fibers: bool
     base_torsion: dict = field(default_factory=dict)
     novikov: dict = field(default_factory=dict, repr=False, compare=False)
     matrices: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def fibers(self):
+        """The verdict: the knot fibers iff ``novikov_vanishes``."""
+        return self.novikov_vanishes
 
     def to_json(self):
         return {
@@ -291,12 +272,13 @@ def fibering_check(s: SeifertData) -> FiberingVerdict:
                   for p in alex.values())
     verdict = finite_domination_check(knot_fundamental_domain(s).cone)
     nov = verdict.finitely_dominated
-    torsion = base_homology_torsion(s.base)
+    torsion = {i: tuple(t) for i, t in
+               integral_homology(s.base).torsion_factors.items() if t}
     if not torsion and nov != extreme:
         raise InternalInconsistency(
             f"criteria disagree: novikov_vanishes={nov}, "
             f"extreme_coeffs_unit={extreme}")
-    return FiberingVerdict(alex, nov, extreme, nov, torsion, verdict.reports,
+    return FiberingVerdict(alex, nov, extreme, torsion, verdict.reports,
                            matrices)
 
 

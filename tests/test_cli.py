@@ -578,13 +578,7 @@ def test_main_examples_run_all(capsys):
 
 def test_exit_code_1_on_inconclusive_degradation(monkeypatch):
     # starve the reduction so torsion falls back to lower bounds
-    import nk.linalg as linalg
-    real = linalg.novikov_diagonalize
-    monkeypatch.setattr(
-        "nk.novikov.novikov_diagonalize",
-        lambda m, direction=None, budget=None: real(m, direction or
-                                                    linalg.Direction.PLUS,
-                                                    budget=0))
+    monkeypatch.setattr("nk.linalg.REDUCTION_BUDGET", 0)
     report = run(parse_document(TORUS_MINUS))
     assert report.exit_code == 1
     assert report.data["novikov"]["conclusive"] is False

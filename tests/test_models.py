@@ -11,6 +11,7 @@ from nk.complexes import BasedChainComplex, ChainMap
 from nk.fundomain import (
     algebraic_novikov_complex,
     assemble_mapping_cone,
+    cokernel_iso_check,
     validate_fundamental_domain,
 )
 from nk.models import (
@@ -24,10 +25,11 @@ from nk.models import (
     mapping_torus_complex,
 )
 from nk.novikov import finite_domination_check, novikov_homology
-from nk.cli import parse_document
+from nk.cli import parse_document, run
 
 from domains import (
     det_oracle,
+    random_chain_selfmap,
     random_unit_scalar_equivalence,
     rng_for,
     seifert_corpus,
@@ -188,6 +190,27 @@ def test_knot_fhat_block_formula():
     got = Matrix.from_rows([[d2.entry(r, c) for c in range(2)]
                             for r in range(2)], 2)
     assert got == expected_block
+
+
+def test_knot_domains_over_general_bases():
+    # bases with rank in degree 0, several degrees and nonzero
+    # differentials, which the single degree-1 corpus never reaches
+    rng = rng_for("knot-bases")
+    for _ in range(30):
+        s = SeifertData(*random_chain_selfmap(rng))
+        b = s.base
+        fd = knot_fundamental_domain(s)
+        assert [fd.D.rank(i) for i in range(b.hi + 1)] == \
+            [(i == 0) + b.rank(i) for i in range(b.hi + 1)]
+        assert [fd.F.rank(i) for i in range(b.hi + 2)] == \
+            [b.rank(i) + b.rank(i - 1) for i in range(b.hi + 2)]
+        assert cokernel_iso_check(fd, 16).passed
+        doc = parse_document(json.dumps({"kind": "knot",
+                                         "payload": s.to_json()}))
+        for direction in ("plus", "minus"):
+            report = run(doc, direction=direction, oracle=True)
+            assert report.exit_code == 0
+            assert all(c["ok"] for c in report.data["oracle"])
 
 
 def test_e_zero_gives_unit_block():
