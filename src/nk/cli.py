@@ -23,6 +23,7 @@ floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -620,7 +621,10 @@ def _read_bundled(name):
     return (resources.files("nk") / "examples" / name).read_text()
 
 
+@functools.cache
 def _build_argparser():
+    """Built once: parsing does not change it, and usage errors go to
+    the ``sys.stderr`` of each call."""
     ap = argparse.ArgumentParser(
         prog="nk",
         description="exact circle-valued Morse theory computations")

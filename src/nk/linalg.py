@@ -5,16 +5,15 @@ the homology computations run on:
 * Smith normal form over Z, with the transforming matrices and their
   inverses tracked and the factorization re-multiplied on every call;
 * one fraction-free (Bareiss) elimination kernel over Z[z,z^-1]: run
-  forward it gives the rank over the function field Q(z) -- Q(z)
-  contains the rational subring of Z((z)) and rank is insensitive to
-  field extension, so this is the free-rank oracle for Novikov
-  homology; run Gauss-Jordan over [M | B] it gives det M and
-  adj(M) B with Laurent entries;
-* a diagonalization procedure over Z((z)) (resp. Z((z^-1))) for
-  Laurent-entry matrices.  Z((z)) is a principal ideal domain, but no
-  finite algorithm is known to the author to be complete; this one
-  terminates on everything in the shipped corpus and raises
-  ``Inconclusive`` when its operation budget runs out.
+  forward it gives the rank over the function field Q(z), which is the
+  free rank over the Novikov ring too; run Gauss-Jordan over [M | B] it
+  gives det M and adj(M) B with Laurent entries;
+* a diagonalization over Z((z)) (resp. Z((z^-1))) of Laurent-entry
+  matrices: Schur steps first peel off unit blocks exactly in
+  Z[z,z^-1], then a pivoting heuristic reduces the core that is left.
+  No finite algorithm for the core is known to the author to be
+  complete; the heuristic raises ``Inconclusive`` when its operation
+  budget runs out.
 
 Matrix entries are plain ints, LaurentPoly, or RationalFunction; the
 arithmetic never leaves exact integer/rational-coefficient land.
@@ -31,8 +30,10 @@ from .rings import (
     NotInRationalSubring,
     RationalFunction,
     Direction,
+    _cancel,
     _coerce_poly,
     divexact,
+    is_novikov_unit,
     reverse_variable,
 )
 
@@ -387,25 +388,21 @@ def _bareiss(A, n, jordan=False):
     return r, prev, sign
 
 
-def _laurent_rows(m: Matrix):
-    """Rows as LaurentPoly, clearing any RationalFunction denominators
-    row by row (which does not change the rank over Q(z))."""
-    out = []
-    for row in m.entries:
+def _laurent_rows(grid):
+    """(rows, lcms): each row as LaurentPoly, multiplied by the lcm of its
+    RationalFunction denominators (which does not change the rank over
+    Q(z)); the lcms lie in S, so they are Novikov units."""
+    rows, lcms = [], []
+    for row in grid:
         den = ONE
         for e in row:
-            if isinstance(e, RationalFunction):
-                den = den * e.denominator
-        new = []
-        for e in row:
-            if isinstance(e, RationalFunction):
-                v = e * den
-                assert v.is_polynomial
-                new.append(v.numerator)
-            else:
-                new.append(_coerce_poly(e) * den)
-        out.append(new)
-    return out
+            if isinstance(e, RationalFunction) and not e.is_polynomial:
+                den = den * _cancel(e.denominator, den)[0]
+        rows.append([divexact(den, e.denominator) * e.numerator
+                     if isinstance(e, RationalFunction)
+                     else _coerce_poly(e) * den for e in row])
+        lcms.append(den)
+    return rows, lcms
 
 
 def rank_over_function_field(m: Matrix) -> int:
@@ -415,7 +412,7 @@ def rank_over_function_field(m: Matrix) -> int:
     matrix over an integral domain equals its rank over any containing
     field, so this is also the free-rank count over the Novikov ring.
     """
-    return _bareiss(_laurent_rows(m), m.cols)[0]
+    return _bareiss(_laurent_rows(m.entries)[0], m.cols)[0]
 
 
 def solve_laurent(m: Matrix, b: Matrix):
@@ -448,10 +445,6 @@ def _rat(e):
     if isinstance(e, RationalFunction):
         return e
     return RationalFunction(e)
-
-
-def _unit_monomial(k):
-    return RationalFunction(LaurentPoly({k: 1}))
 
 
 class _OutOfBudget(Exception):
@@ -562,7 +555,10 @@ def novikov_diagonalize(m: Matrix,
                         direction=Direction.PLUS) -> SNFResult:
     """Diagonalize a Laurent-entry matrix over Z((z)) / Z((z^-1)).
 
-    Strategy: the working entries live in the rational subring.  Unit
+    Strategy: Schur steps (``_schur_step``) first peel off unit blocks,
+    exactly in Z[z,z^-1], while the constant terms of the row-shifted
+    matrix have gcd 1.  Only the core that is left goes to a pivoting
+    heuristic whose working entries live in the rational subring.  Unit
     entries (extreme coefficient +-1, on the chosen side) are taken as
     pivots first -- a unit is scaled out and its row and column cleared
     exactly, finishing a position outright; otherwise the pivot
@@ -577,44 +573,132 @@ def novikov_diagonalize(m: Matrix,
     factors come out in a divisibility chain.
 
     Raises ``Inconclusive`` after ``REDUCTION_BUDGET`` elementary
-    operations (read at call time).
-    On success the transforms are re-multiplied and verified, and the
-    factors are reported as normalized Laurent representatives (monomial
-    stripped, extreme coefficient positive; units normalize to 1).
+    operations of the heuristic (read at call time).
+    On success the composed transforms are re-multiplied against the
+    input and verified, and the factors are reported as normalized
+    Laurent representatives (monomial stripped, extreme coefficient
+    positive; units normalize to 1) of f / D for each core factor f, D
+    the product of the Schur determinants and row lcms.
     """
     grid = [list(row) for row in m.entries]
     if direction is Direction.MINUS:
         grid = [[reverse_variable(e) for e in row] for row in grid]
-    red = _Reduction(grid, m.cols, REDUCTION_BUDGET)
-    nr, nc = red.nr, red.nc
-    t = 0
-    try:
-        while t < min(nr, nc):
-            if _select_pivot(red.A, t, nr, nc) is None:
-                break
-            _reduce_pivot(red, t)
-            t += 1
-    except _OutOfBudget:
-        # transposing keeps the diagonal, so red.A may be either way round
-        partial = [_factor_rep(red.A[s][s], direction) for s in range(t)]
-        raise Inconclusive(f"reduction exceeded {REDUCTION_BUDGET} "
-                           f"elementary operations", partial)
+    nr, nc = m.rows, m.cols
+    U, V = _ident(nr), _ident(nc)
+    # U @ grid @ V == diag(peeled) (+) scale * core
+    core, peeled, scale, D = grid, [], ONE, ONE
+    while step := _schur_step(core, nc - len(peeled)):
+        k, det, units, left, right, core = step
+        _compose(U, V, len(peeled), left, right)
+        scale, D = scale * det, D * units
+        peeled += [scale] * k
+    t = len(peeled)
+    red = _Reduction(core, nc - t, REDUCTION_BUDGET)
+    s = 0
 
-    rank, A = t, red.A
-    factors = tuple(_factor_rep(A[s][s], direction) for s in range(rank))
-    # re-multiply: U @ (input as seen by the reduction) @ V == diag
-    um = Matrix.from_rows(red.U, nr)
-    vm = Matrix(nc, nc, [[row[j] for row in red.Vt] for j in range(nc)])
-    base = Matrix.from_rows([[_rat(e) for e in row] for row in grid], nc)
-    diag = Matrix(nr, nc, [[A[i][j] if i == j else _rat(0)
+    def factors():
+        # transposing keeps the diagonal, so red.A may be either way round
+        return [ONE] * t + [_factor_rep(red.A[j][j] * RationalFunction(
+            ONE, D), direction) for j in range(s)]
+
+    try:
+        while s < min(red.nr, red.nc):
+            if _select_pivot(red.A, s, red.nr, red.nc) is None:
+                break
+            _reduce_pivot(red, s)
+            s += 1
+    except _OutOfBudget:
+        raise Inconclusive(f"reduction exceeded {REDUCTION_BUDGET} "
+                           f"elementary operations", factors())
+
+    A, n = red.A, nc - t
+    left = Matrix(nr - t, nr - t, [[_lower(e) for e in row] for row in red.U])
+    right = Matrix(n, n, [[_lower(row[j]) for row in red.Vt] for j in range(n)])
+    if t:
+        _compose(U, V, t, left, right)
+        left, right = Matrix(nr, nr, U), Matrix(nc, nc, V)
+    values = peeled + [scale * A[j][j] for j in range(s)]
+    diag = Matrix(nr, nc, [[values[i] if i == j and i < len(values) else 0
                             for j in range(nc)] for i in range(nr)])
-    check = matmul(matmul(um, base), vm)
-    if check != diag:
+    if matmul(matmul(left, Matrix(nr, nc, grid)), right) != diag:
         raise AssertionError("novikov diagonalization self-check failed")
-    for s in range(rank - 1):
-        if _try_div(A[s + 1][s + 1], A[s][s]) is None:  # pragma: no cover
+    for j in range(s - 1):
+        if _try_div(A[j + 1][j + 1], A[j][j]) is None:  # pragma: no cover
             raise AssertionError("divisibility chain broken")
-    return SNFResult(factors, rank, um, vm)
+    return SNFResult(tuple(factors()), t + s, left, right)
+
+
+def _schur_step(W, nc):
+    """One Schur step on the rows W (nc columns), or None if nothing peels.
+
+    R clears each row by the lcm of its denominators and shifts it to
+    order 0.  When the constant terms A(0) of R W have gcd 1, the
+    integer SNF U0 A(0) V0 has k >= 1 factors 1, so A = U0 R W V0 has
+    A11(0) = I_k and det = det A11 is a Novikov unit (Nakayama).  One
+    Gauss-Jordan pass over [A11 | I | A12] gives det, adj = adj A11 and
+    X = adj A12, and with S = det A22 - A21 X, a Laurent matrix,
+
+        [[adj, 0], [-A21 adj, det I]] A [[I, -X], [0, det I]]
+            = diag(det I_k, det S).
+
+    Both identities A11 adj = det I and A11 X = det A12 are checked.
+    Returns (k, det, det * lcms, left, right, S), left @ W @ right
+    being that diagonal.
+    """
+    nr = len(W)
+    nums = [[e.numerator if isinstance(e, RationalFunction)
+             else _coerce_poly(e) for e in row] for row in W]
+    # the lcms have constant term 1, so A(0) reads off the numerators
+    ords = [min((p.ord() for p in row if p), default=0) for row in nums]
+    a0 = Matrix(nr, nc, [[p.coeff(o) for p in row]
+                         for row, o in zip(nums, ords)])
+    if math.gcd(*(x for row in a0.entries for x in row)) != 1:
+        return None
+    snf = smith_normal_form_int(a0)
+    k = snf.invariant_factors.count(1)
+    m, n = nr - k, nc - k
+    rows, lcms = _laurent_rows(W)
+    A = matmul(matmul(snf.U, Matrix(nr, nc, [[e.shifted(-o) for e in row]
+                                             for row, o in zip(rows, ords)])),
+               snf.V).entries
+    a11 = Matrix(k, k, [row[:k] for row in A[:k]])
+    a12 = Matrix(k, n, [row[k:] for row in A[:k]])
+    a21 = Matrix(m, k, [row[:k] for row in A[k:]])
+    det, sol = solve_laurent(a11, Matrix.block(
+        [[Matrix.identity(k), a12]], [k], [k, n]))
+    adj = Matrix(k, k, [row[:k] for row in sol.entries]) if sol else None
+    x = Matrix(k, n, [row[k:] for row in sol.entries]) if sol else None
+    if (not is_novikov_unit(det)
+            or matmul(a11, adj) != Matrix.identity(k).scaled(det)
+            or matmul(a11, x) != a12.scaled(det)):
+        raise AssertionError("Schur step self-check failed")
+    s = Matrix(m, n, [row[k:] for row in A[k:]]).scaled(det) - matmul(a21, x)
+    left = matmul(Matrix.block(
+        [[adj, None], [-matmul(a21, adj), Matrix.identity(m).scaled(det)]],
+        [k, m], [k, m]), snf.U)
+    right = matmul(snf.V, Matrix.block(
+        [[Matrix.identity(k), -x], [None, Matrix.identity(n).scaled(det)]],
+        [k, n], [k, n]))
+    r = [d.shifted(-o) for d, o in zip(lcms, ords)]
+    left = Matrix(nr, nr, [[e * rj for e, rj in zip(row, r)]
+                           for row in left.entries])
+    return (k, det, math.prod(lcms, start=det), left, right,
+            [list(row) for row in s.entries])
+
+
+def _compose(U, V, t, left, right):
+    """U <- (I_t (+) left) U and V <- V (I_t (+) right), in place."""
+    nr, nc = len(U), len(V)
+    U[t:] = [list(row) for row in
+             matmul(left, Matrix(nr - t, nr, U[t:])).entries]
+    cols = matmul(Matrix(nc, nc - t, [row[t:] for row in V]), right)
+    for row, new in zip(V, cols.entries):
+        row[t:] = new
+
+
+def _lower(e):
+    """A polynomial RationalFunction as its LaurentPoly numerator."""
+    return e.numerator if e.is_polynomial else e
 
 
 def _reduce_pivot(red, t):
@@ -690,7 +774,7 @@ def _attack(red, t, pos):
     g = math.gcd(c, d)
     x, y = _bezout(c, d)
     if l > k:
-        red.scale(t, _unit_monomial(l - k))
+        red.scale(t, _rat(LaurentPoly({l - k: 1})))
     red.mix(t, pos, _rat(x), _rat(y), _rat(d // g), _rat(c // g))
 
 

@@ -40,8 +40,20 @@ class NotInRationalSubring(Exception):
     By Fatou's lemma a reduced fraction of integer polynomials has an
     integer power series expansion iff its denominator's trailing
     coefficient is +-1, so this is also the exact divisibility test for
-    rational elements of Z((z)).
+    rational elements of Z((z)).  That test raises it routinely, so the
+    message, whose denominator may be too long to print, is built lazily.
     """
+
+    def __init__(self, denominator):
+        super().__init__(denominator)
+        self.denominator = denominator
+
+    def __str__(self):
+        try:
+            shown = self.denominator.pretty()
+        except ValueError:  # a coefficient past the int-to-str digit limit
+            shown = f"of degree {self.denominator.deg()}"
+        return f"denominator {shown} cannot be normalized into S"
 
 
 class Direction(enum.Enum):
@@ -638,8 +650,7 @@ def _canonical(num: LaurentPoly, den: LaurentPoly):
     if c0 == -1:
         num, den = -num, -den
     elif c0 != 1:
-        raise NotInRationalSubring(
-            f"denominator {den.pretty()} cannot be normalized into S")
+        raise NotInRationalSubring(den)
     return num, den
 
 

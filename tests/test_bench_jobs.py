@@ -8,7 +8,8 @@ program without a tier-1 failure.  A picked job timed without
 ``--oracle`` is run again with it, and the two reports are compared as
 the benchmark compares them once per invocation.  The generator's
 fundomain documents also run in the minus direction, which no workload
-times.
+times, and the documents that hit the coefficient swelling of the plain
+reduction heuristic run in both directions.
 """
 
 import importlib.util
@@ -20,8 +21,10 @@ from pathlib import Path
 import pytest
 
 from nk.cli import main, parse_document
+from nk.linalg import Matrix, associate, novikov_diagonalize, solve_laurent
+from nk.models import mapping_torus_complex
 from nk.novikov import novikov_homology
-from nk.rings import Direction
+from nk.rings import Direction, LaurentPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -91,3 +94,38 @@ def test_fundomain_documents_run_in_the_minus_direction(tmp_path, capsys):
         cone = parse_document(path.read_text()).payload["domain"].cone
         assert report["novikov"] == \
             novikov_homology(cone, Direction.MINUS).to_json(), variant
+
+
+def _swelling_documents():
+    """The known-defect documents and two timed diag-rank documents that
+    used to fail in the direction the benchmark does not time."""
+    docs = [(d["name"], d["doc"])
+            for d in json.loads((BENCH / "known_defects.json").read_text())]
+    seed2 = {job.name: job for job in jobs.make_jobs("diag-rank", 2,
+                                                      ROOT / "src")}
+    return docs + [(name, seed2[name].doc)
+                   for name in ("diag-n8-b2-065", "torus-r10-plus-102")]
+
+
+@pytest.mark.parametrize("direction", ["plus", "minus"])
+def test_swelling_documents_answer_in_both_directions(tmp_path, capsys,
+                                                      direction):
+    """Each exits 0, and the invariant factors of each differential
+    multiply to det d up to a Novikov unit."""
+    dirn = Direction(direction)
+    for k, (name, doc) in enumerate(_swelling_documents()):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--format", "machine",
+                     "--direction", direction]) == 0, name
+        capsys.readouterr()
+        payload = parse_document(path.read_text()).payload
+        c = (mapping_torus_complex(payload["h"], payload["orientation"])
+             if "orientation" in payload else payload["complex"])
+        for i in range(c.lo + 1, c.hi + 1):
+            d = c.differential(i)
+            product = LaurentPoly({0: 1})
+            for f in novikov_diagonalize(d, dirn).invariant_factors:
+                product = product * f
+            det, _ = solve_laurent(d, Matrix.zeros(d.rows, 0))
+            assert associate(product, det, dirn), (name, i)

@@ -1,7 +1,9 @@
 """Document parsing, dispatch, report formats, exit codes."""
 
 import importlib
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -519,6 +521,28 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", str(f), "--format", "machine"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["kind"] == "mapping-torus"
+
+
+def test_main_calls_share_no_options(tmp_path, capsys, monkeypatch):
+    """The parser is built once; each call still reads only its own argv,
+    and usage errors go to the stderr current at that call."""
+    f = tmp_path / "torus.json"
+    f.write_text(TORUS_MINUS)
+    doc = parse_document(TORUS_MINUS)
+    assert main(["run", str(f), "--format", "machine", "--direction", "plus",
+                 "--oracle"]) == 0
+    assert capsys.readouterr().out == \
+        run(doc, None, "plus", True).machine()
+    assert main(["run", str(f)]) == 0
+    assert capsys.readouterr().out == run(doc, None, None, False).text
+    for argv in (["run"], ["run", str(f), "--precision", "-1"]):
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", err)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert err.getvalue().startswith("usage: nk run")
+    assert capsys.readouterr().err == ""
 
 
 def test_main_validate(tmp_path, capsys):

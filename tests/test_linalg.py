@@ -342,7 +342,8 @@ def test_diag_self_check_catches_a_corrupted_transform(monkeypatch, side):
     """One tracked U (resp. V) entry is corrupted after the first add on
     rows (resp. the first add between two transposes, on columns); the
     reduction of A runs as before, and only the re-multiplication
-    U A V == diag can notice."""
+    U A V == diag can notice.  The constant terms of the matrix have
+    gcd 2, so nothing peels and the heuristic sees all of it."""
     add, transpose = linalg._Reduction.add, linalg._Reduction.transpose
     transposed = [False]
     done = []
@@ -360,11 +361,36 @@ def test_diag_self_check_catches_a_corrupted_transform(monkeypatch, side):
 
     monkeypatch.setattr(linalg._Reduction, "transpose", flipping)
     monkeypatch.setattr(linalg._Reduction, "add", corrupting)
-    m = Matrix.from_rows([[one, 2 * one], [3 * one, 4 + z]])
+    m = Matrix.from_rows([[2 * one, 2 + z], [2 * z, 4 + z]])
     with pytest.raises(AssertionError,
                        match="novikov diagonalization self-check failed"):
         novikov_diagonalize(m)
     assert done
+
+
+@pytest.mark.parametrize("corrupt", ["adjugate", "solution", "det"])
+def test_diag_self_check_catches_a_corrupted_schur_step(monkeypatch, corrupt):
+    """A wrong adjugate, a wrong adj A12 or a determinant that is not a
+    Novikov unit from the Gauss-Jordan pass of a Schur step is caught
+    before the step is used."""
+    solve = linalg.solve_laurent
+    calls = []
+
+    def corrupted(a, b):
+        det, x = solve(a, b)
+        calls.append(a)
+        rows = [list(row) for row in x.entries]
+        if corrupt == "det":
+            return 2 * det, x
+        col = 0 if corrupt == "adjugate" else a.cols
+        rows[0][col] = rows[0][col] + z
+        return det, Matrix(x.rows, x.cols, rows)
+
+    monkeypatch.setattr(linalg, "solve_laurent", corrupted)
+    m = Matrix.from_rows([[one, 2 * one], [3 * one, 4 + z]])
+    with pytest.raises(AssertionError, match="Schur step self-check failed"):
+        novikov_diagonalize(m)
+    assert calls
 
 
 def test_bezout_mix_has_unit_determinant_for_every_sign_pair():

@@ -264,6 +264,17 @@ def test_not_in_subring_raises():
     assert RationalFunction(4 * z, LaurentPoly({0: 2})) == RationalFunction(2 * z)
 
 
+def test_not_in_subring_message_is_built_lazily():
+    """A denominator with a coefficient past the int-to-str digit limit
+    still raises NotInRationalSubring, and the message stays printable."""
+    with pytest.raises(NotInRationalSubring) as exc:
+        RationalFunction(1, LaurentPoly({0: 2, 1: 10 ** 5000}))
+    assert str(exc.value) == "denominator of degree 1 cannot be normalized into S"
+    with pytest.raises(NotInRationalSubring) as exc:
+        RationalFunction(one, 2 - z)
+    assert str(exc.value) == "denominator 2 - z cannot be normalized into S"
+
+
 def test_canonicalization_idempotent():
     rng = rng_for("canon")
     for _ in range(60):
