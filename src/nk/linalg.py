@@ -7,7 +7,10 @@ the homology computations run on:
 * one fraction-free (Bareiss) elimination kernel over Z[z,z^-1]: run
   forward it gives the rank over the function field Q(z), which is the
   free rank over the Novikov ring too; run Gauss-Jordan over [M | B] it
-  gives det M and adj(M) B with Laurent entries;
+  gives det M and adj(M) B with Laurent entries.  It eliminates on
+  Kronecker-packed integers: rows shifted to order 0, entries evaluated
+  at X = 2^(8w) with prod_i max(1, |row_i|_1) < X/2, a bound on every
+  coefficient of every minor, so the integers determine the polynomials;
 * a diagonalization over Z((z)) (resp. Z((z^-1))) of Laurent-entry
   matrices: Schur steps first peel off unit blocks exactly in
   Z[z,z^-1], then a pivoting heuristic reduces the core that is left.
@@ -22,6 +25,8 @@ arithmetic never leaves exact integer/rational-coefficient land.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 from .rings import (
@@ -333,59 +338,135 @@ def _ident(n):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination over Z[z,z^-1]
+# fraction-free elimination over Z[z,z^-1], on Kronecker-packed integers
+
+#: signed array typecodes by item size in bytes
+_SIGNED = {array(t).itemsize: t for t in "bhilq"}
+
+
+def _bias(n, w):
+    """sum_{i<n} X^i X/2 at X = 2^(8w): n slots holding half a slot each."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _from_slots(t, w):
+    """sum_i (t[i] mod X) X^i at X = 2^(8w), for -X/2 <= t[i] < X/2:
+    the w-byte two's complement slots of the t[i], lowest first."""
+    if w in _SIGNED:  # array holds native-order items
+        if sys.byteorder == "big":
+            t = t[::-1]
+        return int.from_bytes(array(_SIGNED[w], t).tobytes(), sys.byteorder)
+    return int.from_bytes(
+        b"".join(c.to_bytes(w, "little", signed=True) for c in t), "little")
+
+
+def _to_slots(u, n, w):
+    """The inverse of _from_slots: the n signed slots of 0 <= u < X^n."""
+    if w in _SIGNED:
+        t = array(_SIGNED[w], u.to_bytes(n * w, sys.byteorder))
+        return t[::-1] if sys.byteorder == "big" else t
+    b = u.to_bytes(n * w, "little")
+    return [int.from_bytes(b[i:i + w], "little", signed=True)
+            for i in range(0, n * w, w)]
+
+
+def _pack(p, shift, w):
+    """The integer (z^-shift p)(X) at X = 2^(8w), for shift <= ord p and
+    every |coefficient| < X/2."""
+    t = p._t
+    if not t:
+        return 0
+    if len(t) == 1:
+        v = t[0]
+    else:
+        # flipping each slot's top bit adds X/2 to it, with no carry
+        b = _bias(len(t), w)
+        v = (_from_slots(t, w) ^ b) - b
+    return v << 8 * w * (p._s - shift)
+
+
+def _unpack(v, shift, w):
+    """The inverse of _pack: z^shift q for the polynomial q with
+    q(X) = v and every |coefficient| < X/2 (balanced base-X digits)."""
+    half = 1 << 8 * w - 1
+    if -half < v < half:
+        return LaurentPoly._dense(shift, (v,))
+    n = abs(v).bit_length() // (8 * w) + 1
+    b = _bias(n, w)
+    return LaurentPoly._dense(shift, _to_slots((v + b) ^ b, n, w))
 
 
 def _bareiss(A, n, jordan=False):
-    """Fraction-free (Bareiss) elimination, in place, on a list of
-    LaurentPoly rows, pivoting in the first n columns.  Returns
-    (rank, last pivot, sign of the row permutation).
+    """Fraction-free (Bareiss) elimination of the LaurentPoly rows A,
+    pivoting in the first n columns.
 
     Each step replaces an entry right of the pivot column by
     (pivot * a_ij - a_ic * a_rj) / previous pivot, which is a minor of
-    the input, so every division is exact in Z[z,z^-1].  Forward
-    (jordan=False), only the rows below the pivot are updated and the
-    rank is the number of pivots.  Gauss-Jordan (jordan=True), the rows
-    above are updated too and elimination stops at the first column
-    without a pivot; on [M | B] with M square of full rank, the last
-    pivot is sign * det M and the columns right of M hold
-    sign * adj(M) B.  Entries at and left of each pivot column are left
-    stale.
+    the input, so every division is exact.  Forward (jordan=False), only
+    the rows below the pivot are updated and the rank is returned.
+    Gauss-Jordan (jordan=True), the rows above are updated too and
+    elimination stops at the first column without a pivot; on [M | B]
+    with M n x n it returns (det M, adj(M) B as a list of rows), or
+    (0, None) when det M = 0.
+
+    The elimination runs on integers.  Each row is shifted to order 0
+    (which scales det M and adj(M) B by z^-(sum of shifts), undone at
+    the end) and each entry evaluated at X = 2^(8w), w = 1, 2, 4, ...
+    bytes chosen so that prod_i max(1, |row_i|_1) < X/2.  That product
+    bounds every coefficient of every minor, since |pq|_1 <= |p|_1 |q|_1,
+    so evaluation is injective on the entries the elimination holds: the
+    zero tests, pivots and quotients are those of the same elimination
+    over Z[z], and the results unpack as balanced base-X digits.
 
     >>> z = LaurentPoly({1: 1})
-    >>> rows = [[2 * ONE, z, ONE, LaurentPoly()],
-    ...         [ONE, ONE, LaurentPoly(), ONE]]
-    >>> _bareiss(rows, 2, jordan=True)
-    (2, LaurentPoly('2 - z'), 1)
-    >>> [row[2:] for row in rows]
-    [[LaurentPoly('1'), LaurentPoly('-z')], [LaurentPoly('-1'), LaurentPoly('2')]]
+    >>> _bareiss([[2 * ONE, z, ONE, LaurentPoly()],
+    ...           [ONE, ONE, LaurentPoly(), ONE]], 2, jordan=True)
+    (LaurentPoly('2 - z'), [[LaurentPoly('1'), LaurentPoly('-z')], [LaurentPoly('-1'), LaurentPoly('2')]])
+    >>> _bareiss([[z, z ** 2], [ONE, z]], 2)
+    1
     """
     nr = len(A)
     width = len(A[0]) if A else 0
-    r, prev, sign = 0, ONE, 1
+    shifts = [min((e._s for e in row if e), default=0) for row in A]
+    bound = math.prod(max(1, sum(sum(map(abs, e._t)) for e in row))
+                      for row in A)
+    w = 1
+    while 8 * w <= bound.bit_length():
+        w *= 2
+    M = [[_pack(e, s, w) for e in row] for row, s in zip(A, shifts)]
+    r, prev, sign = 0, 1, 1
     for c in range(n):
         if r == nr:
             break
-        piv = next((i for i in range(r, nr) if A[i][c]), None)
+        piv = next((i for i in range(r, nr) if M[i][c]), None)
         if piv is None:
             if jordan:
                 break
             continue
         if piv != r:
-            A[r], A[piv] = A[piv], A[r]
+            M[r], M[piv] = M[piv], M[r]
             sign = -sign
-        top = A[r]
+        top = M[r]
         p = top[c]
         for i in range(0 if jordan else r + 1, nr):
             if i == r:
                 continue
-            row = A[i]
+            row = M[i]
             a = row[c]
             for j in range(c + 1, width):
-                row[j] = divexact(row[j] * p - a * top[j], prev)
+                q, rem = divmod(row[j] * p - a * top[j], prev)
+                if rem:  # pragma: no cover - internal invariant
+                    raise AssertionError("inexact Bareiss division")
+                row[j] = q
         prev = p
         r += 1
-    return r, prev, sign
+    if not jordan:
+        return r
+    if r < n:
+        return LaurentPoly(), None
+    s = sum(shifts)
+    return (_unpack(sign * prev, s, w),
+            [[_unpack(sign * v, s, w) for v in row[n:]] for row in M])
 
 
 def _laurent_rows(grid):
@@ -412,7 +493,7 @@ def rank_over_function_field(m: Matrix) -> int:
     matrix over an integral domain equals its rank over any containing
     field, so this is also the free-rank count over the Novikov ring.
     """
-    return _bareiss(_laurent_rows(m.entries)[0], m.cols)[0]
+    return _bareiss(_laurent_rows(m.entries)[0], m.cols)
 
 
 def solve_laurent(m: Matrix, b: Matrix):
@@ -428,13 +509,8 @@ def solve_laurent(m: Matrix, b: Matrix):
     n = m.rows
     rows = [[_coerce_poly(e) for e in ra + rb]
             for ra, rb in zip(m.entries, b.entries)]
-    rank, det, sign = _bareiss(rows, n, jordan=True)
-    if rank < n:
-        return LaurentPoly(), None
-    x = [row[n:] for row in rows]
-    if sign < 0:
-        det, x = -det, [[-e for e in row] for row in x]
-    return det, Matrix(n, b.cols, x)
+    det, x = _bareiss(rows, n, jordan=True)
+    return det, None if x is None else Matrix(n, b.cols, x)
 
 
 # ---------------------------------------------------------------------------

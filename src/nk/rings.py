@@ -235,6 +235,14 @@ class LaurentPoly:
         return out
 
     def evaluate(self, x):
+        """The value at x, exact: a Fraction when an exponent is negative.
+
+        >>> LaurentPoly({-1: 1, 0: 2}).evaluate(3)
+        Fraction(7, 3)
+        """
+        if self._s < 0:
+            from fractions import Fraction
+            x = Fraction(x)
         return sum(n * x**j for j, n in self.items())
 
     def pretty(self, var="z"):

@@ -11,6 +11,7 @@ import pytest
 from nk.rings import Direction
 from nk.novikov import NovikovReport, novikov_homology
 from nk.cli import (
+    MAX_PRECISION,
     JobDocument,
     ParseError,
     ValidationError,
@@ -592,6 +593,32 @@ def test_precision_flag_takes_nonnegative_integers(tmp_path, capsys,
         assert exc.value.code == 2
         assert "expected a nonnegative integer" in capsys.readouterr().err
     assert main([*argv, "--precision=0", "--oracle"]) == 0
+
+
+@pytest.mark.parametrize("route", ["option", "flag"])
+def test_precision_is_capped(tmp_path, capsys, route):
+    f = tmp_path / "circle.json"
+    payload = json.loads(CIRCLE)["payload"]
+    for k, code in ((MAX_PRECISION, 0), (MAX_PRECISION + 1, 2)):
+        if route == "option":
+            f.write_text(job("novikov", payload, {"precision": k}))
+            assert main(["run", str(f)]) == code
+        else:
+            f.write_text(CIRCLE)
+            argv = ["run", str(f), f"--precision={k}"]
+            if code:  # argparse rejects the flag
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == code
+            else:
+                assert main(argv) == 0
+        err = capsys.readouterr().err
+        if code:
+            path = "$.options.precision" if route == "option" \
+                else "--precision"
+            assert path in err and f"up to {MAX_PRECISION}" in err
+        else:
+            assert err == ""
 
 
 def test_main_examples_run_all(capsys):

@@ -369,6 +369,17 @@ def test_rational_field_ops():
     assert u * u.inverse() == RationalFunction(one)
 
 
+def test_evaluate_is_exact_at_negative_exponents():
+    from fractions import Fraction
+    p = L({-1: 1, 0: 2})
+    assert p.evaluate(3) == Fraction(7, 3)
+    assert type(p.evaluate(3)) is Fraction
+    assert L({-2: 1, 1: -1}).evaluate(Fraction(1, 2)) == Fraction(7, 2)
+    assert type((one + z).evaluate(3)) is int
+    with pytest.raises(ZeroDivisionError):
+        p.evaluate(0)
+
+
 def test_rational_arithmetic_against_evaluation_oracle():
     # independent check: compare every operation with exact Fraction
     # evaluation at sample points away from denominator roots
