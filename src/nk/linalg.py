@@ -3,7 +3,7 @@ Exact dense matrices over the ring hierarchy, with the three reductions
 the homology computations run on:
 
 * Smith normal form over Z, with the transforming matrices and their
-  inverses tracked and the factorization re-multiplied on every call;
+  inverses tracked and multiplied back on every call;
 * one fraction-free (Bareiss) elimination kernel over Z[z,z^-1]: run
   forward it gives the rank over the function field Q(z), which is the
   free rank over the Novikov ring too; run Gauss-Jordan over [M | B] it
@@ -16,7 +16,10 @@ the homology computations run on:
   Z[z,z^-1], then a pivoting heuristic reduces the core that is left.
   No finite algorithm for the core is known to the author to be
   complete; the heuristic raises ``Inconclusive`` when its operation
-  budget runs out.
+  budget runs out.  Its certificate, U A V = D and the Schur
+  identities, is checked exactly by evaluating both sides of each
+  identity at one X = 2^(8w) (``_product_is``), without Laurent
+  products.
 
 Matrix entries are plain ints, LaurentPoly, or RationalFunction; the
 arithmetic never leaves exact integer/rational-coefficient land.
@@ -24,13 +27,16 @@ arithmetic never leaves exact integer/rational-coefficient land.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass, field
 
 from .rings import (
     ONE,
+    ZERO,
     LaurentPoly,
     NotInRationalSubring,
     RationalFunction,
@@ -210,8 +216,10 @@ class SNFResult:
     """Diagonalization certificate: U @ matrix @ V == diag(invariant_factors).
 
     ``invariant_factors`` are the nonzero diagonal entries, each dividing
-    the next.  Every reduction re-multiplies its factorization before
-    returning and raises when the check fails.  Over Z, ``U_inv`` and
+    the next.  Every reduction checks its factorization exactly before
+    returning and raises when the check fails: over Z by integer
+    products, over the Novikov ring by one Kronecker evaluation of each
+    identity (``_product_is``).  Over Z, ``U_inv`` and
     ``V_inv`` are the verified inverses of U and V; Novikov results
     leave them None.
     """
@@ -385,6 +393,14 @@ def _pack(p, shift, w):
     return v << 8 * w * (p._s - shift)
 
 
+def _slot_width(bound):
+    """The least w = 1, 2, 4, 8, ... bytes with bound < X/2 = 2^(8w-1)."""
+    w = 1
+    while 8 * w <= bound.bit_length():
+        w *= 2
+    return w
+
+
 def _unpack(v, shift, w):
     """The inverse of _pack: z^shift q for the polynomial q with
     q(X) = v and every |coefficient| < X/2 (balanced base-X digits)."""
@@ -426,13 +442,12 @@ def _bareiss(A, n, jordan=False):
     1
     """
     nr = len(A)
+    if jordan and nr == n == 1:  # nothing to eliminate
+        return (A[0][0], [A[0][1:]]) if A[0][0] else (LaurentPoly(), None)
     width = len(A[0]) if A else 0
     shifts = [min((e._s for e in row if e), default=0) for row in A]
-    bound = math.prod(max(1, sum(sum(map(abs, e._t)) for e in row))
-                      for row in A)
-    w = 1
-    while 8 * w <= bound.bit_length():
-        w *= 2
+    w = _slot_width(math.prod(max(1, sum(sum(map(abs, e._t)) for e in row))
+                              for row in A))
     M = [[_pack(e, s, w) for e in row] for row, s in zip(A, shifts)]
     r, prev, sign = 0, 1, 1
     for c in range(n):
@@ -467,6 +482,53 @@ def _bareiss(A, n, jordan=False):
     s = sum(shifts)
     return (_unpack(sign * prev, s, w),
             [[_unpack(sign * v, s, w) for v in row[n:]] for row in M])
+
+
+def _product_is(factors, target):
+    """Does factors[0] @ ... @ factors[-1] == target?  Decided exactly,
+    without Laurent products.
+
+    Each factor F_i is shifted as a whole by the lowest order s_i of its
+    entries and evaluated at X = 2^(8w).  Every coefficient of the
+    shifted product is at most prod_i max(1, |F_i|), |F| the largest
+    row sum of the entries' 1-norms, and w makes that bound plus the
+    largest coefficient of the target less than X/2.  The difference of
+    the two sides then vanishes iff its value at X does, so one product
+    of integer matrices decides the identity.  A target entry of order
+    below sum_i s_i rules it out at once.  A non-polynomial
+    RationalFunction entry sends the check to ``matmul``.
+    """
+    for a, b in zip(factors, factors[1:]):
+        if a.cols != b.rows:
+            raise DimensionMismatch(
+                f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    if (factors[0].rows, factors[-1].cols) != (target.rows, target.cols):
+        return False
+    mats = []
+    for m in (*factors, target):
+        rows = [[e if isinstance(e, LaurentPoly) else _lower(e)
+                 if isinstance(e, RationalFunction) else _coerce_poly(e)
+                 if e else ZERO for e in row] for row in m.entries]
+        if any(isinstance(e, RationalFunction) for row in rows for e in row):
+            return functools.reduce(matmul, factors) == target
+        mats.append(rows)
+    *mats, goal = mats
+    shifts = [min((e._s for row in m for e in row if e._t), default=0)
+              for m in mats]
+    s = sum(shifts)
+    if any(e._t and e._s < s for row in goal for e in row):
+        return False
+    w = _slot_width(
+        math.prod(max(1, max((sum(sum(map(abs, e._t)) for e in row)
+                              for row in m), default=0)) for m in mats)
+        + max((abs(c) for row in goal for e in row for c in e._t), default=0))
+    acc, *rest = [[[_pack(e, sh, w) for e in row] for row in m]
+                  for m, sh in zip(mats, shifts)]
+    for m, f in zip(rest, factors[1:]):
+        cols = list(zip(*m)) or [()] * f.cols
+        acc = [[sum(map(operator.mul, row, col)) for col in cols]
+               for row in acc]
+    return acc == [[_pack(e, s, w) for e in row] for row in goal]
 
 
 def _laurent_rows(grid):
@@ -650,11 +712,11 @@ def novikov_diagonalize(m: Matrix,
 
     Raises ``Inconclusive`` after ``REDUCTION_BUDGET`` elementary
     operations of the heuristic (read at call time).
-    On success the composed transforms are re-multiplied against the
-    input and verified, and the factors are reported as normalized
-    Laurent representatives (monomial stripped, extreme coefficient
-    positive; units normalize to 1) of f / D for each core factor f, D
-    the product of the Schur determinants and row lcms.
+    On success U A V == diag is checked exactly by one Kronecker
+    evaluation (``_product_is``), and the factors are reported as
+    normalized Laurent representatives (monomial stripped, extreme
+    coefficient positive; units normalize to 1) of f / D for each core
+    factor f, D the product of the Schur determinants and row lcms.
     """
     grid = [list(row) for row in m.entries]
     if direction is Direction.MINUS:
@@ -696,7 +758,7 @@ def novikov_diagonalize(m: Matrix,
     values = peeled + [scale * A[j][j] for j in range(s)]
     diag = Matrix(nr, nc, [[values[i] if i == j and i < len(values) else 0
                             for j in range(nc)] for i in range(nr)])
-    if matmul(matmul(left, Matrix(nr, nc, grid)), right) != diag:
+    if not _product_is([left, Matrix(nr, nc, grid), right], diag):
         raise AssertionError("novikov diagonalization self-check failed")
     for j in range(s - 1):
         if _try_div(A[j + 1][j + 1], A[j][j]) is None:  # pragma: no cover
@@ -717,7 +779,8 @@ def _schur_step(W, nc):
         [[adj, 0], [-A21 adj, det I]] A [[I, -X], [0, det I]]
             = diag(det I_k, det S).
 
-    Both identities A11 adj = det I and A11 X = det A12 are checked.
+    Both identities A11 adj = det I and A11 X = det A12 are checked by
+    ``_product_is``.
     Returns (k, det, det * lcms, left, right, S), left @ W @ right
     being that diagonal.
     """
@@ -745,8 +808,8 @@ def _schur_step(W, nc):
     adj = Matrix(k, k, [row[:k] for row in sol.entries]) if sol else None
     x = Matrix(k, n, [row[k:] for row in sol.entries]) if sol else None
     if (not is_novikov_unit(det)
-            or matmul(a11, adj) != Matrix.identity(k).scaled(det)
-            or matmul(a11, x) != a12.scaled(det)):
+            or not _product_is([a11, adj], Matrix.identity(k).scaled(det))
+            or not _product_is([a11, x], a12.scaled(det))):
         raise AssertionError("Schur step self-check failed")
     s = Matrix(m, n, [row[k:] for row in A[k:]]).scaled(det) - matmul(a21, x)
     left = matmul(Matrix.block(
@@ -764,6 +827,11 @@ def _schur_step(W, nc):
 
 def _compose(U, V, t, left, right):
     """U <- (I_t (+) left) U and V <- V (I_t (+) right), in place."""
+    if not t:  # U = V = I: the products are left and right themselves,
+        # with the int zeros that matmul leaves
+        U[:] = [[e or 0 for e in row] for row in left.entries]
+        V[:] = [[e or 0 for e in row] for row in right.entries]
+        return
     nr, nc = len(U), len(V)
     U[t:] = [list(row) for row in
              matmul(left, Matrix(nr - t, nr, U[t:])).entries]

@@ -153,3 +153,27 @@ def test_wide_slots_unpack_every_digit(monkeypatch):
     packed, expected = both(rows, 2, jordan=True)
     assert packed == expected
     assert max(widths) >= 16
+
+
+@pytest.mark.parametrize("row", [
+    [LaurentPoly(), LaurentPoly({-4: 3, 2: -1}), ONE],
+    [LaurentPoly(), LaurentPoly()],
+    [LaurentPoly({-7: -2, -5: 1}), LaurentPoly({-3: 5}), LaurentPoly(),
+     LaurentPoly({-9: 1, 4: -6})],
+    [LaurentPoly({-1500: 1, 1500: -3}), LaurentPoly({0: 2, 3000: 7}),
+     LaurentPoly({-3000: -1, 0: 1})],
+    [LaurentPoly({0: 2 ** 90, 3000: -1})],
+], ids=["zero-pivot", "zero-row", "negative", "span-3000", "no-columns"])
+def test_one_row_system_is_handed_back(monkeypatch, row):
+    widths = _recording_widths(monkeypatch)
+    packed, expected = both([row], 1, jordan=True)
+    assert packed == expected
+    assert widths == set()  # nothing is packed: no elimination step runs
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(st.lists(st.sampled_from([0, 100, 3000]).flatmap(laurent),
+                           min_size=1, max_size=4))
+def test_one_row_systems_match_the_reference(row):
+    packed, expected = both([row], 1, jordan=True)
+    assert packed == expected

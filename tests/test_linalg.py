@@ -368,6 +368,45 @@ def test_diag_self_check_catches_a_corrupted_transform(monkeypatch, side):
     assert done
 
 
+@pytest.mark.parametrize("j", [-1, 2])
+@pytest.mark.parametrize("side", ["U", "V"])
+def test_diag_self_check_catches_a_multiple_of_the_slot_base(monkeypatch,
+                                                             side, j):
+    """A composed transform entry off by X z^j, X = 2^(8w) the slot base
+    the final check picks for the true transforms, changes U A V by a
+    multiple of X in every coefficient, which a check modulo X, or at X
+    with the width fixed beforehand, would miss.  The check reads its
+    width off the factors it is given and fails."""
+    check, slot_width = linalg._product_is, linalg._slot_width
+    widths = []
+
+    def recording(bound):
+        widths.append(slot_width(bound))
+        return widths[-1]
+
+    def corrupting(factors, target):
+        if len(factors) < 3:  # a Schur identity
+            return check(factors, target)
+        picked = len(widths)
+        assert check(factors, target)
+        assert len(widths) == picked + 1  # decided by packing
+        i = 0 if side == "U" else 2
+        rows = [list(row) for row in factors[i].entries]
+        rows[0][0] = rows[0][0] + LaurentPoly({j: 1 << 8 * widths[-1]})
+        factors = list(factors)
+        factors[i] = Matrix(factors[i].rows, factors[i].cols, rows)
+        assert matmul(matmul(*factors[:2]), factors[2]) != target
+        return check(factors, target)
+
+    monkeypatch.setattr(linalg, "_slot_width", recording)
+    monkeypatch.setattr(linalg, "_product_is", corrupting)
+    m = Matrix.from_rows([[one, 2 * one, z], [3 * one, 4 + z, 2 * one],
+                          [z, one, 2 + z]])
+    with pytest.raises(AssertionError,
+                       match="novikov diagonalization self-check failed"):
+        novikov_diagonalize(m)
+
+
 @pytest.mark.parametrize("corrupt", ["adjugate", "solution", "det"])
 def test_diag_self_check_catches_a_corrupted_schur_step(monkeypatch, corrupt):
     """A wrong adjugate, a wrong adj A12 or a determinant that is not a
