@@ -541,9 +541,13 @@ def _laurent_rows(grid):
         for e in row:
             if isinstance(e, RationalFunction) and not e.is_polynomial:
                 den = den * _cancel(e.denominator, den)[0]
-        rows.append([divexact(den, e.denominator) * e.numerator
-                     if isinstance(e, RationalFunction)
-                     else _coerce_poly(e) * den for e in row])
+        if den is ONE:  # a polynomial row: nothing to clear
+            rows.append([e.numerator if isinstance(e, RationalFunction)
+                         else _coerce_poly(e) for e in row])
+        else:
+            rows.append([divexact(den, e.denominator) * e.numerator
+                         if isinstance(e, RationalFunction)
+                         else _coerce_poly(e) * den for e in row])
         lcms.append(den)
     return rows, lcms
 
@@ -590,21 +594,20 @@ class _OutOfBudget(Exception):
 
 
 class _Reduction:
-    """Mutable elimination state over S^-1 Z[z,z^-1]: A, its row
-    transform U and its column transform V, kept as Vt = V^T.
+    """Mutable elimination state over S^-1 Z[z,z^-1]: A, the rows U of
+    the row transform it updates and the columns of the column transform,
+    kept as the rows Vt.
 
     Every operation acts on rows of A and U.  ``transpose()`` turns A
     into A^T and swaps U with Vt, so a column operation is the row
     operation of the same name between two transposes.
     """
 
-    def __init__(self, grid, nc, budget):
+    def __init__(self, grid, nc, U, Vt, budget):
         self.A = [[_rat(e) for e in row] for row in grid]
         self.nr, self.nc = len(grid), nc
-        self.U = [[_rat(1 if i == j else 0) for j in range(self.nr)]
-                  for i in range(self.nr)]
-        self.Vt = [[_rat(1 if i == j else 0) for j in range(nc)]
-                   for i in range(nc)]
+        self.U = [[_rat(e) for e in row] for row in U]
+        self.Vt = [[_rat(e) for e in row] for row in Vt]
         self.left = budget
 
     def _spend(self):
@@ -698,17 +701,19 @@ def novikov_diagonalize(m: Matrix,
     matrix have gcd 1.  Only the core that is left goes to a pivoting
     heuristic whose working entries live in the rational subring.  Unit
     entries (extreme coefficient +-1, on the chosen side) are taken as
-    pivots first -- a unit is scaled out and its row and column cleared
-    exactly, finishing a position outright; otherwise the pivot
-    minimizes (order, |extreme coefficient|).  Non-unit pivots remove
-    their row and column by exact rational division whenever the
+    pivots first -- a unit divides every entry of the subring, so the
+    exact clears empty its row and column, finishing a position
+    outright; otherwise the pivot minimizes (order, |extreme
+    coefficient|).  Non-unit pivots remove their row and column by
+    exact rational division whenever the
     quotient stays in the subring (Fatou's criterion), by order-raising
     monomial subtractions when the extreme coefficient divides, and by
     integer Bezout mixes at matched order otherwise (the pivot line is
     first lifted by a monomial; mixing lines anchored at different
     orders would let the minimal order of the submatrix drift).  Every
     finalized pivot divides the remaining submatrix, so the invariant
-    factors come out in a divisibility chain.
+    factors come out in a divisibility chain.  The Schur steps and the
+    heuristic write into one U and one V.
 
     Raises ``Inconclusive`` after ``REDUCTION_BUDGET`` elementary
     operations of the heuristic (read at call time).
@@ -725,13 +730,13 @@ def novikov_diagonalize(m: Matrix,
     U, V = _ident(nr), _ident(nc)
     # U @ grid @ V == diag(peeled) (+) scale * core
     core, peeled, scale, D = grid, [], ONE, ONE
-    while step := _schur_step(core, nc - len(peeled)):
-        k, det, units, left, right, core = step
-        _compose(U, V, len(peeled), left, right)
+    while step := _schur_step(core, U, V, len(peeled)):
+        k, det, units, core = step
         scale, D = scale * det, D * units
         peeled += [scale] * k
     t = len(peeled)
-    red = _Reduction(core, nc - t, REDUCTION_BUDGET)
+    # the heuristic acts on rows t.. of U and columns t.. of V
+    red = _Reduction(core, nc - t, U[t:], list(zip(*V))[t:], REDUCTION_BUDGET)
     s = 0
 
     def factors():
@@ -749,95 +754,81 @@ def novikov_diagonalize(m: Matrix,
         raise Inconclusive(f"reduction exceeded {REDUCTION_BUDGET} "
                            f"elementary operations", factors())
 
-    A, n = red.A, nc - t
-    left = Matrix(nr - t, nr - t, [[_lower(e) for e in row] for row in red.U])
-    right = Matrix(n, n, [[_lower(row[j]) for row in red.Vt] for j in range(n)])
-    if t:
-        _compose(U, V, t, left, right)
-        left, right = Matrix(nr, nr, U), Matrix(nc, nc, V)
+    A = red.A
+    U = Matrix(nr, nr, U[:t] + [[_lower(e) for e in row] for row in red.U])
+    V = Matrix(nc, nc, [row[:t] + [_lower(col[i]) for col in red.Vt]
+                        for i, row in enumerate(V)])
     values = peeled + [scale * A[j][j] for j in range(s)]
     diag = Matrix(nr, nc, [[values[i] if i == j and i < len(values) else 0
                             for j in range(nc)] for i in range(nr)])
-    if not _product_is([left, Matrix(nr, nc, grid), right], diag):
+    if not _product_is([U, Matrix(nr, nc, grid), V], diag):
         raise AssertionError("novikov diagonalization self-check failed")
     for j in range(s - 1):
         if _try_div(A[j + 1][j + 1], A[j][j]) is None:  # pragma: no cover
             raise AssertionError("divisibility chain broken")
-    return SNFResult(tuple(factors()), t + s, left, right)
+    return SNFResult(tuple(factors()), t + s, U, V)
 
 
-def _schur_step(W, nc):
-    """One Schur step on the rows W (nc columns), or None if nothing peels.
+def _schur_step(W, U, V, t):
+    """One Schur step on the core W, rows and columns t.. of the matrix
+    that U and V transform; None if nothing peels.
 
     R clears each row by the lcm of its denominators and shifts it to
-    order 0.  When the constant terms A(0) of R W have gcd 1, the
-    integer SNF U0 A(0) V0 has k >= 1 factors 1, so A = U0 R W V0 has
-    A11(0) = I_k and det = det A11 is a Novikov unit (Nakayama).  One
-    Gauss-Jordan pass over [A11 | I | A12] gives det, adj = adj A11 and
-    X = adj A12, and with S = det A22 - A21 X, a Laurent matrix,
+    order 0.  The lcms have order 0 and constant term 1, so the orders
+    and constant terms A(0) of R W are those of the numerators.  When
+    A(0) has gcd 1, the integer SNF U0 A(0) V0 has k >= 1 factors 1, so
+    A = U0 R W V0 has A11(0) = I_k and det = det A11 is a Novikov unit
+    (Nakayama).  One Gauss-Jordan pass over [A11 | I | A12] gives det,
+    adj = adj A11 and X = adj A12, and with S = det A22 - A21 X, a
+    Laurent matrix,
 
         [[adj, 0], [-A21 adj, det I]] A [[I, -X], [0, det I]]
             = diag(det I_k, det S).
 
-    Both identities A11 adj = det I and A11 X = det A12 are checked by
-    ``_product_is``.
-    Returns (k, det, det * lcms, left, right, S), left @ W @ right
-    being that diagonal.
+    The one identity A11 [adj | X] = det [I | A12] is checked by
+    ``_product_is``.  Rows t.. of U are multiplied on the left by the
+    row transform [[adj, 0], [-A21 adj, det I]] U0 R, and columns t..
+    of V on the right by the column transform V0 [[I, -X], [0, det I]],
+    in place.  Returns (k, det, det * lcms, S).
     """
-    nr = len(W)
-    nums = [[e.numerator if isinstance(e, RationalFunction)
-             else _coerce_poly(e) for e in row] for row in W]
-    # the lcms have constant term 1, so A(0) reads off the numerators
-    ords = [min((p.ord() for p in row if p), default=0) for row in nums]
+    nr, nc, width = len(W), len(V) - t, len(U)
+    rows, lcms = _laurent_rows(W)
+    ords = [min((p.ord() for p in row if p), default=0) for row in rows]
     a0 = Matrix(nr, nc, [[p.coeff(o) for p in row]
-                         for row, o in zip(nums, ords)])
+                         for row, o in zip(rows, ords)])
     if math.gcd(*(x for row in a0.entries for x in row)) != 1:
         return None
     snf = smith_normal_form_int(a0)
     k = snf.invariant_factors.count(1)
     m, n = nr - k, nc - k
-    rows, lcms = _laurent_rows(W)
-    A = matmul(matmul(snf.U, Matrix(nr, nc, [[e.shifted(-o) for e in row]
-                                             for row, o in zip(rows, ords)])),
-               snf.V).entries
+    # U0 R [W | U[t:]]: A before V0, and the rows of U to update
+    P = matmul(snf.U, Matrix(nr, nc + width, [
+        [e.shifted(-o) for e in row] + [d.shifted(-o) * e if e else 0
+                                        for e in u]
+        for row, o, d, u in zip(rows, ords, lcms, U[t:])])).entries
+    A = matmul(Matrix(nr, nc, [row[:nc] for row in P]), snf.V).entries
     a11 = Matrix(k, k, [row[:k] for row in A[:k]])
     a12 = Matrix(k, n, [row[k:] for row in A[:k]])
     a21 = Matrix(m, k, [row[:k] for row in A[k:]])
-    det, sol = solve_laurent(a11, Matrix.block(
-        [[Matrix.identity(k), a12]], [k], [k, n]))
-    adj = Matrix(k, k, [row[:k] for row in sol.entries]) if sol else None
-    x = Matrix(k, n, [row[k:] for row in sol.entries]) if sol else None
-    if (not is_novikov_unit(det)
-            or not _product_is([a11, adj], Matrix.identity(k).scaled(det))
-            or not _product_is([a11, x], a12.scaled(det))):
+    rhs = Matrix.block([[Matrix.identity(k), a12]], [k], [k, n])
+    det, sol = solve_laurent(a11, rhs)
+    if not is_novikov_unit(det) or not _product_is([a11, sol],
+                                                   rhs.scaled(det)):
         raise AssertionError("Schur step self-check failed")
+    x = Matrix(k, n, [row[k:] for row in sol.entries])
     s = Matrix(m, n, [row[k:] for row in A[k:]]).scaled(det) - matmul(a21, x)
-    left = matmul(Matrix.block(
-        [[adj, None], [-matmul(a21, adj), Matrix.identity(m).scaled(det)]],
-        [k, m], [k, m]), snf.U)
-    right = matmul(snf.V, Matrix.block(
-        [[Matrix.identity(k), -x], [None, Matrix.identity(n).scaled(det)]],
-        [k, n], [k, n]))
-    r = [d.shifted(-o) for d, o in zip(lcms, ords)]
-    left = Matrix(nr, nr, [[e * rj for e, rj in zip(row, r)]
-                           for row in left.entries])
-    return (k, det, math.prod(lcms, start=det), left, right,
-            [list(row) for row in s.entries])
-
-
-def _compose(U, V, t, left, right):
-    """U <- (I_t (+) left) U and V <- V (I_t (+) right), in place."""
-    if not t:  # U = V = I: the products are left and right themselves,
-        # with the int zeros that matmul leaves
-        U[:] = [[e or 0 for e in row] for row in left.entries]
-        V[:] = [[e or 0 for e in row] for row in right.entries]
-        return
-    nr, nc = len(U), len(V)
-    U[t:] = [list(row) for row in
-             matmul(left, Matrix(nr - t, nr, U[t:])).entries]
-    cols = matmul(Matrix(nc, nc - t, [row[t:] for row in V]), right)
-    for row, new in zip(V, cols.entries):
-        row[t:] = new
+    top = matmul(Matrix(k, k, [row[:k] for row in sol.entries]),
+                 Matrix(k, width, [row[nc:] for row in P[:k]]))
+    low = (Matrix(m, width, [row[nc:] for row in P[k:]]).scaled(det)
+           - matmul(a21, top))
+    U[t:] = [list(row) for row in top.entries + low.entries]
+    c = matmul(Matrix(len(V), nc, [row[t:] for row in V]), snf.V).entries
+    c1 = Matrix(len(V), k, [row[:k] for row in c])
+    c2 = (Matrix(len(V), n, [row[k:] for row in c]).scaled(det)
+          - matmul(c1, x))
+    for row, new1, new2 in zip(V, c1.entries, c2.entries):
+        row[t:] = new1 + new2
+    return k, det, math.prod(lcms, start=det), [list(row) for row in s.entries]
 
 
 def _lower(e):
@@ -851,12 +842,7 @@ def _reduce_pivot(red, t):
         red.swap(t, i)
         _on_columns(_Reduction.swap, red, t, j)
         p = red.A[t][t]
-        if p.is_unit():
-            red.scale(t, p.inverse())
-            _clear(red, t)
-            _on_columns(_clear, red, t)
-            return
-        # exact rational clears
+        # exact rational clears; a unit pivot is done after them
         _on_columns(_clear, red, t, p)
         _clear(red, t, p)
         A = red.A
@@ -877,14 +863,14 @@ def _reduce_pivot(red, t):
         red.add(t, bad[0], 1)
 
 
-def _clear(red, t, p=None):
-    """Clear the pivot column below row t: every entry when p is None
-    (the pivot has been scaled to 1), else each entry that p divides
-    in the rational subring.  Rows above t are already zero there."""
+def _clear(red, t, p):
+    """Clear the pivot column below row t: each entry that the pivot p
+    divides in the rational subring, which is every entry when p is a
+    unit.  Rows above t are already zero there."""
     A = red.A
     for i in range(t + 1, red.nr):
         if A[i][t]:
-            q = A[i][t] if p is None else _try_div(A[i][t], p)
+            q = _try_div(A[i][t], p)
             if q is not None:
                 red.add(i, t, -q)
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from nk.rings import Direction, LaurentPoly, RationalFunction, reverse_variable
-from nk.linalg import Matrix, matmul
+from nk.rings import (Direction, LaurentPoly, RationalFunction,
+                      is_novikov_unit, reverse_variable)
+from nk.linalg import Matrix, _laurent_rows, matmul, solve_laurent
 from nk.complexes import BasedChainComplex, ChainMap, direct_sum
 from nk.fundomain import AlgebraicFundamentalDomain
 from nk.models import SeifertData, knot_fundamental_domain
@@ -76,10 +77,14 @@ def assert_diagonalizes(m, res, direction=None):
 
     direction None: res is a Smith normal form over Z,
     U m V == diag(invariant factors), and U_inv, V_inv invert U, V.
-    Otherwise res is a Z((z)) (resp. Z((z^-1))) diagonalization and
+    Otherwise res is a Z((z)) (resp. Z((z^-1))) diagonalization:
     U m' V, with m' the entries of m as RationalFunction
     (variable-reversed for MINUS), is diagonal with exactly ``rank``
-    nonzero entries, leading.
+    nonzero entries, leading, and U and V are invertible over the
+    Novikov ring.  Clearing the rows of a transform by the lcms of their
+    denominators multiplies its determinant by those lcms, which are
+    Novikov units, so the transform is invertible iff the determinant of
+    the cleared Laurent matrix is a Novikov unit.
     """
     assert (res.U.rows, res.U.cols) == (m.rows, m.rows)
     assert (res.V.rows, res.V.cols) == (m.cols, m.cols)
@@ -98,6 +103,11 @@ def assert_diagonalizes(m, res, direction=None):
                if i != j)
     assert [bool(prod[i][i]) for i in range(min(m.rows, m.cols))] == \
         [i < res.rank for i in range(min(m.rows, m.cols))]
+    for t in (res.U, res.V):
+        det, _ = solve_laurent(Matrix(t.rows, t.cols,
+                                      _laurent_rows(t.entries)[0]),
+                               Matrix.zeros(t.rows, 0))
+        assert is_novikov_unit(det)
 
 
 def random_int_matrix(rng, rows, cols, max_coeff=2):

@@ -8,7 +8,7 @@ import pytest
 
 from nk import linalg
 from nk.cli import parse_document
-from nk.rings import Direction, LaurentPoly, RationalFunction
+from nk.rings import Direction, LaurentPoly, RationalFunction, reverse_variable
 from nk.linalg import (
     DimensionMismatch,
     Matrix,
@@ -430,6 +430,75 @@ def test_diag_self_check_catches_a_corrupted_schur_step(monkeypatch, corrupt):
     with pytest.raises(AssertionError, match="Schur step self-check failed"):
         novikov_diagonalize(m)
     assert calls
+
+
+@pytest.mark.parametrize("direction", [Direction.PLUS, Direction.MINUS])
+def test_a_peel_and_the_heuristic_write_into_one_u_and_v(monkeypatch,
+                                                        direction):
+    """A block a and its mirror image a(z^-1), so that each direction
+    meets the same pattern: a Schur step peels a unit block, and the core
+    left over needs a unit pivot of order >= 1 and a Bezout mix.  The
+    heuristic is handed the rows of U and the columns of V that the peel
+    wrote, not identities, and writes into them again."""
+    w = LaurentPoly({-1: 1})
+    a = Matrix.from_rows([[one, w, 0, w],
+                          [w, w + w * w, 2 + 2 * w * w, 2 + 3 * w * w],
+                          [0, 0, 4, 6]])
+    m = Matrix.block([[a, None], [None, a.map_entries(reverse_variable)]],
+                     [3, 3], [4, 4])
+    step, clear, mix = linalg._schur_step, linalg._clear, linalg._Reduction.mix
+    init = linalg._Reduction.__init__
+    seen = {"peeled": 0, "unit orders": [], "mixes": 0, "handed": []}
+
+    def peeling(*args):
+        out = step(*args)
+        seen["peeled"] += bool(out)
+        return out
+
+    def clearing(red, t, p):
+        if p.is_unit():
+            seen["unit orders"].append(p.series_ord())
+        clear(red, t, p)
+
+    def mixing(self, *args):
+        seen["mixes"] += 1
+        mix(self, *args)
+
+    def handed(self, grid, nc, U, Vt, budget):
+        seen["handed"] = [[list(row) for row in U], [list(r) for r in Vt]]
+        init(self, grid, nc, U, Vt, budget)
+
+    monkeypatch.setattr(linalg, "_schur_step", peeling)
+    monkeypatch.setattr(linalg, "_clear", clearing)
+    monkeypatch.setattr(linalg._Reduction, "mix", mixing)
+    monkeypatch.setattr(linalg._Reduction, "__init__", handed)
+    r = novikov_diagonalize(m, direction)
+    assert r.invariant_factors == (one,) * 4 + (2 * one,) * 2
+    assert r.rank == 6
+    assert_diagonalizes(m, r, direction)
+    assert seen["peeled"] and seen["mixes"]
+    assert max(seen["unit orders"]) >= 1
+    U, Vt = seen["handed"]
+    t = 6 - len(U)
+    assert 0 < t < 6
+    rows = [list(row) for row in r.U.entries[t:]]
+    cols = [list(col) for col in zip(*r.V.entries)][t:]
+    for handed_rows, ident, final in ((U, Matrix.identity(6), rows),
+                                      (Vt, Matrix.identity(8), cols)):
+        assert handed_rows != [list(row) for row in ident.entries[t:]]
+        assert handed_rows != final
+
+
+def test_a_transform_that_is_not_invertible_fails_the_certificate():
+    """U A V diagonal is not enough: 2 U still takes A to a diagonal, but
+    it is not invertible over Z((z)), and assert_diagonalizes says so."""
+    m = Matrix.from_rows([[one, z], [z, 2 + z]])
+    r = novikov_diagonalize(m)
+    assert_diagonalizes(m, r, Direction.PLUS)
+    doubled = linalg.SNFResult(r.invariant_factors, r.rank, r.U.scaled(2),
+                               r.V)
+    with pytest.raises(AssertionError):
+        assert_diagonalizes(m, doubled, Direction.PLUS)
 
 
 def test_bezout_mix_has_unit_determinant_for_every_sign_pair():

@@ -30,7 +30,7 @@ def laurent_matrices(draw):
 def test_peel_agrees_with_the_heuristic_as_ideals(m, direction):
     peeled = novikov_diagonalize(m, direction)
     assert_diagonalizes(m, peeled, direction)
-    with mock.patch.object(linalg, "_schur_step", lambda W, nc: None):
+    with mock.patch.object(linalg, "_schur_step", lambda *args: None):
         try:
             plain = novikov_diagonalize(m, direction)
         except Inconclusive:
@@ -48,9 +48,9 @@ def test_a_matrix_that_does_not_peel_reaches_the_heuristic_as_it_is():
     seen = []
     init = linalg._Reduction.__init__
 
-    def spy(self, grid, nc, budget):
+    def spy(self, grid, *args):
         seen.append([list(row) for row in grid])
-        init(self, grid, nc, budget)
+        init(self, grid, *args)
 
     with mock.patch.object(linalg._Reduction, "__init__", spy):
         novikov_diagonalize(m)
