@@ -4,22 +4,23 @@ the homology computations run on:
 
 * Smith normal form over Z, with the transforming matrices and their
   inverses tracked and multiplied back on every call;
-* one fraction-free (Bareiss) elimination kernel over Z[z,z^-1]: run
-  forward it gives the rank over the function field Q(z), which is the
-  free rank over the Novikov ring too; run Gauss-Jordan over [M | B] it
-  gives det M and adj(M) B with Laurent entries.  It eliminates on
-  Kronecker-packed integers: rows shifted to order 0, entries evaluated
-  at X = 2^(8w) with prod_i max(1, |row_i|_1) < X/2, a bound on every
-  coefficient of every minor, so the integers determine the polynomials;
+* one fraction-free (Bareiss) elimination loop on integers
+  (``_eliminate``), run on Kronecker-packed Laurent rows: rows shifted
+  to order 0, entries evaluated at X = 2^(8w) with X/2 above a bound on
+  every coefficient the elimination holds, so the integers determine
+  the polynomials.  Run forward it gives the rank over the function
+  field Q(z), which is the free rank over the Novikov ring too; run
+  Gauss-Jordan over [M | B] it gives det M and adj(M) B;
 * a diagonalization over Z((z)) (resp. Z((z^-1))) of Laurent-entry
   matrices: Schur steps first peel off unit blocks exactly in
-  Z[z,z^-1], then a pivoting heuristic reduces the core that is left.
-  No finite algorithm for the core is known to the author to be
-  complete; the heuristic raises ``Inconclusive`` when its operation
-  budget runs out.  Its certificate, U A V = D and the Schur
-  identities, is checked exactly by evaluating both sides of each
-  identity at one X = 2^(8w) (``_product_is``), without Laurent
-  products.
+  Z[z,z^-1], each packing its block, the rows of U and the columns of
+  V it updates once and doing all its products on integers; then a
+  pivoting heuristic reduces the core that is left.  No finite
+  algorithm for the core is known to the author to be complete; the
+  heuristic raises ``Inconclusive`` when its operation budget runs
+  out.  Its certificate, U A V = D and the Schur identities, is checked
+  exactly by evaluating both sides of each identity at one X = 2^(8w)
+  (``_product_is``), without Laurent products.
 
 Matrix entries are plain ints, LaurentPoly, or RationalFunction; the
 arithmetic never leaves exact integer/rational-coefficient land.
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 
 from .rings import (
     ONE,
-    ZERO,
     LaurentPoly,
     NotInRationalSubring,
     RationalFunction,
@@ -328,17 +328,16 @@ def smith_normal_form_int(m: Matrix) -> SNFResult:
         t += 1
 
     factors = tuple(A[i][i] for i in range(t))
-    um, uim = Matrix.from_rows(U, nr), Matrix.from_rows(Ui, nr)
-    vm, vim = Matrix.from_rows(V, nc), Matrix.from_rows(Vi, nc)
-    diag = Matrix(nr, nc, [[factors[i] if i == j and i < t else 0
-                            for j in range(nc)] for i in range(nr)])
-    ok = (matmul(matmul(um, m), vm) == diag
-          and matmul(um, uim) == Matrix.identity(nr)
-          and matmul(vim, vm) == Matrix.identity(nc)
+    diag = [[factors[i] if i == j and i < t else 0 for j in range(nc)]
+            for i in range(nr)]
+    ok = (_imul(_imul(U, m.entries), V) == diag
+          and _imul(U, Ui) == _ident(nr) and _imul(Vi, V) == _ident(nc)
           and all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)))
     if not ok:  # pragma: no cover - internal invariant
         raise AssertionError("SNF self-verification failed")
-    return SNFResult(factors, t, um, vm, uim, vim)
+    return SNFResult(factors, t, Matrix.from_rows(U, nr),
+                     Matrix.from_rows(V, nc), Matrix.from_rows(Ui, nr),
+                     Matrix.from_rows(Vi, nc))
 
 
 def _ident(n):
@@ -379,8 +378,10 @@ def _to_slots(u, n, w):
 
 
 def _pack(p, shift, w):
-    """The integer (z^-shift p)(X) at X = 2^(8w), for shift <= ord p and
-    every |coefficient| < X/2."""
+    """The integer (z^-shift p)(X) at X = 2^(8w), for an int or
+    LaurentPoly p with shift <= ord p and every |coefficient| < X/2."""
+    if p.__class__ is int:
+        return p << -8 * w * shift if p else 0
     t = p._t
     if not t:
         return 0
@@ -412,43 +413,51 @@ def _unpack(v, shift, w):
     return LaurentPoly._dense(shift, _to_slots((v + b) ^ b, n, w))
 
 
-def _bareiss(A, n, jordan=False):
-    """Fraction-free (Bareiss) elimination of the LaurentPoly rows A,
-    pivoting in the first n columns.
+def _orders_and_norms(rows):
+    """For each row of int and LaurentPoly entries, in one pass: the
+    lowest order of its nonzero entries (None for a zero row) and its
+    1-norm, the sum of the entries' coefficient 1-norms."""
+    out = []
+    for row in rows:
+        lo, norm = None, 0
+        for e in row:
+            if e.__class__ is int:
+                if e:
+                    o, norm = 0, norm + abs(e)
+                else:
+                    continue
+            elif e._t:
+                o, norm = e._s, norm + sum(map(abs, e._t))
+            else:
+                continue
+            if lo is None or o < lo:
+                lo = o
+        out.append((lo, norm))
+    return out
+
+
+def _imul(a, b):
+    """The product of two integer matrices given as lists of rows (with
+    no columns when b has no rows)."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _eliminate(M, n, jordan=False):
+    """Fraction-free (Bareiss) elimination of the integer rows M in
+    place, pivoting in the first n columns; returns (rank, signed last
+    pivot).
 
     Each step replaces an entry right of the pivot column by
     (pivot * a_ij - a_ic * a_rj) / previous pivot, which is a minor of
     the input, so every division is exact.  Forward (jordan=False), only
-    the rows below the pivot are updated and the rank is returned.
-    Gauss-Jordan (jordan=True), the rows above are updated too and
-    elimination stops at the first column without a pivot; on [M | B]
-    with M n x n it returns (det M, adj(M) B as a list of rows), or
-    (0, None) when det M = 0.
-
-    The elimination runs on integers.  Each row is shifted to order 0
-    (which scales det M and adj(M) B by z^-(sum of shifts), undone at
-    the end) and each entry evaluated at X = 2^(8w), w = 1, 2, 4, ...
-    bytes chosen so that prod_i max(1, |row_i|_1) < X/2.  That product
-    bounds every coefficient of every minor, since |pq|_1 <= |p|_1 |q|_1,
-    so evaluation is injective on the entries the elimination holds: the
-    zero tests, pivots and quotients are those of the same elimination
-    over Z[z], and the results unpack as balanced base-X digits.
-
-    >>> z = LaurentPoly({1: 1})
-    >>> _bareiss([[2 * ONE, z, ONE, LaurentPoly()],
-    ...           [ONE, ONE, LaurentPoly(), ONE]], 2, jordan=True)
-    (LaurentPoly('2 - z'), [[LaurentPoly('1'), LaurentPoly('-z')], [LaurentPoly('-1'), LaurentPoly('2')]])
-    >>> _bareiss([[z, z ** 2], [ONE, z]], 2)
-    1
+    the rows below the pivot are updated.  Gauss-Jordan (jordan=True),
+    the rows above are updated too and elimination stops at the first
+    column without a pivot; on [M | B] with M n x n of rank n it returns
+    (n, det M) and leaves adj(M) B in columns n.. of the rows.
     """
-    nr = len(A)
-    if jordan and nr == n == 1:  # nothing to eliminate
-        return (A[0][0], [A[0][1:]]) if A[0][0] else (LaurentPoly(), None)
-    width = len(A[0]) if A else 0
-    shifts = [min((e._s for e in row if e), default=0) for row in A]
-    w = _slot_width(math.prod(max(1, sum(sum(map(abs, e._t)) for e in row))
-                              for row in A))
-    M = [[_pack(e, s, w) for e in row] for row, s in zip(A, shifts)]
+    nr = len(M)
+    width = len(M[0]) if M else 0
     r, prev, sign = 0, 1, 1
     for c in range(n):
         if r == nr:
@@ -475,13 +484,48 @@ def _bareiss(A, n, jordan=False):
                 row[j] = q
         prev = p
         r += 1
+    if jordan and r == n and sign < 0:
+        for row in M:
+            row[n:] = [-v for v in row[n:]]
+    return r, sign * prev
+
+
+def _bareiss(A, n, jordan=False):
+    """``_eliminate`` on the int and LaurentPoly rows A, pivoting in the
+    first n columns: forward (jordan=False) it returns the rank;
+    Gauss-Jordan on [M | B] with M n x n it returns (det M, adj(M) B as
+    a list of rows), or (0, None) when det M = 0.
+
+    The elimination runs on integers.  Each row is shifted to order 0
+    (which scales det M and adj(M) B by z^-(sum of shifts), undone at
+    the end) and each entry evaluated at X = 2^(8w), w = 1, 2, 4, ...
+    bytes chosen so that prod_i max(1, |row_i|_1) < X/2.  That product
+    bounds every coefficient of every minor, since |pq|_1 <= |p|_1 |q|_1,
+    so evaluation is injective on the entries the elimination holds: the
+    zero tests, pivots and quotients are those of the same elimination
+    over Z[z], and the results unpack as balanced base-X digits.
+
+    >>> z = LaurentPoly({1: 1})
+    >>> _bareiss([[2 * ONE, z, ONE, LaurentPoly()],
+    ...           [ONE, ONE, LaurentPoly(), ONE]], 2, jordan=True)
+    (LaurentPoly('2 - z'), [[LaurentPoly('1'), LaurentPoly('-z')], [LaurentPoly('-1'), LaurentPoly('2')]])
+    >>> _bareiss([[z, z ** 2], [ONE, z]], 2)
+    1
+    """
+    if jordan and len(A) == n == 1:  # nothing to eliminate
+        return (A[0][0], [A[0][1:]]) if A[0][0] else (LaurentPoly(), None)
+    rows = _orders_and_norms(A)
+    shifts = [lo or 0 for lo, _ in rows]
+    w = _slot_width(math.prod(max(1, norm) for _, norm in rows))
+    M = [[_pack(e, s, w) for e in row] for row, s in zip(A, shifts)]
+    r, det = _eliminate(M, n, jordan)
     if not jordan:
         return r
     if r < n:
         return LaurentPoly(), None
     s = sum(shifts)
-    return (_unpack(sign * prev, s, w),
-            [[_unpack(sign * v, s, w) for v in row[n:]] for row in M])
+    return (_unpack(det, s, w),
+            [[_unpack(v, s, w) for v in row[n:]] for row in M])
 
 
 def _product_is(factors, target):
@@ -506,28 +550,34 @@ def _product_is(factors, target):
         return False
     mats = []
     for m in (*factors, target):
-        rows = [[e if isinstance(e, LaurentPoly) else _lower(e)
-                 if isinstance(e, RationalFunction) else _coerce_poly(e)
-                 if e else ZERO for e in row] for row in m.entries]
-        if any(isinstance(e, RationalFunction) for row in rows for e in row):
+        rows = [[_lower(e) if e.__class__ is RationalFunction else e
+                 for e in row] for row in m.entries]
+        if any(e.__class__ is RationalFunction for row in rows for e in row):
             return functools.reduce(matmul, factors) == target
         mats.append(rows)
     *mats, goal = mats
-    shifts = [min((e._s for row in m for e in row if e._t), default=0)
-              for m in mats]
-    s = sum(shifts)
-    if any(e._t and e._s < s for row in goal for e in row):
-        return False
-    w = _slot_width(
-        math.prod(max(1, max((sum(sum(map(abs, e._t)) for e in row)
-                              for row in m), default=0)) for m in mats)
-        + max((abs(c) for row in goal for e in row for c in e._t), default=0))
+    shifts, bound = [], 1
+    for m in mats:
+        rows = _orders_and_norms(m)
+        shifts.append(min((lo for lo, _ in rows if lo is not None),
+                          default=0))
+        bound *= max(1, max((norm for _, norm in rows), default=0))
+    s, top = sum(shifts), 0
+    for row in goal:
+        for e in row:
+            if e.__class__ is int:
+                if e and s > 0:
+                    return False
+                top = max(top, abs(e))
+            elif e._t:
+                if e._s < s:
+                    return False
+                top = max(top, max(map(abs, e._t)))
+    w = _slot_width(bound + top)
     acc, *rest = [[[_pack(e, sh, w) for e in row] for row in m]
                   for m, sh in zip(mats, shifts)]
     for m, f in zip(rest, factors[1:]):
-        cols = list(zip(*m)) or [()] * f.cols
-        acc = [[sum(map(operator.mul, row, col)) for col in cols]
-               for row in acc]
+        acc = _imul(acc, m) if m else [[0] * f.cols for _ in acc]
     return acc == [[_pack(e, s, w) for e in row] for row in goal]
 
 
@@ -773,62 +823,99 @@ def _schur_step(W, U, V, t):
     """One Schur step on the core W, rows and columns t.. of the matrix
     that U and V transform; None if nothing peels.
 
-    R clears each row by the lcm of its denominators and shifts it to
-    order 0.  The lcms have order 0 and constant term 1, so the orders
-    and constant terms A(0) of R W are those of the numerators.  When
-    A(0) has gcd 1, the integer SNF U0 A(0) V0 has k >= 1 factors 1, so
-    A = U0 R W V0 has A11(0) = I_k and det = det A11 is a Novikov unit
-    (Nakayama).  One Gauss-Jordan pass over [A11 | I | A12] gives det,
-    adj = adj A11 and X = adj A12, and with S = det A22 - A21 X, a
-    Laurent matrix,
+    The row orders and constant terms A(0) are read off the numerators:
+    clearing a row by the lcm of its denominators, which have order 0
+    and constant term 1, changes neither.  When A(0) has gcd 1, the
+    integer SNF U0 A(0) V0 has k >= 1 factors 1.  R clears each row by
+    its lcm and shifts it to order 0, so A = U0 R W V0 has A11(0) = I_k
+    and det = det A11 is a Novikov unit (Nakayama).  One Gauss-Jordan
+    pass over [A11 | I | A12] gives det, adj = adj A11 and X = adj A12,
+    and with S = det A22 - A21 X, a Laurent matrix,
 
         [[adj, 0], [-A21 adj, det I]] A [[I, -X], [0, det I]]
             = diag(det I_k, det S).
 
-    The one identity A11 [adj | X] = det [I | A12] is checked by
-    ``_product_is``.  Rows t.. of U are multiplied on the left by the
-    row transform [[adj, 0], [-A21 adj, det I]] U0 R, and columns t..
-    of V on the right by the column transform V0 [[I, -X], [0, det I]],
-    in place.  Returns (k, det, det * lcms, S).
+    Rows t.. of U are multiplied on the left by the row transform
+    [[adj, 0], [-A21 adj, det I]] U0 R, and columns t.. of V on the
+    right by the column transform V0 [[I, -X], [0, det I]], in place.
+
+    The step packs once: the rows of R W, the rows of R U[t:] and the
+    columns V[:, t:], each block by its own shift, at one X = 2^(8w),
+    and does every product above on integers.  Every value it unpacks
+    is a minor of [A | U0 R U[t:]] (S, adj and X, the new rows of U),
+    or of the first k rows of A with one row of V[:, t:] V0 appended
+    (the new columns of V); w is chosen so that the product of those
+    rows' 1-norms, bounded through |U0| and |V0|, is below X/2.  The
+    identity A11 [adj | X] = det [I | A12] is checked on the unpacked
+    values by ``_product_is``, which takes its own width from them.
+    Returns (k, det, det * lcms, S).
     """
-    nr, nc, width = len(W), len(V) - t, len(U)
-    rows, lcms = _laurent_rows(W)
-    ords = [min((p.ord() for p in row if p), default=0) for row in rows]
+    nr, nc = len(W), len(V) - t
+    nums = [[_coerce_poly(e.numerator if e.__class__ is RationalFunction
+                          else e) for e in row] for row in W]
+    ords = [lo or 0 for lo, _ in _orders_and_norms(nums)]
     a0 = Matrix(nr, nc, [[p.coeff(o) for p in row]
-                         for row, o in zip(rows, ords)])
+                         for row, o in zip(nums, ords)])
     if math.gcd(*(x for row in a0.entries for x in row)) != 1:
         return None
+    rows, lcms = _laurent_rows(W)
     snf = smith_normal_form_int(a0)
     k = snf.invariant_factors.count(1)
-    m, n = nr - k, nc - k
+    u0, v0 = snf.U.entries, snf.V.entries
+    # the slot width, from the row 1-norms of R W, R U[t:] and V[:, t:]
+    ru = _orders_and_norms(U[t:])
+    rv = _orders_and_norms([row[t:] for row in V])
+    nw = [norm for _, norm in _orders_and_norms(rows)]
+    nd = [norm * sum(map(abs, d._t)) for (_, norm), d in zip(ru, lcms)]
+    v0n = max(sum(map(abs, row)) for row in v0)
+    w = _slot_width(math.prod(
+        max(1, v0n * sum(abs(x) * y for x, y in zip(row, nw))
+            + sum(abs(x) * y for x, y in zip(row, nd))) for row in u0)
+        * max(1, v0n * max(norm for _, norm in rv)))
+    su = min(lo - o for (lo, _), o in zip(ru, ords) if lo is not None)
+    sv = min(lo for lo, _ in rv if lo is not None)
+    packed = []
+    for row, o, d, u in zip(rows, ords, lcms, U[t:]):
+        pu = [_pack(e, su + o, w) for e in u]
+        if d is not ONE:
+            dv = _pack(d, 0, w)
+            pu = [dv * x for x in pu]
+        packed.append([_pack(e, o, w) for e in row] + pu)
     # U0 R [W | U[t:]]: A before V0, and the rows of U to update
-    P = matmul(snf.U, Matrix(nr, nc + width, [
-        [e.shifted(-o) for e in row] + [d.shifted(-o) * e if e else 0
-                                        for e in u]
-        for row, o, d, u in zip(rows, ords, lcms, U[t:])])).entries
-    A = matmul(Matrix(nr, nc, [row[:nc] for row in P]), snf.V).entries
-    a11 = Matrix(k, k, [row[:k] for row in A[:k]])
-    a12 = Matrix(k, n, [row[k:] for row in A[:k]])
-    a21 = Matrix(m, k, [row[:k] for row in A[k:]])
-    rhs = Matrix.block([[Matrix.identity(k), a12]], [k], [k, n])
-    det, sol = solve_laurent(a11, rhs)
-    if not is_novikov_unit(det) or not _product_is([a11, sol],
-                                                   rhs.scaled(det)):
+    P = _imul(u0, packed)
+    A = _imul([row[:nc] for row in P], v0)
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    gj = [row[:k] + e + row[k:] for row, e in zip(A, eye)]
+    r, det = _eliminate(gj, k, jordan=True)
+    sol = [row[k:] for row in gj]  # [adj | X]
+    unit = _unpack(det, 0, w)
+    a1 = [[_unpack(v, 0, w) for v in row] for row in A[:k]]
+    # A11 [adj | X] - det [I | A12] = 0, as one product
+    check = [Matrix(k, 2 * k, [row[:k] + [-unit * x for x in e]
+                               for row, e in zip(a1, eye)]),
+             Matrix(2 * k, nc, [[_unpack(v, 0, w) for v in row]
+                                for row in sol]
+                    + [e + row[k:] for row, e in zip(a1, eye)])]
+    if r < k or not is_novikov_unit(unit) or not _product_is(
+            check, Matrix.zeros(k, nc)):
         raise AssertionError("Schur step self-check failed")
-    x = Matrix(k, n, [row[k:] for row in sol.entries])
-    s = Matrix(m, n, [row[k:] for row in A[k:]]).scaled(det) - matmul(a21, x)
-    top = matmul(Matrix(k, k, [row[:k] for row in sol.entries]),
-                 Matrix(k, width, [row[nc:] for row in P[:k]]))
-    low = (Matrix(m, width, [row[nc:] for row in P[k:]]).scaled(det)
-           - matmul(a21, top))
-    U[t:] = [list(row) for row in top.entries + low.entries]
-    c = matmul(Matrix(len(V), nc, [row[t:] for row in V]), snf.V).entries
-    c1 = Matrix(len(V), k, [row[:k] for row in c])
-    c2 = (Matrix(len(V), n, [row[k:] for row in c]).scaled(det)
-          - matmul(c1, x))
-    for row, new1, new2 in zip(V, c1.entries, c2.entries):
-        row[t:] = new1 + new2
-    return k, det, math.prod(lcms, start=det), [list(row) for row in s.entries]
+
+    def minus(b, c, d):  # det b - c d
+        return [[det * p - q for p, q in zip(rb, rq)]
+                for rb, rq in zip(b, _imul(c, d))]
+
+    a21 = [row[:k] for row in A[k:]]
+    x = [row[k:] for row in sol]
+    top = _imul([row[:k] for row in sol], [row[nc:] for row in P[:k]])
+    low = minus([row[nc:] for row in P[k:]], a21, top)
+    U[t:] = [[_unpack(v, su, w) for v in row] for row in top + low]
+    c = _imul([[_pack(e, sv, w) for e in row[t:]] for row in V], v0)
+    c2 = minus([row[k:] for row in c], [row[:k] for row in c], x)
+    for row, new1, new2 in zip(V, c, c2):
+        row[t:] = [_unpack(v, sv, w) for v in new1[:k] + new2]
+    s = [[_unpack(v, 0, w) for v in row]
+         for row in minus([row[k:] for row in A[k:]], a21, x)]
+    return k, unit, math.prod(lcms, start=unit), s
 
 
 def _lower(e):
@@ -842,9 +929,12 @@ def _reduce_pivot(red, t):
         red.swap(t, i)
         _on_columns(_Reduction.swap, red, t, j)
         p = red.A[t][t]
-        # exact rational clears; a unit pivot is done after them
+        # exact rational clears; a unit divides every entry, so a unit
+        # pivot is done after them, with no scan of the submatrix left
         _on_columns(_clear, red, t, p)
         _clear(red, t, p)
+        if p.is_unit():
+            return
         A = red.A
         stuck_col = next((j for j in range(t + 1, red.nc) if A[t][j]), None)
         stuck_row = next((i for i in range(t + 1, red.nr) if A[i][t]), None)

@@ -178,6 +178,8 @@ class LaurentPoly:
         return LaurentPoly._dense(self._s, [-n for n in self._t])
 
     def __add__(self, other):
+        if other.__class__ is int and not other:
+            return self
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
@@ -207,6 +209,12 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if other.__class__ is int:  # never a bool, which _coerce_poly refuses
+            if not other or not self._t:
+                return ZERO
+            if other == 1:
+                return self
+            return LaurentPoly._dense(self._s, [n * other for n in self._t])
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
@@ -289,11 +297,16 @@ def _check_int(n):
 
 
 def _coerce_poly(x):
+    """x as a LaurentPoly: an int becomes a constant, without the dict
+    constructor; a bool raises TypeError; anything else gives
+    NotImplemented."""
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, int):
-        return LaurentPoly({0: x})
-    return NotImplemented
+    if not isinstance(x, int):
+        return NotImplemented
+    if x.__class__ is not int:
+        _check_int(x)
+    return LaurentPoly._dense(0, (x,))
 
 
 ZERO = LaurentPoly()

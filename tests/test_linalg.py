@@ -410,26 +410,53 @@ def test_diag_self_check_catches_a_multiple_of_the_slot_base(monkeypatch,
 @pytest.mark.parametrize("corrupt", ["adjugate", "solution", "det"])
 def test_diag_self_check_catches_a_corrupted_schur_step(monkeypatch, corrupt):
     """A wrong adjugate, a wrong adj A12 or a determinant that is not a
-    Novikov unit from the Gauss-Jordan pass of a Schur step is caught
-    before the step is used."""
-    solve = linalg.solve_laurent
-    calls = []
+    Novikov unit from the packed Gauss-Jordan pass of a Schur step is
+    caught before the step is used.  The corruption adds z, packed at
+    the slot base the step picked, to the integer output."""
+    eliminate, slot_width = linalg._eliminate, linalg._slot_width
+    widths, calls = [], []
 
-    def corrupted(a, b):
-        det, x = solve(a, b)
-        calls.append(a)
-        rows = [list(row) for row in x.entries]
+    def recording(bound):
+        widths.append(slot_width(bound))
+        return widths[-1]
+
+    def corrupted(M, n, jordan=False):
+        r, det = eliminate(M, n, jordan)
+        calls.append(n)
         if corrupt == "det":
-            return 2 * det, x
-        col = 0 if corrupt == "adjugate" else a.cols
-        rows[0][col] = rows[0][col] + z
-        return det, Matrix(x.rows, x.cols, rows)
+            return r, 2 * det
+        # columns n.. of the rows hold adj, columns 2n.. hold X
+        col = n if corrupt == "adjugate" else 2 * n
+        M[0][col] += 1 << 8 * widths[-1]
+        return r, det
 
-    monkeypatch.setattr(linalg, "solve_laurent", corrupted)
+    monkeypatch.setattr(linalg, "_slot_width", recording)
+    monkeypatch.setattr(linalg, "_eliminate", corrupted)
     m = Matrix.from_rows([[one, 2 * one], [3 * one, 4 + z]])
     with pytest.raises(AssertionError, match="Schur step self-check failed"):
         novikov_diagonalize(m)
-    assert calls
+    assert calls == [1]
+
+
+def test_schur_step_check_takes_its_width_from_the_values(monkeypatch):
+    """With the step's slots forced to 1 byte, too narrow for its
+    values, the packed elimination is still exact on integers, so an
+    identity checked at the step's own X = 2^8 holds; but det = 1 + 200z
+    does not fit an 8-bit slot and unpacks wrong.  The check reads its
+    width off the unpacked values and fails."""
+    slot_width = linalg._slot_width
+    widths = []
+
+    def narrow(bound):
+        widths.append(1 if not widths else slot_width(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(linalg, "_slot_width", narrow)
+    a, b = 1 + 100 * z, 100 * z
+    m = Matrix.from_rows([[a, b], [b, a]])
+    with pytest.raises(AssertionError, match="Schur step self-check failed"):
+        novikov_diagonalize(m)
+    assert widths[0] == 1 and widths[1] > 1
 
 
 @pytest.mark.parametrize("direction", [Direction.PLUS, Direction.MINUS])
