@@ -2,8 +2,10 @@
 Exact dense matrices over the ring hierarchy, with the three reductions
 the homology computations run on:
 
-* Smith normal form over Z, with the transforming matrices and their
-  inverses tracked and multiplied back on every call;
+* Smith normal form over Z, on one list of rows [A | U] over V, so
+  each row or column operation updates A and its transform at once;
+  the transforms are shown unimodular by the Bareiss kernel below, and
+  ``inverse_int`` inverts one when a caller needs it;
 * one fraction-free (Bareiss) elimination loop on integers
   (``_eliminate``), run on Kronecker-packed Laurent rows: rows shifted
   to order 0, entries evaluated at X = 2^(8w) with X/2 above a bound on
@@ -219,17 +221,14 @@ class SNFResult:
     the next.  Every reduction checks its factorization exactly before
     returning and raises when the check fails: over Z by integer
     products, over the Novikov ring by one Kronecker evaluation of each
-    identity (``_product_is``).  Over Z, ``U_inv`` and
-    ``V_inv`` are the verified inverses of U and V; Novikov results
-    leave them None.
+    identity (``_product_is``).  U and V are shown invertible too: over
+    Z by determinants +-1, over the Novikov ring by unit determinants.
     """
 
     invariant_factors: tuple
     rank: int
     U: Matrix = field(repr=False)
     V: Matrix = field(repr=False)
-    U_inv: Matrix = field(default=None, repr=False)
-    V_inv: Matrix = field(default=None, repr=False)
 
     @property
     def torsion_factors(self):
@@ -242,106 +241,87 @@ def smith_normal_form_int(m: Matrix) -> SNFResult:
     """Smith normal form of an integer matrix.
 
     Total on integer matrices; the invariant factors come out positive
-    with the divisibility chain d1 | d2 | ... verified, and the
-    transforms and their inverses are re-multiplied against the input
-    and each other before returning.
+    with the divisibility chain d1 | d2 | ... verified.  The elimination
+    runs on one list of integer rows: rows :nr hold [A | U], so a row
+    operation is one list expression, and rows nr: hold V, so a column
+    operation on the first nc columns of every row updates A and V
+    together.  Before returning, U m V = diag is re-multiplied, and U
+    and V are shown unimodular: forward Bareiss elimination
+    (``_eliminate``) gives each full rank and determinant +-1.
     """
-    A = [[int(e) for e in row] for row in m.entries]
     nr, nc = m.rows, m.cols
-    U = _ident(nr)
-    Ui = _ident(nr)
-    V = _ident(nc)
-    Vi = _ident(nc)
-
-    def row_add(i, j, q):  # row_i += q*row_j
-        for k in range(nc):
-            A[i][k] += q * A[j][k]
-        for k in range(nr):
-            U[i][k] += q * U[j][k]
-            Ui[k][j] -= q * Ui[k][i]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for k in range(nr):
-            Ui[k][i], Ui[k][j] = Ui[k][j], Ui[k][i]
-
-    def row_neg(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-        for k in range(nr):
-            Ui[k][i] = -Ui[k][i]
-
-    def col_add(j, k, q):  # col_j += q*col_k
-        for i in range(nr):
-            A[i][j] += q * A[i][k]
-        for i in range(nc):
-            V[i][j] += q * V[i][k]
-            Vi[k][i] -= q * Vi[j][i]
-
-    def col_swap(j, k):
-        for i in range(nr):
-            A[i][j], A[i][k] = A[i][k], A[i][j]
-        for i in range(nc):
-            V[i][j], V[i][k] = V[i][k], V[i][j]
-        Vi[j], Vi[k] = Vi[k], Vi[j]
-
+    M = [[int(x) for x in row] + e for row, e in zip(m.entries, _ident(nr))]
+    M += _ident(nc)
     t = 0
     while t < min(nr, nc):
         # smallest nonzero entry of the working submatrix to the pivot
-        best = None
+        best, low = None, 0
         for i in range(t, nr):
+            row = M[i]
             for j in range(t, nc):
-                if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+                if row[j] and (best is None or abs(row[j]) < low):
+                    best, low = (i, j), abs(row[j])
         if best is None:
             break
         i, j = best
-        if i != t:
-            row_swap(t, i)
+        M[t], M[i] = M[i], M[t]
         if j != t:
-            col_swap(t, j)
-        if A[t][t] < 0:
-            row_neg(t)
-        p = A[t][t]
+            for row in M:
+                row[t], row[j] = row[j], row[t]
+        if M[t][t] < 0:
+            M[t] = [-x for x in M[t]]
+        top = M[t]
+        p = top[t]
         dirty = False
         for i in range(t + 1, nr):
-            if A[i][t]:
-                q = A[i][t] // p
-                row_add(i, t, -q)
-                if A[i][t]:
-                    dirty = True  # remainder < p becomes the next pivot
+            if M[i][t]:
+                q = M[i][t] // p
+                M[i] = [a - q * b for a, b in zip(M[i], top)]
+                # remainder < p becomes the next pivot
+                dirty = dirty or M[i][t] != 0
         for j in range(t + 1, nc):
-            if A[t][j]:
-                q = A[t][j] // p
-                col_add(j, t, -q)
-                if A[t][j]:
-                    dirty = True
+            if top[j]:
+                q = top[j] // p
+                for row in M:
+                    row[j] -= q * row[t]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue
         # pivot must divide the rest of the submatrix for the chain
-        bad = next(((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc)
-                    if A[i][j] % p), None)
+        bad = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
+                    if M[i][j] % p), None)
         if bad is not None:
-            row_add(t, bad[0], 1)
+            M[t] = [a + b for a, b in zip(top, M[bad])]
             continue
         t += 1
 
-    factors = tuple(A[i][i] for i in range(t))
+    U, V = [row[nc:] for row in M[:nr]], M[nr:]
+    factors = tuple(M[i][i] for i in range(t))
     diag = [[factors[i] if i == j and i < t else 0 for j in range(nc)]
             for i in range(nr)]
     ok = (_imul(_imul(U, m.entries), V) == diag
-          and _imul(U, Ui) == _ident(nr) and _imul(Vi, V) == _ident(nc)
-          and all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)))
+          and all(factors[i + 1] % factors[i] == 0 for i in range(t - 1))
+          and all(_eliminate([list(row) for row in T], n) in ((n, 1), (n, -1))
+                  for T, n in ((U, nr), (V, nc))))
     if not ok:  # pragma: no cover - internal invariant
         raise AssertionError("SNF self-verification failed")
-    return SNFResult(factors, t, Matrix.from_rows(U, nr),
-                     Matrix.from_rows(V, nc), Matrix.from_rows(Ui, nr),
-                     Matrix.from_rows(Vi, nc))
+    return SNFResult(factors, t, Matrix(nr, nr, U), Matrix(nc, nc, V))
 
 
 def _ident(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def inverse_int(t: Matrix) -> Matrix:
+    """The inverse of a unimodular integer matrix T: one Gauss-Jordan
+    pass of the Bareiss kernel over [T | I] returns det T = +-1 and
+    leaves adj(T) beside it, and T^-1 = det T adj(T)."""
+    n = t.rows
+    M = [list(row) + e for row, e in zip(t.entries, _ident(n))]
+    r, det = _eliminate(M, n, jordan=True)
+    if not t.is_square or r < n or det not in (1, -1):
+        raise ValueError("not a unimodular integer matrix")
+    return Matrix(n, n, [[det * v for v in row[n:]] for row in M])
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +492,6 @@ def _bareiss(A, n, jordan=False):
     >>> _bareiss([[z, z ** 2], [ONE, z]], 2)
     1
     """
-    if jordan and len(A) == n == 1:  # nothing to eliminate
-        return (A[0][0], [A[0][1:]]) if A[0][0] else (LaurentPoly(), None)
     rows = _orders_and_norms(A)
     shifts = [lo or 0 for lo, _ in rows]
     w = _slot_width(math.prod(max(1, norm) for _, norm in rows))

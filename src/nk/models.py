@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rings import Z, LaurentPoly, Direction
-from .linalg import (Matrix, matmul, matrix_to_json, smith_normal_form_int,
-                     solve_laurent)
+from .linalg import (Matrix, inverse_int, matmul, matrix_to_json,
+                     smith_normal_form_int, solve_laurent)
 from .complexes import (
     BasedChainComplex,
     ChainMap,
@@ -163,7 +163,7 @@ def induced_map_on_free_homology(c: BasedChainComplex, f: ChainMap, i: int):
     n, r = s.V.rows, s.rank
     k = n - r
     K = Matrix(n, k, [row[r:] for row in s.V.entries])
-    to_kernel = Matrix(k, n, s.V_inv.entries[r:])
+    to_kernel = Matrix(k, n, inverse_int(s.V).entries[r:])
 
     def kernel_coords(cols):
         coords = matmul(to_kernel, cols)
@@ -176,7 +176,8 @@ def induced_map_on_free_homology(c: BasedChainComplex, f: ChainMap, i: int):
     free = k - rh
     if free == 0:
         return Matrix.zeros(0, 0)
-    lift = matmul(K, Matrix(k, free, [row[rh:] for row in h.U_inv.entries]))
+    lift = matmul(K, Matrix(k, free, [row[rh:]
+                                      for row in inverse_int(h.U).entries]))
     coords = matmul(h.U, kernel_coords(matmul(f.component(i), lift)))
     return Matrix(free, free, coords.entries[rh:])
 

@@ -524,11 +524,6 @@ class RationalFunction:
         """Unit of S^-1 Z[z,z^-1] (equivalently of Z((z)))."""
         return bool(self) and self.extreme_coeff() in (1, -1)
 
-    def inverse(self):
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.denominator, self.numerator)
-
     def __eq__(self, other):
         other = _coerce_rational(other)
         if other is NotImplemented:

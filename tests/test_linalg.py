@@ -422,6 +422,8 @@ def test_diag_self_check_catches_a_corrupted_schur_step(monkeypatch, corrupt):
 
     def corrupted(M, n, jordan=False):
         r, det = eliminate(M, n, jordan)
+        if not jordan:  # the integer Smith form's determinants
+            return r, det
         calls.append(n)
         if corrupt == "det":
             return r, 2 * det
