@@ -33,8 +33,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
-from array import array
 from dataclasses import dataclass, field
 
 from .rings import (
@@ -45,6 +43,9 @@ from .rings import (
     Direction,
     _cancel,
     _coerce_poly,
+    _digits,
+    _kron,
+    _slot_width,
     divexact,
     is_novikov_unit,
     reverse_variable,
@@ -327,70 +328,19 @@ def inverse_int(t: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # fraction-free elimination over Z[z,z^-1], on Kronecker-packed integers
 
-#: signed array typecodes by item size in bytes
-_SIGNED = {array(t).itemsize: t for t in "bhilq"}
-
-
-def _bias(n, w):
-    """sum_{i<n} X^i X/2 at X = 2^(8w): n slots holding half a slot each."""
-    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
-
-
-def _from_slots(t, w):
-    """sum_i (t[i] mod X) X^i at X = 2^(8w), for -X/2 <= t[i] < X/2:
-    the w-byte two's complement slots of the t[i], lowest first."""
-    if w in _SIGNED:  # array holds native-order items
-        if sys.byteorder == "big":
-            t = t[::-1]
-        return int.from_bytes(array(_SIGNED[w], t).tobytes(), sys.byteorder)
-    return int.from_bytes(
-        b"".join(c.to_bytes(w, "little", signed=True) for c in t), "little")
-
-
-def _to_slots(u, n, w):
-    """The inverse of _from_slots: the n signed slots of 0 <= u < X^n."""
-    if w in _SIGNED:
-        t = array(_SIGNED[w], u.to_bytes(n * w, sys.byteorder))
-        return t[::-1] if sys.byteorder == "big" else t
-    b = u.to_bytes(n * w, "little")
-    return [int.from_bytes(b[i:i + w], "little", signed=True)
-            for i in range(0, n * w, w)]
-
-
 def _pack(p, shift, w):
     """The integer (z^-shift p)(X) at X = 2^(8w), for an int or
     LaurentPoly p with shift <= ord p and every |coefficient| < X/2."""
     if p.__class__ is int:
         return p << -8 * w * shift if p else 0
     t = p._t
-    if not t:
-        return 0
-    if len(t) == 1:
-        v = t[0]
-    else:
-        # flipping each slot's top bit adds X/2 to it, with no carry
-        b = _bias(len(t), w)
-        v = (_from_slots(t, w) ^ b) - b
-    return v << 8 * w * (p._s - shift)
-
-
-def _slot_width(bound):
-    """The least w = 1, 2, 4, 8, ... bytes with bound < X/2 = 2^(8w-1)."""
-    w = 1
-    while 8 * w <= bound.bit_length():
-        w *= 2
-    return w
+    return _kron(t, w) << 8 * w * (p._s - shift) if t else 0
 
 
 def _unpack(v, shift, w):
     """The inverse of _pack: z^shift q for the polynomial q with
     q(X) = v and every |coefficient| < X/2 (balanced base-X digits)."""
-    half = 1 << 8 * w - 1
-    if -half < v < half:
-        return LaurentPoly._dense(shift, (v,))
-    n = abs(v).bit_length() // (8 * w) + 1
-    b = _bias(n, w)
-    return LaurentPoly._dense(shift, _to_slots((v + b) ^ b, n, w))
+    return LaurentPoly._dense(shift, _digits(v, w))
 
 
 def _orders_and_norms(rows):

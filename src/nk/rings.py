@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
+from array import array
 
 #: Default number of retained exponents for series windows.
 DEFAULT_PRECISION = 32
@@ -349,7 +351,73 @@ def is_novikov_unit(p, direction=Direction.PLUS) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# kernels on ascending coefficient sequences (LaurentPoly._t), for gcd work
+# Kronecker packing: a coefficient sequence t as the integer t(X) at
+# X = 2^(8w), one w-byte slot per coefficient.  Shared with linalg.
+
+#: signed array typecodes by item size in bytes
+_SIGNED = {array(t).itemsize: t for t in "bhilq"}
+
+
+def _bias(n, w):
+    """sum_{i<n} X^i X/2 at X = 2^(8w): n slots holding half a slot each."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _from_slots(t, w):
+    """sum_i (t[i] mod X) X^i at X = 2^(8w), for -X/2 <= t[i] < X/2:
+    the w-byte two's complement slots of the t[i], lowest first."""
+    if w in _SIGNED:  # array holds native-order items
+        if sys.byteorder == "big":
+            t = t[::-1]
+        return int.from_bytes(array(_SIGNED[w], t).tobytes(), sys.byteorder)
+    return int.from_bytes(
+        b"".join(c.to_bytes(w, "little", signed=True) for c in t), "little")
+
+
+def _to_slots(u, n, w):
+    """The inverse of _from_slots: the n signed slots of 0 <= u < X^n."""
+    if w in _SIGNED:
+        t = array(_SIGNED[w], u.to_bytes(n * w, sys.byteorder))
+        return t[::-1] if sys.byteorder == "big" else t
+    b = u.to_bytes(n * w, "little")
+    return [int.from_bytes(b[i:i + w], "little", signed=True)
+            for i in range(0, n * w, w)]
+
+
+def _slot_width(bound):
+    """The least w = 1, 2, 4, 8, ... bytes with bound < X/2 = 2^(8w-1)."""
+    w = 1
+    while 8 * w <= bound.bit_length():
+        w *= 2
+    return w
+
+
+def _kron(t, w):
+    """The integer t(X) = sum_i t[i] X^i at X = 2^(8w), for a nonempty
+    sequence t with -X/2 <= t[i] < X/2."""
+    if len(t) == 1:
+        return t[0]
+    # flipping each slot's top bit adds X/2 to it, with no carry
+    b = _bias(len(t), w)
+    return (_from_slots(t, w) ^ b) - b
+
+
+def _digits(v, w):
+    """The inverse of _kron: the balanced base-X digits of the integer v,
+    lowest first, each -X/2 <= digit < X/2 (zero digits on top may
+    follow)."""
+    half = 1 << 8 * w - 1
+    if -half < v < half:
+        return (v,)
+    n = abs(v).bit_length() // (8 * w) + 1
+    b = _bias(n, w)
+    return _to_slots((v + b) ^ b, n, w)
+
+
+# ---------------------------------------------------------------------------
+# gcd and exact division on ascending coefficient sequences (LaurentPoly._t).
+# The gcd evaluates both operands at one X = 2^(8w) and takes one integer
+# gcd (GCDHEU); the pseudo-remainder sequence is its fallback only.
 
 
 def _dense_trim(a):
@@ -388,42 +456,9 @@ def _dense_divexact(a, b):
     return q
 
 
-_FILTER_PRIMES = (9973, 31337, 65537, 999983)
-
-
-def _coprime_mod_p(a, b):
-    """True when gcd over Q is provably 1: the gcd of the reductions
-    mod p has degree 0 for some p not dividing both leading coefficients
-    (degrees can only drop under reduction, never the gcd's)."""
-    for p in _FILTER_PRIMES:
-        if a[-1] % p == 0 or b[-1] % p == 0:
-            continue  # a leading coefficient vanishes: p is unusable
-        am = [x % p for x in a]
-        bm = [x % p for x in b]
-        while bm:
-            inv = pow(bm[-1], -1, p)
-            for k in range(len(am) - len(bm), -1, -1):
-                c = am[k + len(bm) - 1] * inv % p
-                if c:
-                    for j, y in enumerate(bm):
-                        am[k + j] = (am[k + j] - c * y) % p
-            _dense_trim(am)
-            am, bm = bm, am
-        return len(am) == 1
-    return False
-
-
-def _dense_gcd(a, b):
-    """Primitive gcd over Q of two nonzero integer coefficient lists.
-
-    A modular filter dispatches the common coprime case cheaply; the
-    primitive pseudo-remainder sequence handles real cancellation.
-    Result has positive leading coefficient.
-    """
-    a = _dense_primitive(list(a))
-    b = _dense_primitive(list(b))
-    if len(a) == 1 or len(b) == 1 or _coprime_mod_p(a, b):
-        return [1]
+def _prs_gcd(a, b):
+    """Primitive gcd over Q of two nonzero coefficient sequences, by the
+    primitive pseudo-remainder sequence; positive leading coefficient."""
     while b:
         # pseudo-remainder of a by b
         r = [x * b[-1] ** max(0, len(a) - len(b) + 1) for x in a]
@@ -435,6 +470,59 @@ def _dense_gcd(a, b):
         _dense_trim(r)
         a, b = b, (_dense_primitive(r) if r else [])
     return _dense_primitive(a)
+
+
+def _gcd_cofactors(a, b):
+    """(g, a/g, b/g) for g the primitive gcd over Q of two coefficient
+    sequences with nonzero ends, signed so that g(0) > 0; g is [1] when
+    they are coprime, and then a and b come back as they are.
+
+    The heuristic gcd of Char, Geddes and Gonnet (GCDHEU) on packed
+    integers.  Let p, q be the primitive parts and X = 2^(8w) with
+    max(|p|inf, |q|inf) < X/2, so X >= 2 min(|p|inf, |q|inf) + 2, the
+    bound of their theorem.  Every root of p has modulus below
+    1 + |p|inf <= X/2 (Cauchy), so a nonconstant divisor of p takes a
+    value above X/2 in modulus at X.  g(X) divides h = gcd(p(X), q(X)):
+
+    * h < X/2 shows that g = 1;
+    * otherwise let G be the balanced base-X digits of h.  If pp(G)
+      divides p and q, the same root bound shows pp(G) = g.  Each
+      cofactor is read off p(X) // pp(G)(X) (then times the content)
+      and certified by one packed product pp(G) * (p/pp(G)) = p, at a
+      slot width above the coefficients of both sides.
+
+    A failed check doubles w, which also widens the cofactors' slots
+    (their coefficients can exceed the inputs').  After three widths the
+    pseudo-remainder sequence and exact division answer instead.
+    """
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    p = a if ca == 1 else [x // ca for x in a]
+    q = b if cb == 1 else [x // cb for x in b]
+    w = _slot_width(max(max(p), -min(p), max(q), -min(q)))
+    for _ in range(3):
+        P, Q = _kron(p, w), _kron(q, w)
+        h = math.gcd(P, Q)
+        if h < 1 << 8 * w - 1:
+            return [1], a, b
+        G = _digits(h, w)  # h > 0 has no zero digit on top
+        c = math.gcd(*G) if G[0] > 0 else -math.gcd(*G)
+        g = [x // c for x in G]
+        gx, g1 = _kron(g, w), sum(map(abs, g))
+        out = [g]
+        for f, F, cf in ((p, P, ca), (q, Q, cb)):
+            d = _digits(F // gx, w)
+            # |g d|inf <= |g|_1 |d|inf, and |f|inf < X/2 at every v >= w
+            v = max(w, _slot_width(g1 * max(max(d), -min(d))))
+            if _kron(g, v) * _kron(d, v) != _kron(f, v):
+                break
+            out.append(d if cf == 1 else [cf * x for x in d])
+        else:
+            return out
+        w *= 2
+    g = _prs_gcd(p, q)
+    if g[0] < 0:
+        g = [-x for x in g]
+    return g, _dense_divexact(a, g), _dense_divexact(b, g)
 
 
 def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -467,6 +555,10 @@ class RationalFunction:
     support and fixing signs; it raises ``NotInRationalSubring``
     otherwise.  Because of Fatou's lemma this makes ``a / b`` a decision
     procedure for divisibility of rational elements inside Z((z)).
+
+    The gcd that cancels the common factor is ``_gcd_cofactors``: one
+    integer gcd of both parts evaluated at X = 2^(8w), with the two
+    quotients certified by packed products.
 
     Results that are canonical by construction skip the gcd and are
     wrapped as they are:
@@ -621,28 +713,19 @@ def _coerce_rational(x):
     return NotImplemented
 
 
-def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Primitive gcd over Q of the polynomial parts (monomials stripped),
-    with positive leading coefficient; 1 when either side is zero or a
-    monomial."""
-    if len(a._t) <= 1 or len(b._t) <= 1:
-        return ONE
-    return LaurentPoly._dense(0, _dense_gcd(a._t, b._t))
-
-
 def _cancel(a: LaurentPoly, b: LaurentPoly):
     """(a/g, b/g) for g the primitive gcd over Q of the polynomial parts,
-    signed so that g(0) > 0.  Any divisor g of an element of S then has
-    g(0) = 1, so a denominator stays in S.  Common integer content is
-    left to the constructor that follows."""
+    signed so that g(0) > 0, from ``_gcd_cofactors``.  Any divisor g of
+    an element of S then has g(0) = 1, so a denominator stays in S.
+    Common integer content is left to the constructor that follows."""
     if a == b and a:
         return ONE, ONE
-    g = _poly_gcd(a, b)
-    if g == ONE:
+    if len(a._t) <= 1 or len(b._t) <= 1:  # zero or a monomial
         return a, b
-    if g._t[0] < 0:
-        g = -g
-    return divexact(a, g), divexact(b, g)
+    g, x, y = _gcd_cofactors(a._t, b._t)
+    if len(g) == 1:
+        return a, b
+    return LaurentPoly._dense(a._s, x), LaurentPoly._dense(b._s, y)
 
 
 def _canonical(num: LaurentPoly, den: LaurentPoly):

@@ -17,7 +17,7 @@ from nk.rings import (
     reverse_variable,
     truncate_poly,
 )
-from nk.rings import _dense_gcd, _poly_gcd
+from nk.rings import _cancel, _gcd_cofactors
 
 from domains import random_denominator, random_laurent, random_rational, rng_for
 
@@ -346,8 +346,9 @@ def test_poly_gcd_monomial_side_matches_dense_gcd():
         p = random_laurent(rng, max_coeff=6)
         if p.is_zero:
             continue
-        dense = LaurentPoly(dict(enumerate(_dense_gcd(m._t, p._t))))
-        assert _poly_gcd(m, p) == _poly_gcd(p, m) == dense == one
+        assert _gcd_cofactors(m._t, p._t) == ([1], m._t, p._t)
+        assert _gcd_cofactors(p._t, m._t) == ([1], p._t, m._t)
+        assert _cancel(m, p) == (m, p) and _cancel(p, m) == (p, m)
 
 
 def test_division_as_divisibility_probe():
