@@ -259,16 +259,18 @@ def algebraic_novikov_complex(fd: AlgebraicFundamentalDomain, mode="exact",
         raise ValueError("truncated mode needs an order")
     diffs = {}
     for i in range(F.lo + 1, F.hi + 1):
-        acc = F.differential(i)
-        hd = fd.h_D_at(i - 1)
-        power = Matrix.identity(hd.rows)
-        c = fd.c_at(i)
-        hf = fd.h_F_at(i - 1)
-        for j in range(1, order + 1):
-            term = matmul(matmul(hf, power), c)
-            acc = acc + term.scaled(LaurentPoly({j: 1}))
+        # the coefficient of z^j, j = 0..order, one integer matrix each;
+        # every entry is then built once, in time linear in the order
+        d = F.differential(i)
+        hd, c = fd.h_D_at(i - 1), fd.c_at(i)
+        power = fd.h_F_at(i - 1)  # h_F h_D^(j-1)
+        terms = [d.entries]
+        for _ in range(order):
+            terms.append(matmul(power, c).entries)
             power = matmul(power, hd)
-        diffs[i] = acc
+        diffs[i] = Matrix(d.rows, d.cols, [
+            [LaurentPoly._dense(0, [t[r][k] for t in terms])
+             for k in range(d.cols)] for r in range(d.rows)])
     return TruncatedComplexPresentation(
         F.lo, F.hi, tuple(F.rank(i) for i in F.degrees()), diffs, order)
 

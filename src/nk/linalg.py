@@ -46,7 +46,6 @@ from .rings import (
     _digits,
     _kron,
     _slot_width,
-    divexact,
     is_novikov_unit,
     reverse_variable,
 )
@@ -216,10 +215,15 @@ def matrix_to_json(m: Matrix):
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Diagonalization certificate: U @ matrix @ V == diag(invariant_factors).
+    """Diagonalization certificate: U @ matrix @ V is diagonal, with
+    ``rank`` nonzero entries, leading.
 
-    ``invariant_factors`` are the nonzero diagonal entries, each dividing
-    the next.  Every reduction checks its factorization exactly before
+    Over Z, ``invariant_factors`` are those diagonal entries, positive,
+    each dividing the next.  Over the Novikov ring they are normalized
+    representatives of the ideals that the diagonal entries generate
+    (units normalize to 1), and in the MINUS direction "matrix" is the
+    variable-reversed input, the one ``novikov_diagonalize`` reduces.
+    Every reduction checks its factorization exactly before
     returning and raises when the check fails: over Z by integer
     products, over the Novikov ring by one Kronecker evaluation of each
     identity (``_product_is``).  U and V are shown invertible too: over
@@ -512,20 +516,25 @@ def _product_is(factors, target):
 def _laurent_rows(grid):
     """(rows, lcms): each row as LaurentPoly, multiplied by the lcm of its
     RationalFunction denominators (which does not change the rank over
-    Q(z)); the lcms lie in S, so they are Novikov units."""
+    Q(z)); the lcms lie in S, so they are Novikov units.  The lcm grows
+    by one ``_cancel`` per denominator d: with (x, y) = _cancel(d, den),
+    lcm(den, d) = den x, and its multiplier for d is y, while the
+    multipliers taken so far grow by x."""
     rows, lcms = [], []
     for row in grid:
-        den = ONE
-        for e in row:
+        den, mult = ONE, {}
+        for j, e in enumerate(row):
             if isinstance(e, RationalFunction) and not e.is_polynomial:
-                den = den * _cancel(e.denominator, den)[0]
-        if den is ONE:  # a polynomial row: nothing to clear
-            rows.append([e.numerator if isinstance(e, RationalFunction)
-                         else _coerce_poly(e) for e in row])
-        else:
-            rows.append([divexact(den, e.denominator) * e.numerator
-                         if isinstance(e, RationalFunction)
-                         else _coerce_poly(e) * den for e in row])
+                x, y = _cancel(e.denominator, den)
+                if x != ONE:
+                    den = den * x
+                    mult = {i: m * x for i, m in mult.items()}
+                mult[j] = y
+        nums = [e.numerator if isinstance(e, RationalFunction)
+                else _coerce_poly(e) for e in row]
+        if den is not ONE:  # a polynomial row has nothing to clear
+            nums = [mult.get(j, den) * p for j, p in enumerate(nums)]
+        rows.append(nums)
         lcms.append(den)
     return rows, lcms
 
@@ -696,10 +705,13 @@ def novikov_diagonalize(m: Matrix,
     Raises ``Inconclusive`` after ``REDUCTION_BUDGET`` elementary
     operations of the heuristic (read at call time).
     On success U A V == diag is checked exactly by one Kronecker
-    evaluation (``_product_is``), and the factors are reported as
+    evaluation (``_product_is``); A is m for PLUS and m with the
+    variable reversed for MINUS, so there U and V transform the
+    reversed matrix.  The factors are not the diagonal entries but
     normalized Laurent representatives (monomial stripped, extreme
-    coefficient positive; units normalize to 1) of f / D for each core
-    factor f, D the product of the Schur determinants and row lcms.
+    coefficient positive; units normalize to 1) of the ideals they
+    generate: of f / D for each core factor f, D the product of the
+    Schur determinants and row lcms, which is a Novikov unit.
     """
     grid = [list(row) for row in m.entries]
     if direction is Direction.MINUS:

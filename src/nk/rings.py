@@ -417,20 +417,7 @@ def _digits(v, w):
 # ---------------------------------------------------------------------------
 # gcd and exact division on ascending coefficient sequences (LaurentPoly._t).
 # The gcd evaluates both operands at one X = 2^(8w) and takes one integer
-# gcd (GCDHEU); the pseudo-remainder sequence is its fallback only.
-
-
-def _dense_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _dense_primitive(a):
-    g = math.gcd(*a)
-    if a[-1] < 0:
-        g = -g
-    return [x // g for x in a]
+# gcd (GCDHEU); exact division serves only the public divexact.
 
 
 def _dense_divexact(a, b):
@@ -456,22 +443,6 @@ def _dense_divexact(a, b):
     return q
 
 
-def _prs_gcd(a, b):
-    """Primitive gcd over Q of two nonzero coefficient sequences, by the
-    primitive pseudo-remainder sequence; positive leading coefficient."""
-    while b:
-        # pseudo-remainder of a by b
-        r = [x * b[-1] ** max(0, len(a) - len(b) + 1) for x in a]
-        for k in range(len(a) - len(b), -1, -1):
-            c = r[k + len(b) - 1] // b[-1]
-            if c:
-                for j, y in enumerate(b):
-                    r[k + j] -= c * y
-        _dense_trim(r)
-        a, b = b, (_dense_primitive(r) if r else [])
-    return _dense_primitive(a)
-
-
 def _gcd_cofactors(a, b):
     """(g, a/g, b/g) for g the primitive gcd over Q of two coefficient
     sequences with nonzero ends, signed so that g(0) > 0; g is [1] when
@@ -492,14 +463,21 @@ def _gcd_cofactors(a, b):
       slot width above the coefficients of both sides.
 
     A failed check doubles w, which also widens the cofactors' slots
-    (their coefficients can exceed the inputs').  After three widths the
-    pseudo-remainder sequence and exact division answer instead.
+    (their coefficients can exceed the inputs').  The loop ends: write
+    p = g pbar and q = g qbar.  A Bezout identity s pbar + t qbar = r
+    over Z[x], with r = Res(pbar, qbar) a nonzero integer, shows that
+    k = gcd(pbar(X), qbar(X)) divides r, and h = k |g(X)|.  Once
+    X > 2 |r| |g|inf and X > 2 max(|pbar|inf, |qbar|inf), the balanced
+    digits of h are exactly +-k g, so pp(G) = g, the quotients are
+    pbar(X) and qbar(X) with digits pbar and qbar, and both checks
+    pass.  Each doubling squares X, so the number of widths grows only
+    like the log log of that bound.
     """
     ca, cb = math.gcd(*a), math.gcd(*b)
     p = a if ca == 1 else [x // ca for x in a]
     q = b if cb == 1 else [x // cb for x in b]
     w = _slot_width(max(max(p), -min(p), max(q), -min(q)))
-    for _ in range(3):
+    while True:
         P, Q = _kron(p, w), _kron(q, w)
         h = math.gcd(P, Q)
         if h < 1 << 8 * w - 1:
@@ -519,10 +497,6 @@ def _gcd_cofactors(a, b):
         else:
             return out
         w *= 2
-    g = _prs_gcd(p, q)
-    if g[0] < 0:
-        g = [-x for x in g]
-    return g, _dense_divexact(a, g), _dense_divexact(b, g)
 
 
 def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

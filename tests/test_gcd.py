@@ -193,44 +193,64 @@ def test_a_false_candidate_is_refused():
     assert cofactors(p, q) == (ONE, p, q)
 
 
+DIGITS = rings._digits
+
+
+class WidthSpy:
+    """Stands in for ``rings._digits`` and records the slot widths that
+    one ``_gcd_cofactors`` call reads at.  It fails the test once the
+    call tries more than ``limit`` widths, so a route that never passes
+    its product check fails rather than loops, and it corrupts every
+    read at the first ``corrupt`` widths with an extra top digit."""
+
+    def __init__(self, limit, corrupt=0):
+        self.limit, self.corrupt, self.widths = limit, corrupt, []
+
+    def __call__(self, v, w):
+        if w not in self.widths:
+            self.widths.append(w)
+            assert len(self.widths) <= self.limit, \
+                f"no answer within {self.limit} widths: {self.widths}"
+        digits = DIGITS(v, w)
+        if len(self.widths) <= self.corrupt:
+            return [*digits, 1]
+        return digits
+
+    def cofactors(self, a, b):
+        self.widths.clear()
+        return cofactors(a, b)
+
+
 def test_cofactors_wider_than_the_inputs(monkeypatch):
     """(1 - z^200)^2 / (1 - z)^2 has the coefficient 200, past the 1-byte
     slots that the inputs' coefficients pick, so the first width fails
     its check and the next one, with wider slots for the cofactors,
-    answers without the pseudo-remainder sequence."""
+    answers: two widths, in both orders."""
     p = LaurentPoly({0: 1, 200: -1}) ** 2
     q = poly(1, -1) ** 2 * poly(2, 1)
     expected = reference(p, q)
     assert max(expected[1]._t) == 200
-
-    def unreachable(a, b):
-        raise AssertionError("pseudo-remainder fallback taken")
-
-    monkeypatch.setattr(rings, "_prs_gcd", unreachable)
-    assert cofactors(p, q) == expected
-    assert cofactors(q, p) == (expected[0], expected[2], expected[1])
+    spy = WidthSpy(limit=2)
+    monkeypatch.setattr(rings, "_digits", spy)
+    assert spy.cofactors(p, q) == expected
+    assert spy.widths == [1, 2]
+    assert spy.cofactors(q, p) == (expected[0], expected[2], expected[1])
+    assert spy.widths == [1, 2]
 
 
 def test_the_fallback_gives_the_same_answer(monkeypatch):
-    """With every base-X read corrupted by an extra top digit, no packed
-    check holds at any width, and the pseudo-remainder sequence with
-    exact division answers instead."""
-    digits, prs = rings._digits, rings._prs_gcd
-    fallbacks = []
-
-    def corrupted(v, w):
-        return [*digits(v, w), 1]
-
-    def counting(a, b):
-        fallbacks.append(1)
-        return prs(a, b)
-
+    """The wider widths are the only fallback: with every base-X read of
+    the first three widths corrupted by an extra top digit, no packed
+    check holds there, and the fourth width gives the reference
+    answer."""
     s = poly(-1, 2, 3)
     pairs = [(s * poly(1, 1) * 6, s * poly(3, -1)),
              (s * poly(2 ** 70, 1), s * s),
              (poly(1, -1) ** 3, poly(1, 0, -1))]
     expected = [reference(a, b) for a, b in pairs]
-    monkeypatch.setattr(rings, "_digits", corrupted)
-    monkeypatch.setattr(rings, "_prs_gcd", counting)
-    assert [cofactors(a, b) for a, b in pairs] == expected
-    assert len(fallbacks) == len(pairs)
+    spy = WidthSpy(limit=4, corrupt=3)
+    monkeypatch.setattr(rings, "_digits", spy)
+    for (a, b), want in zip(pairs, expected):
+        assert spy.cofactors(a, b) == want
+        w = spy.widths[0]
+        assert spy.widths == [w, 2 * w, 4 * w, 8 * w]

@@ -25,19 +25,69 @@ def laurent_matrices(draw):
                                for _ in range(rows)])
 
 
+def _factors(m, direction):
+    """(factors, result) of novikov_diagonalize; when the budget runs
+    out, the partial factors and None."""
+    try:
+        res = novikov_diagonalize(m, direction)
+    except Inconclusive as e:
+        return e.partial_factors, None
+    return res.invariant_factors, res
+
+
+def check_peel_against_the_heuristic(m, direction):
+    """The peeled route and the plain heuristic give the same ideals;
+    True when either ran out of budget.
+
+    Every finalized pivot divides what is left of the matrix, so it
+    generates that position's invariant-factor ideal, and the peeled
+    positions are units.  So the factors of a route that ran out of
+    budget still agree with the other route's over their common prefix.
+    """
+    peeled, res = _factors(m, direction)
+    if res is not None:
+        assert_diagonalizes(m, res, direction)
+    with mock.patch.object(linalg, "_schur_step", lambda *args: None):
+        plain, plain_res = _factors(m, direction)
+    if res is not None and plain_res is not None:
+        assert res.rank == plain_res.rank
+    assert all(associate(a, b, direction) for a, b in zip(peeled, plain))
+    return res is None or plain_res is None
+
+
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(laurent_matrices(), st.sampled_from(list(Direction)))
 def test_peel_agrees_with_the_heuristic_as_ideals(m, direction):
-    peeled = novikov_diagonalize(m, direction)
-    assert_diagonalizes(m, peeled, direction)
-    with mock.patch.object(linalg, "_schur_step", lambda *args: None):
-        try:
-            plain = novikov_diagonalize(m, direction)
-        except Inconclusive:
-            return
-    assert peeled.rank == plain.rank
-    assert all(associate(a, b, direction) for a, b in
-               zip(peeled.invariant_factors, plain.invariant_factors))
+    check_peel_against_the_heuristic(m, direction)
+
+
+def p(lo, *coeffs):
+    return LaurentPoly({lo + i: c for i, c in enumerate(coeffs)})
+
+
+#: two 4x4 matrices on which both routes run out of the default budget
+#: (after 2-3 s each)
+EXHAUSTING = [
+    (Matrix.from_rows([
+        [p(0, 2, -2, 3, 3), 0, p(1, -1), p(0, -3, 1)],
+        [p(-1, -2, 3, 1), p(0, 2, 3, 2), p(-1, -3, 1, -2, 1),
+         p(1, -1, -1, 2, 3)],
+        [0, 0, p(1, -3), p(1, 3, 0, -3)],
+        [p(1, 2, 3), 0, 0, p(1, 3)]]), Direction.PLUS),
+    (Matrix.from_rows([
+        [p(-1, -1, -3, -2, -3), p(0, 3, 3, -2), p(0, -1, -3, 2, 2),
+         p(0, -3, -2, 1)],
+        [p(0, -2, 1, 1, 2), p(-1, -3), 0, 0],
+        [p(0, 3, -2, -3, 2), p(2, 3), p(1, -2), p(1, 1, -3, -1, 2)],
+        [p(-1, 3, 0, -2), p(-1, -1, 0, 3), 0, p(1, -3)]]), Direction.MINUS),
+]
+
+
+@pytest.mark.parametrize("m, direction", EXHAUSTING, ids=["plus", "minus"])
+def test_routes_out_of_budget_agree_on_their_partial_factors(
+        monkeypatch, m, direction):
+    monkeypatch.setattr(linalg, "REDUCTION_BUDGET", 200)
+    assert check_peel_against_the_heuristic(m, direction)
 
 
 def test_a_matrix_that_does_not_peel_reaches_the_heuristic_as_it_is():
