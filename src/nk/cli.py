@@ -149,7 +149,10 @@ def _int_key(key, seen, path, what):
     """A degree or exponent key as an int, new among the ints in seen."""
     if not _INT_KEY.fullmatch(key):
         raise ParseError(path, f"{what} keys must be integers")
-    i = int(key)
+    try:
+        i = int(key)
+    except ValueError as exc:  # past Python's 4,300-digit limit
+        raise ParseError(path, f"{what} key: {exc}") from None
     if i in seen:
         raise ParseError(path, f"repeats {what} {i}")
     return i

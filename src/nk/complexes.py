@@ -168,10 +168,6 @@ class ChainMap:
         return f
 
 
-def identity_chain_map(c: BasedChainComplex) -> ChainMap:
-    return ChainMap(c, c, {i: Matrix.identity(c.rank(i)) for i in c.degrees()})
-
-
 def mapping_cone(f: ChainMap) -> BasedChainComplex:
     """cone(f)_i = source_{i-1} (+) target_i with differential
     [[-d_source, 0], [f, d_target]] (shifted source listed first)."""

@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rings import ONE, Z, LaurentPoly, RationalFunction, truncate_poly
+from .rings import ONE, Z, LaurentPoly, RationalFunction
 from .linalg import Matrix, matmul, matrix_to_json, solve_laurent
-from .complexes import BasedChainComplex, direct_sum
+from .complexes import BasedChainComplex
 
 
 class InvalidDomain(Exception):
@@ -225,15 +225,6 @@ class TruncatedComplexPresentation:
     rank = BasedChainComplex.rank
     differential = BasedChainComplex.differential
 
-    def d_squared_vanishes(self) -> bool:
-        for i in range(self.lo + 2, self.hi + 1):
-            prod = matmul(self.differential(i - 1), self.differential(i))
-            cut = prod.map_entries(
-                lambda e: truncate_poly(e, self.order))
-            if not cut.is_zero:
-                return False
-        return True
-
 
 def algebraic_novikov_complex(fd: AlgebraicFundamentalDomain, mode="exact",
                               order=None):
@@ -363,24 +354,3 @@ def torsion_zeta(fd: AlgebraicFundamentalDomain) -> ZetaFunction:
         else:
             den = den * det
     return ZetaFunction(RationalFunction(num, den))
-
-
-def direct_sum_domains(a: AlgebraicFundamentalDomain,
-                       b: AlgebraicFundamentalDomain) -> AlgebraicFundamentalDomain:
-    """Blockwise direct sum; all five identities are preserved."""
-    D = direct_sum(a.D, b.D)
-    F = direct_sum(a.F, b.F)
-    span = range(min(D.lo, F.lo) - 1, max(D.hi, F.hi) + 2)
-
-    def glue(at_a, at_b):
-        return {i: _diagonal(at_a(i), at_b(i)) for i in span}
-
-    return AlgebraicFundamentalDomain(
-        D, F, c=glue(a.c_at, b.c_at), h_D=glue(a.h_D_at, b.h_D_at),
-        h_F=glue(a.h_F_at, b.h_F_at))
-
-
-def _diagonal(m, n):
-    """The block matrix [[m, 0], [0, n]]."""
-    return Matrix.block([[m, None], [None, n]], row_sizes=[m.rows, n.rows],
-                        col_sizes=[m.cols, n.cols])

@@ -13,16 +13,18 @@ the homology computations run on:
   the polynomials.  Run forward it gives the rank over the function
   field Q(z), which is the free rank over the Novikov ring too; run
   Gauss-Jordan over [M | B] it gives det M and adj(M) B;
-* a diagonalization over Z((z)) (resp. Z((z^-1))) of Laurent-entry
-  matrices: Schur steps first peel off unit blocks exactly in
-  Z[z,z^-1], each packing its block, the rows of U and the columns of
-  V it updates once and doing all its products on integers; then a
-  pivoting heuristic reduces the core that is left.  No finite
-  algorithm for the core is known to the author to be complete; the
-  heuristic raises ``Inconclusive`` when its operation budget runs
-  out.  Its certificate, U A V = D and the Schur identities, is checked
-  exactly by evaluating both sides of each identity at one X = 2^(8w)
-  (``_product_is``), without Laurent products.
+* a diagonalization over Z((z)) (resp. Z((z^-1))) of matrices over the
+  rational subring: the rows are cleared of denominators once, by lcms
+  that are Novikov units, and everything after stays in Z[z,z^-1].
+  Schur steps first peel off unit blocks, each packing its block, the
+  rows of U and the columns of V it updates once and doing all its
+  products on integers; then a fraction-free pivoting heuristic reduces
+  the core that is left.  No finite algorithm for the core is known to
+  the author to be complete; the heuristic raises ``Inconclusive`` when
+  its operation budget runs out.  Its certificate, U (Lambda A) V = D
+  and the Schur identities, is always a Laurent identity, checked
+  exactly by evaluating both sides at one X = 2^(8w) (``_product_is``),
+  without Laurent products.
 
 Matrix entries are plain ints, LaurentPoly, or RationalFunction; the
 arithmetic never leaves exact integer/rational-coefficient land.
@@ -30,7 +32,6 @@ arithmetic never leaves exact integer/rational-coefficient land.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -471,8 +472,8 @@ def _product_is(factors, target):
     largest coefficient of the target less than X/2.  The difference of
     the two sides then vanishes iff its value at X does, so one product
     of integer matrices decides the identity.  A target entry of order
-    below sum_i s_i rules it out at once.  A non-polynomial
-    RationalFunction entry sends the check to ``matmul``.
+    below sum_i s_i rules it out at once.  Entries are ints and
+    LaurentPoly: every certificate of this module is a Laurent identity.
     """
     for a, b in zip(factors, factors[1:]):
         if a.cols != b.rows:
@@ -480,14 +481,7 @@ def _product_is(factors, target):
                 f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if (factors[0].rows, factors[-1].cols) != (target.rows, target.cols):
         return False
-    mats = []
-    for m in (*factors, target):
-        rows = [[_lower(e) if e.__class__ is RationalFunction else e
-                 for e in row] for row in m.entries]
-        if any(e.__class__ is RationalFunction for row in rows for e in row):
-            return functools.reduce(matmul, factors) == target
-        mats.append(rows)
-    *mats, goal = mats
+    mats, goal = [m.entries for m in factors], target.entries
     shifts, bound = [], 1
     for m in mats:
         rows = _orders_and_norms(m)
@@ -570,32 +564,30 @@ def solve_laurent(m: Matrix, b: Matrix):
 # diagonalization over the Novikov ring
 
 
-def _rat(e):
-    if isinstance(e, RationalFunction):
-        return e
-    return RationalFunction(e)
-
-
 class _OutOfBudget(Exception):
     pass
 
 
 class _Reduction:
-    """Mutable elimination state over S^-1 Z[z,z^-1]: A, the rows U of
-    the row transform it updates and the columns of the column transform,
-    kept as the rows Vt.
+    """Mutable elimination state over Z[z,z^-1]: A, the rows U of the row
+    transform it updates and the columns of the column transform, kept
+    as the rows Vt, all Laurent; ``unit`` is the product of the
+    multipliers s that ``add`` has applied, a Novikov unit.
 
     Every operation acts on rows of A and U.  ``transpose()`` turns A
     into A^T and swaps U with Vt, so a column operation is the row
-    operation of the same name between two transposes.
+    operation of the same name between two transposes.  Each operation
+    has determinant +-z^k s with s in S, so U and V stay invertible over
+    the Novikov ring.
     """
 
     def __init__(self, grid, nc, U, Vt, budget):
-        self.A = [[_rat(e) for e in row] for row in grid]
+        self.A = [list(row) for row in grid]
         self.nr, self.nc = len(grid), nc
-        self.U = [[_rat(e) for e in row] for row in U]
-        self.Vt = [[_rat(e) for e in row] for row in Vt]
+        self.U = [list(row) for row in U]
+        self.Vt = [list(row) for row in Vt]
         self.left = budget
+        self.unit = ONE
 
     def _spend(self):
         self.left -= 1
@@ -607,9 +599,13 @@ class _Reduction:
         self.nr, self.nc = self.nc, self.nr
         self.U, self.Vt = self.Vt, self.U
 
-    def add(self, i, j, q):  # row_i += q*row_j
+    def add(self, i, j, q, s=1):  # row_i <- s*row_i + q*row_j
         self._spend()
+        if s != 1:
+            self.unit = self.unit * s
         for mat in (self.A, self.U):
+            if s != 1:
+                mat[i] = [s * e for e in mat[i]]
             dst, src = mat[i], mat[j]
             for k, e in enumerate(src):
                 if e:
@@ -644,10 +640,11 @@ def _on_columns(step, red, *args):
 
 
 def _try_div(a, p):
-    """a/p inside S^-1 Z[z,z^-1], or None: the exact Z((z)) divisibility
-    test for rational elements (Fatou)."""
+    """a/p for Laurent polynomials a and p as a RationalFunction n/s in
+    lowest terms, s in S, or None when it leaves S^-1 Z[z,z^-1]: the
+    exact Z((z)) divisibility test (Fatou)."""
     try:
-        return a / p
+        return RationalFunction(a, p)
     except NotInRationalSubring:
         return None
 
@@ -659,21 +656,20 @@ def associate(a, b, direction=Direction.PLUS) -> bool:
     """
     if direction is Direction.MINUS:
         a, b = reverse_variable(a), reverse_variable(b)
-    a, b = RationalFunction(a), RationalFunction(b)
     return _try_div(a, b) is not None and _try_div(b, a) is not None
 
 
 def _select_pivot(A, t, nr, nc):
     """Unit entries first (they resolve a pivot position outright),
-    then minimal (order, |extreme coefficient|)."""
+    then minimal (order, |lowest coefficient|)."""
     best = None
     key = None
     for i in range(t, nr):
         for j in range(t, nc):
             e = A[i][j]
             if e:
-                lc = abs(e.extreme_coeff())
-                k = (lc != 1, e.series_ord(), lc)
+                lc = abs(e.lowest_coeff())
+                k = (lc != 1, e.ord(), lc)
                 if key is None or k < key:
                     best, key = (i, j), k
     return best
@@ -683,46 +679,50 @@ def novikov_diagonalize(m: Matrix,
                         direction=Direction.PLUS) -> SNFResult:
     """Diagonalize a Laurent-entry matrix over Z((z)) / Z((z^-1)).
 
-    Strategy: Schur steps (``_schur_step``) first peel off unit blocks,
-    exactly in Z[z,z^-1], while the constant terms of the row-shifted
-    matrix have gcd 1.  Only the core that is left goes to a pivoting
-    heuristic whose working entries live in the rational subring.  Unit
-    entries (extreme coefficient +-1, on the chosen side) are taken as
-    pivots first -- a unit divides every entry of the subring, so the
-    exact clears empty its row and column, finishing a position
-    outright; otherwise the pivot minimizes (order, |extreme
-    coefficient|).  Non-unit pivots remove their row and column by
-    exact rational division whenever the
+    Strategy: the rows are cleared of denominators once (``_laurent_rows``:
+    Lambda A, Lambda the diagonal of the row lcms, which lie in S), so
+    everything after works on Laurent polynomials.  Schur steps
+    (``_schur_step``) first peel off unit blocks, exactly in Z[z,z^-1],
+    while the constant terms of the row-shifted matrix have gcd 1.  Only
+    the core that is left goes to a pivoting heuristic.  Unit entries
+    (lowest coefficient +-1) are taken as pivots first -- a unit divides
+    every entry of the rational subring, so the exact clears empty its
+    row and column, finishing a position outright; otherwise the pivot
+    minimizes (order, |lowest coefficient|).  Non-unit pivots remove
+    their row and column by fraction-free exact clears whenever the
     quotient stays in the subring (Fatou's criterion), by order-raising
-    monomial subtractions when the extreme coefficient divides, and by
+    monomial subtractions when the lowest coefficient divides, and by
     integer Bezout mixes at matched order otherwise (the pivot line is
     first lifted by a monomial; mixing lines anchored at different
     orders would let the minimal order of the submatrix drift).  Every
     finalized pivot divides the remaining submatrix, so the invariant
     factors come out in a divisibility chain.  The Schur steps and the
-    heuristic write into one U and one V.
+    heuristic write into one U and one V, both Laurent.
 
     Raises ``Inconclusive`` after ``REDUCTION_BUDGET`` elementary
     operations of the heuristic (read at call time).
-    On success U A V == diag is checked exactly by one Kronecker
-    evaluation (``_product_is``); A is m for PLUS and m with the
-    variable reversed for MINUS, so there U and V transform the
+    On success U' (Lambda A) V == diag is checked exactly by one
+    Kronecker evaluation (``_product_is``), and Lambda A entrywise
+    against A, and U = U' Lambda is returned; A is m for PLUS and m with
+    the variable reversed for MINUS, so there U and V transform the
     reversed matrix.  The factors are not the diagonal entries but
-    normalized Laurent representatives (monomial stripped, extreme
+    normalized Laurent representatives (monomial stripped, lowest
     coefficient positive; units normalize to 1) of the ideals they
-    generate: of f / D for each core factor f, D the product of the
-    Schur determinants and row lcms, which is a Novikov unit.
+    generate: of f / D for each core factor f, D the product of the row
+    lcms, the Schur determinants and the multipliers of the exact
+    clears, which is a Novikov unit.
     """
     grid = [list(row) for row in m.entries]
     if direction is Direction.MINUS:
         grid = [[reverse_variable(e) for e in row] for row in grid]
     nr, nc = m.rows, m.cols
+    cleared, lcms = _laurent_rows(grid)
     U, V = _ident(nr), _ident(nc)
-    # U @ grid @ V == diag(peeled) (+) scale * core
-    core, peeled, scale, D = grid, [], ONE, ONE
+    # U @ cleared @ V == diag(peeled) (+) scale * core
+    core, peeled, scale, D = cleared, [], ONE, math.prod(lcms, start=ONE)
     while step := _schur_step(core, U, V, len(peeled)):
-        k, det, units, core = step
-        scale, D = scale * det, D * units
+        k, det, core = step
+        scale, D = scale * det, D * det
         peeled += [scale] * k
     t = len(peeled)
     # the heuristic acts on rows t.. of U and columns t.. of V
@@ -731,8 +731,9 @@ def novikov_diagonalize(m: Matrix,
 
     def factors():
         # transposing keeps the diagonal, so red.A may be either way round
-        return [ONE] * t + [_factor_rep(red.A[j][j] * RationalFunction(
-            ONE, D), direction) for j in range(s)]
+        den = D * red.unit
+        return [ONE] * t + [_factor_rep(RationalFunction(red.A[j][j], den),
+                                        direction) for j in range(s)]
 
     try:
         while s < min(red.nr, red.nc):
@@ -745,30 +746,43 @@ def novikov_diagonalize(m: Matrix,
                            f"elementary operations", factors())
 
     A = red.A
-    U = Matrix(nr, nr, U[:t] + [[_lower(e) for e in row] for row in red.U])
-    V = Matrix(nc, nc, [row[:t] + [_lower(col[i]) for col in red.Vt]
+    U = Matrix(nr, nr, U[:t] + red.U)
+    V = Matrix(nc, nc, [row[:t] + [col[i] for col in red.Vt]
                         for i, row in enumerate(V)])
     values = peeled + [scale * A[j][j] for j in range(s)]
     diag = Matrix(nr, nc, [[values[i] if i == j and i < len(values) else 0
                             for j in range(nc)] for i in range(nr)])
-    if not _product_is([U, Matrix(nr, nc, grid), V], diag):
+    if not (_is_cleared(grid, cleared, lcms) and _product_is(
+            [U, Matrix(nr, nc, cleared), V], diag)):
         raise AssertionError("novikov diagonalization self-check failed")
     for j in range(s - 1):
         if _try_div(A[j + 1][j + 1], A[j][j]) is None:  # pragma: no cover
             raise AssertionError("divisibility chain broken")
+    U = Matrix(nr, nr, [[e if d is ONE else d * e for e, d in zip(row, lcms)]
+                        for row in U.entries])
     return SNFResult(tuple(factors()), t + s, U, V)
 
 
-def _schur_step(W, U, V, t):
-    """One Schur step on the core W, rows and columns t.. of the matrix
-    that U and V transform; None if nothing peels.
+def _is_cleared(grid, rows, lcms):
+    """Is the Laurent matrix rows = Lambda grid, Lambda = diag(lcms), with
+    every lcm a Novikov unit?  Entrywise, row_ij den(a_ij) = lcm_i
+    num(a_ij) for each entry a_ij of grid."""
+    return all(
+        is_novikov_unit(d) and all(
+            e * a.denominator == d * a.numerator
+            if a.__class__ is RationalFunction else e == d * a
+            for a, e in zip(row, cleared))
+        for row, cleared, d in zip(grid, rows, lcms))
 
-    The row orders and constant terms A(0) are read off the numerators:
-    clearing a row by the lcm of its denominators, which have order 0
-    and constant term 1, changes neither.  When A(0) has gcd 1, the
-    integer SNF U0 A(0) V0 has k >= 1 factors 1.  R clears each row by
-    its lcm and shifts it to order 0, so A = U0 R W V0 has A11(0) = I_k
-    and det = det A11 is a Novikov unit (Nakayama).  One Gauss-Jordan
+
+def _schur_step(W, U, V, t):
+    """One Schur step on the Laurent core W, rows and columns t.. of the
+    matrix that U and V transform; None if nothing peels.
+
+    When the constant terms A(0) of the rows shifted to order 0 have gcd
+    1, the integer SNF U0 A(0) V0 has k >= 1 factors 1.  R shifts each
+    row to order 0, so A = U0 R W V0 has A11(0) = I_k and det = det A11
+    is a Novikov unit (Nakayama).  One Gauss-Jordan
     pass over [A11 | I | A12] gives det, adj = adj A11 and X = adj A12,
     and with S = det A22 - A21 X, a Laurent matrix,
 
@@ -779,7 +793,7 @@ def _schur_step(W, U, V, t):
     [[adj, 0], [-A21 adj, det I]] U0 R, and columns t.. of V on the
     right by the column transform V0 [[I, -X], [0, det I]], in place.
 
-    The step packs once: the rows of R W, the rows of R U[t:] and the
+    The step packs once: the rows of W, the rows of U[t:] and the
     columns V[:, t:], each block by its own shift, at one X = 2^(8w),
     and does every product above on integers.  Every value it unpacks
     is a minor of [A | U0 R U[t:]] (S, adj and X, the new rows of U),
@@ -788,39 +802,32 @@ def _schur_step(W, U, V, t):
     rows' 1-norms, bounded through |U0| and |V0|, is below X/2.  The
     identity A11 [adj | X] = det [I | A12] is checked on the unpacked
     values by ``_product_is``, which takes its own width from them.
-    Returns (k, det, det * lcms, S).
+    Returns (k, det, S).
     """
     nr, nc = len(W), len(V) - t
-    nums = [[_coerce_poly(e.numerator if e.__class__ is RationalFunction
-                          else e) for e in row] for row in W]
-    ords = [lo or 0 for lo, _ in _orders_and_norms(nums)]
+    rw = _orders_and_norms(W)
+    ords = [lo or 0 for lo, _ in rw]
     a0 = Matrix(nr, nc, [[p.coeff(o) for p in row]
-                         for row, o in zip(nums, ords)])
+                         for row, o in zip(W, ords)])
     if math.gcd(*(x for row in a0.entries for x in row)) != 1:
         return None
-    rows, lcms = _laurent_rows(W)
     snf = smith_normal_form_int(a0)
     k = snf.invariant_factors.count(1)
     u0, v0 = snf.U.entries, snf.V.entries
-    # the slot width, from the row 1-norms of R W, R U[t:] and V[:, t:]
+    # the slot width, from the row 1-norms of W, U[t:] and V[:, t:]
     ru = _orders_and_norms(U[t:])
     rv = _orders_and_norms([row[t:] for row in V])
-    nw = [norm for _, norm in _orders_and_norms(rows)]
-    nd = [norm * sum(map(abs, d._t)) for (_, norm), d in zip(ru, lcms)]
+    nw = [norm for _, norm in rw]
+    nu = [norm for _, norm in ru]
     v0n = max(sum(map(abs, row)) for row in v0)
     w = _slot_width(math.prod(
         max(1, v0n * sum(abs(x) * y for x, y in zip(row, nw))
-            + sum(abs(x) * y for x, y in zip(row, nd))) for row in u0)
+            + sum(abs(x) * y for x, y in zip(row, nu))) for row in u0)
         * max(1, v0n * max(norm for _, norm in rv)))
     su = min(lo - o for (lo, _), o in zip(ru, ords) if lo is not None)
     sv = min(lo for lo, _ in rv if lo is not None)
-    packed = []
-    for row, o, d, u in zip(rows, ords, lcms, U[t:]):
-        pu = [_pack(e, su + o, w) for e in u]
-        if d is not ONE:
-            dv = _pack(d, 0, w)
-            pu = [dv * x for x in pu]
-        packed.append([_pack(e, o, w) for e in row] + pu)
+    packed = [[_pack(e, o, w) for e in row] + [_pack(e, su + o, w) for e in u]
+              for row, o, u in zip(W, ords, U[t:])]
     # U0 R [W | U[t:]]: A before V0, and the rows of U to update
     P = _imul(u0, packed)
     A = _imul([row[:nc] for row in P], v0)
@@ -855,12 +862,7 @@ def _schur_step(W, U, V, t):
         row[t:] = [_unpack(v, sv, w) for v in new1[:k] + new2]
     s = [[_unpack(v, 0, w) for v in row]
          for row in minus([row[k:] for row in A[k:]], a21, x)]
-    return k, unit, math.prod(lcms, start=unit), s
-
-
-def _lower(e):
-    """A polynomial RationalFunction as its LaurentPoly numerator."""
-    return e.numerator if e.is_polynomial else e
+    return k, unit, s
 
 
 def _reduce_pivot(red, t):
@@ -869,11 +871,11 @@ def _reduce_pivot(red, t):
         red.swap(t, i)
         _on_columns(_Reduction.swap, red, t, j)
         p = red.A[t][t]
-        # exact rational clears; a unit divides every entry, so a unit
-        # pivot is done after them, with no scan of the submatrix left
+        # exact clears; a unit divides every entry, so a unit pivot is
+        # done after them, with no scan of the submatrix left
         _on_columns(_clear, red, t, p)
         _clear(red, t, p)
-        if p.is_unit():
+        if is_novikov_unit(p):
             return
         A = red.A
         stuck_col = next((j for j in range(t + 1, red.nc) if A[t][j]), None)
@@ -894,15 +896,18 @@ def _reduce_pivot(red, t):
 
 
 def _clear(red, t, p):
-    """Clear the pivot column below row t: each entry that the pivot p
+    """Clear the pivot column below row t: each entry a that the pivot p
     divides in the rational subring, which is every entry when p is a
-    unit.  Rows above t are already zero there."""
+    unit.  The clear is fraction-free: with a/p = n/s in lowest terms
+    (s in S, so a Novikov unit), row_i <- s row_i - n row_t, and the
+    ``unit`` of the reduction takes the factor s.  Rows above t are
+    already zero there."""
     A = red.A
     for i in range(t + 1, red.nr):
         if A[i][t]:
             q = _try_div(A[i][t], p)
             if q is not None:
-                red.add(i, t, -q)
+                red.add(i, t, -q.numerator, q.denominator)
 
 
 def _attack(red, t, pos):
@@ -919,14 +924,14 @@ def _attack(red, t, pos):
     A = red.A
     p = A[t][t]
     a = A[pos][t]
-    k, c = p.series_ord(), p.extreme_coeff()
-    l, d = a.series_ord(), a.extreme_coeff()
+    k, c = p.ord(), p.lowest_coeff()
+    l, d = a.ord(), a.lowest_coeff()
     if d % c == 0:
-        # kill the extreme term; raises ord(a).  If this could go on
+        # kill the lowest term; raises ord(a).  If this could go on
         # forever the full quotient would be an integer series, i.e.
         # rational-subring divisible, and the exact clear would have
         # fired instead.
-        red.add(pos, t, RationalFunction(LaurentPoly({l - k: -(d // c)})))
+        red.add(pos, t, LaurentPoly({l - k: -(d // c)}))
         return
     # lift the pivot line to order l, then run the integer Bezout mix at
     # equal order: the new pivot-position entry has extreme coefficient
@@ -934,8 +939,8 @@ def _attack(red, t, pos):
     g = math.gcd(c, d)
     x, y = _bezout(c, d)
     if l > k:
-        red.scale(t, _rat(LaurentPoly({l - k: 1})))
-    red.mix(t, pos, _rat(x), _rat(y), _rat(d // g), _rat(c // g))
+        red.scale(t, LaurentPoly({l - k: 1}))
+    red.mix(t, pos, x, y, d // g, c // g)
 
 
 def _bezout(a, b):

@@ -244,17 +244,6 @@ class LaurentPoly:
             out = out * self
         return out
 
-    def evaluate(self, x):
-        """The value at x, exact: a Fraction when an exponent is negative.
-
-        >>> LaurentPoly({-1: 1, 0: 2}).evaluate(3)
-        Fraction(7, 3)
-        """
-        if self._s < 0:
-            from fractions import Fraction
-            x = Fraction(x)
-        return sum(n * x**j for j, n in self.items())
-
     def pretty(self, var="z"):
         """Human-readable form, ascending exponents: '1 - 2*z'."""
         if not self._t:
@@ -415,32 +404,8 @@ def _digits(v, w):
 
 
 # ---------------------------------------------------------------------------
-# gcd and exact division on ascending coefficient sequences (LaurentPoly._t).
-# The gcd evaluates both operands at one X = 2^(8w) and takes one integer
-# gcd (GCDHEU); exact division serves only the public divexact.
-
-
-def _dense_divexact(a, b):
-    """a // b when b | a over Q and the quotient is integral; else None.
-
-    Integer long division from the top: an integral quotient makes every
-    step exact, so the first inexact step or a nonzero remainder
-    answers None.
-    """
-    r = list(a)
-    lb, lead = len(b), b[-1]
-    q = [0] * max(0, len(a) - lb + 1)
-    for k in range(len(a) - lb, -1, -1):
-        c, rem = divmod(r[k + lb - 1], lead)
-        if rem:
-            return None
-        q[k] = c
-        if c:
-            for j, y in enumerate(b):
-                r[k + j] -= c * y
-    if any(r[:lb - 1]):
-        return None
-    return q
+# gcd on ascending coefficient sequences (LaurentPoly._t): both operands
+# evaluated at one X = 2^(8w) and one integer gcd (GCDHEU).
 
 
 def _gcd_cofactors(a, b):
@@ -497,20 +462,6 @@ def _gcd_cofactors(a, b):
         else:
             return out
         w *= 2
-
-
-def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division in Z[z,z^-1]; raises ValueError when b does not divide a."""
-    b = _coerce_poly(b)
-    a = _coerce_poly(a)
-    if b.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return ZERO
-    q = _dense_divexact(a._t, b._t)
-    if q is None:
-        raise ValueError("not divisible in Z[z,z^-1]")
-    return LaurentPoly._dense(a._s - b._s, q)
 
 
 class RationalFunction:
@@ -775,10 +726,6 @@ class TruncatedSeries:
     @property
     def precision(self):
         return self.cutoff - self.lowest - 1
-
-    @property
-    def is_zero_window(self):
-        return not self._p
 
     def coeff(self, j):
         if j >= self.cutoff:

@@ -96,7 +96,8 @@ def assert_diagonalizes(m, res, direction=None):
     else:
         flip = (reverse_variable if direction is Direction.MINUS
                 else (lambda e: e))
-        m2 = m.map_entries(lambda e: RationalFunction(flip(e)))
+        m2 = m.map_entries(lambda e: flip(e) if isinstance(e, RationalFunction)
+                           else RationalFunction(flip(e)))
         prod = matmul(matmul(res.U, m2), res.V).entries
         assert all(not prod[i][j] for i in range(m.rows)
                    for j in range(m.cols) if i != j)
@@ -107,6 +108,50 @@ def assert_diagonalizes(m, res, direction=None):
                                       _laurent_rows(t.entries)[0]),
                                Matrix.zeros(t.rows, 0))
         assert det in (1, -1) if direction is None else is_novikov_unit(det)
+
+
+def _dense_divexact(a, b):
+    """a // b when b | a over Q and the quotient is integral; else None.
+
+    Integer long division from the top: an integral quotient makes every
+    step exact, so the first inexact step or a nonzero remainder
+    answers None.
+    """
+    r = list(a)
+    lb, lead = len(b), b[-1]
+    q = [0] * max(0, len(a) - lb + 1)
+    for k in range(len(a) - lb, -1, -1):
+        c, rem = divmod(r[k + lb - 1], lead)
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+    if any(r[:lb - 1]):
+        return None
+    return q
+
+
+def divexact(a, b):
+    """Exact division in Z[z,z^-1], by integer long division: the
+    reference division of the gcd, Bareiss and Laurent tests.  Raises
+    ValueError when b does not divide a."""
+    a, b = (LaurentPoly({0: x}) if isinstance(x, int) else x for x in (a, b))
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero:
+        return LaurentPoly()
+    q = _dense_divexact(*([p.coeff(j) for j in range(p.ord(), p.deg() + 1)]
+                          for p in (a, b)))
+    if q is None:
+        raise ValueError("not divisible in Z[z,z^-1]")
+    return LaurentPoly({a.ord() - b.ord() + i: c for i, c in enumerate(q)})
+
+
+def is_zero_window(w):
+    """Is the TruncatedSeries w known to vanish below its cutoff?"""
+    return not w.coeffs
 
 
 def random_int_matrix(rng, rows, cols, max_coeff=2):

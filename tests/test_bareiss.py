@@ -9,7 +9,9 @@ import pytest
 
 from nk import linalg
 from nk.linalg import _bareiss
-from nk.rings import ONE, LaurentPoly, divexact
+from nk.rings import ONE, LaurentPoly
+
+from domains import divexact
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

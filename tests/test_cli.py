@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from nk.rings import Direction
+from nk.rings import Direction, LaurentPoly
+from nk.linalg import associate
 from nk.novikov import NovikovReport, novikov_homology
 from nk.cli import (
     MAX_PRECISION,
@@ -229,6 +230,21 @@ def test_integers_past_the_digit_limit_exit_2(tmp_path, capsys, slot):
                         "$")
     assert main(["run", str(tmp_path / "bad.json")]) == 2
     assert "error: $: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("position", ["exponent", "degree"])
+def test_keys_past_the_digit_limit_exit_2_at_their_path(tmp_path, capsys,
+                                                        position):
+    key = "1" * 5000
+    if position == "exponent":
+        text = _novikov_entry({"0": 1, key: 1})
+        path = f"$.payload.complex.differentials.1[0][0].{key}"
+    else:
+        text = job("novikov", {"complex": {
+            "lo": 0, "hi": 1, "ranks": [1, 1], "differentials": {key: [[2]]}}})
+        path = f"$.payload.complex.differentials.{key}"
+    _rejected_with_path(tmp_path, capsys, text, path)
+    assert main(["run", str(tmp_path / "bad.json")]) == 2
 
 
 # Documents that name a block the runners use over Z with a Laurent entry,
@@ -472,7 +488,11 @@ def test_fundomain_minus_reads_the_cone():
     report = run(doc, direction="minus", oracle=True)
     assert report.exit_code == 0
     nov = report.data["novikov"]
-    assert nov["torsion"]["1"] == [{"0": 1, "1": 3, "2": 2}]  # 1 + 3z + 2z^2
+    assert nov["torsion"]["1"] == [{"0": 1, "1": 2}]  # 1 + 2z
+    # the same ideal as 1 + 3z + 2z^2 = (1 + z)(1 + 2z): 1 + z is a unit
+    # of Z((z^-1))
+    assert associate(LaurentPoly({0: 1, 1: 2}),
+                     LaurentPoly({0: 1, 1: 3, 2: 2}), Direction.MINUS)
     assert nov["torsion"]["2"] == [{"0": 1, "1": 2}]  # 1 + 2z
     assert nov == novikov_homology(doc.payload["domain"].cone,
                                    Direction.MINUS).to_json()

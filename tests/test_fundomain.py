@@ -12,14 +12,13 @@ from nk.rings import (
     truncate_poly,
 )
 from nk.linalg import Matrix, matmul
-from nk.complexes import BasedChainComplex, validate_complex
+from nk.complexes import BasedChainComplex, direct_sum, validate_complex
 from nk.fundomain import (
     AlgebraicFundamentalDomain,
     InvalidDomain,
     algebraic_novikov_complex,
     assemble_mapping_cone,
     cokernel_iso_check,
-    direct_sum_domains,
     torsion_zeta,
     validate_fundamental_domain,
 )
@@ -230,10 +229,20 @@ def test_exact_mode_d_squared_identically():
         assert validate_complex(fhat) is None
 
 
+def d_squared_vanishes(trunc):
+    """Does d o d of a truncated F^ vanish through its series order?"""
+    for i in range(trunc.lo + 2, trunc.hi + 1):
+        prod = matmul(trunc.differential(i - 1), trunc.differential(i))
+        cut = prod.map_entries(lambda e: truncate_poly(e, trunc.order))
+        if not cut.is_zero:
+            return False
+    return True
+
+
 def test_truncated_mode_d_squared_through_order():
     for fd in CORPUS[:30]:
         trunc = algebraic_novikov_complex(fd, "truncated", order=8)
-        assert trunc.d_squared_vanishes()
+        assert d_squared_vanishes(trunc)
 
 
 # --- cokernel identification -------------------------------------------------------------
@@ -270,6 +279,27 @@ def test_zeta_degree_one_inverts():
     fd = AlgebraicFundamentalDomain(D, F, c={},
                                     h_D={1: Matrix.from_rows([[2]])}, h_F={})
     assert torsion_zeta(fd).value == RationalFunction(one, one - 2 * z)
+
+
+def direct_sum_domains(a, b):
+    """Blockwise direct sum of two domains; all five identities are
+    preserved."""
+    D = direct_sum(a.D, b.D)
+    F = direct_sum(a.F, b.F)
+    span = range(min(D.lo, F.lo) - 1, max(D.hi, F.hi) + 2)
+
+    def glue(at_a, at_b):
+        return {i: _diagonal(at_a(i), at_b(i)) for i in span}
+
+    return AlgebraicFundamentalDomain(
+        D, F, c=glue(a.c_at, b.c_at), h_D=glue(a.h_D_at, b.h_D_at),
+        h_F=glue(a.h_F_at, b.h_F_at))
+
+
+def _diagonal(m, n):
+    """The block matrix [[m, 0], [0, n]]."""
+    return Matrix.block([[m, None], [None, n]], row_sizes=[m.rows, n.rows],
+                        col_sizes=[m.cols, n.cols])
 
 
 def test_zeta_multiplicative_under_direct_sum():

@@ -11,7 +11,9 @@ import math
 import pytest
 
 from nk import rings
-from nk.rings import ONE, LaurentPoly, _cancel, _gcd_cofactors, divexact
+from nk.rings import ONE, LaurentPoly, _cancel, _gcd_cofactors
+
+from domains import divexact
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

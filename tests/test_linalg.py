@@ -8,7 +8,8 @@ import pytest
 
 from nk import linalg
 from nk.cli import parse_document
-from nk.rings import Direction, LaurentPoly, RationalFunction, reverse_variable
+from nk.rings import (Direction, LaurentPoly, RationalFunction,
+                      is_novikov_unit, reverse_variable)
 from nk.linalg import (
     DimensionMismatch,
     Matrix,
@@ -357,7 +358,7 @@ def test_diag_self_check_catches_a_corrupted_transform(monkeypatch, side):
         if not done and transposed[0] == (side == "V"):
             done.append(args)
             # the transform of the current rows: U, or Vt when transposed
-            self.U[0][0] = self.U[0][0] + RationalFunction(z)
+            self.U[0][0] = self.U[0][0] + z
 
     monkeypatch.setattr(linalg._Reduction, "transpose", flipping)
     monkeypatch.setattr(linalg._Reduction, "add", corrupting)
@@ -366,6 +367,33 @@ def test_diag_self_check_catches_a_corrupted_transform(monkeypatch, side):
                        match="novikov diagonalization self-check failed"):
         novikov_diagonalize(m)
     assert done
+
+
+@pytest.mark.parametrize("direction", [Direction.PLUS, Direction.MINUS])
+@pytest.mark.parametrize("row", [0, 1])
+def test_diag_self_check_catches_a_corrupted_clear(monkeypatch, row,
+                                                   direction):
+    """One entry of the input cleared of denominators is off by z, in the
+    row with a denominator (0) or in the polynomial row (1).  The rest of
+    the reduction works on the cleared matrix, so U (Lambda A) V == diag
+    still holds; only the entrywise check of Lambda A against A can
+    notice."""
+    clear = linalg._laurent_rows
+    done = []
+
+    def corrupting(grid):
+        rows, lcms = clear(grid)
+        rows[row][1] = rows[row][1] + z
+        done.append(lcms)
+        return rows, lcms
+
+    monkeypatch.setattr(linalg, "_laurent_rows", corrupting)
+    m = Matrix.from_rows([[RationalFunction(2 * one, one + z), one - z],
+                          [z, 2 + z]])
+    with pytest.raises(AssertionError,
+                       match="novikov diagonalization self-check failed"):
+        novikov_diagonalize(m, direction)
+    assert [d == one for d in done[0]] == [False, True]
 
 
 @pytest.mark.parametrize("j", [-1, 2])
@@ -485,8 +513,8 @@ def test_a_peel_and_the_heuristic_write_into_one_u_and_v(monkeypatch,
         return out
 
     def clearing(red, t, p):
-        if p.is_unit():
-            seen["unit orders"].append(p.series_ord())
+        if is_novikov_unit(p):
+            seen["unit orders"].append(p.ord())
         clear(red, t, p)
 
     def mixing(self, *args):

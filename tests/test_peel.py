@@ -6,7 +6,7 @@ import pytest
 
 from nk import linalg
 from nk.linalg import Inconclusive, Matrix, associate, novikov_diagonalize
-from nk.rings import Direction, LaurentPoly
+from nk.rings import Direction, LaurentPoly, RationalFunction
 
 from domains import assert_diagonalizes
 
@@ -18,10 +18,26 @@ laurent = st.builds(
     st.integers(-1, 1), st.lists(st.integers(-3, 3), max_size=4))
 
 
+#: denominators in S whose reversal is in S too (both end coefficients
+#: +-1), so an entry over them lies in the rational subring of Z((z))
+#: and of Z((z^-1))
+denominators = st.builds(lambda a, b: LaurentPoly({0: 1, 1: a, 2: b}),
+                         st.integers(-2, 2), st.sampled_from([1, -1, 0])
+                         ).filter(lambda d: abs(d.highest_coeff()) == 1)
+
+
+@st.composite
+def entries(draw):
+    """A Laurent polynomial, or now and then a RationalFunction."""
+    if draw(st.integers(0, 4)):
+        return draw(laurent)
+    return RationalFunction(draw(laurent), draw(denominators))
+
+
 @st.composite
 def laurent_matrices(draw):
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    return Matrix(rows, cols, [[draw(laurent) for _ in range(cols)]
+    return Matrix(rows, cols, [[draw(entries()) for _ in range(cols)]
                                for _ in range(rows)])
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from nk import linalg
 from nk.linalg import DimensionMismatch, Matrix, _product_is, matmul
-from nk.rings import ONE, LaurentPoly, RationalFunction
+from nk.rings import ONE, LaurentPoly
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -24,20 +24,6 @@ def add_term(m, i, j, term):
     rows = [list(row) for row in m.entries]
     rows[i][j] = rows[i][j] + term
     return Matrix(m.rows, m.cols, rows)
-
-
-@pytest.fixture
-def matmuls(monkeypatch):
-    """One item per matmul call made since the fixture was set up."""
-    calls = []
-    real = linalg.matmul
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(linalg, "matmul", counting)
-    return calls
 
 
 @pytest.fixture
@@ -105,40 +91,6 @@ def test_agrees_with_matmul_on_laurent_chains(chain):
                                                LaurentPoly({s - 1: 1})))
     # a wrong shape is never the product
     assert not _product_is(chain, Matrix.zeros(p.rows + 1, p.cols))
-
-
-@hypothesis.settings(max_examples=40, deadline=None)
-@hypothesis.given(chains(), st.data())
-def test_a_rational_entry_takes_the_matmul_path(chain, data):
-    """A non-polynomial RationalFunction entry is multiplied out by
-    matmul; every other chain is decided without it."""
-    i = data.draw(st.integers(0, len(chain) - 1))
-    if not (chain[i].rows and chain[i].cols):
-        return
-    chain[i] = add_term(chain[i], 0, 0, RationalFunction(ONE, 1 - z))
-    p = product(chain)
-    assert _product_is(chain, p)
-    if p.rows and p.cols:
-        assert not _product_is(chain, add_term(p, 0, 0, ONE))
-
-
-def test_matmul_runs_only_for_rational_entries(matmuls):
-    a = Matrix.from_rows([[1 + z, z ** -2], [3, 0]])
-    b = Matrix.from_rows([[z, 1], [2 * z ** 3, -1]])
-    assert _product_is([a, b], Matrix.from_rows(
-        [[3 * z + z ** 2, 1 + z - z ** -2], [3 * z, 3]]))
-    assert not matmuls
-    r = RationalFunction(ONE, 1 - z)
-    c = Matrix.from_rows([[r, 0], [0, RationalFunction(z)]])
-    assert _product_is([a, c], Matrix.from_rows(
-        [[(1 + z) * r, RationalFunction(z ** -1)], [3 * r, 0]]))
-    assert matmuls
-    # a polynomial RationalFunction is lowered, not multiplied out
-    matmuls.clear()
-    assert _product_is([c.map_entries(lambda e: e * (1 - z)), b],
-                       Matrix.from_rows([[z, 1], [2 * z ** 4 - 2 * z ** 5,
-                                                  z ** 2 - z]]))
-    assert not matmuls
 
 
 @pytest.mark.parametrize("shapes", [[(0, 3), (3, 2)], [(2, 0), (0, 3)],
