@@ -365,27 +365,72 @@ _PARSERS = {
 # running
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, pad="\n"):
+    """json.dumps(obj, sort_keys=True, indent=2) by string joins, pad
+    being the newline and indent of obj's depth.  The stdlib takes its
+    pure-Python encoder whenever indent is set; this is several times
+    faster on the coefficient maps that make up a report.  Only str
+    keys, and str, int, bool, None, list and dict values."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        # nearly every value is a coefficient: an int inlined here
+        return "{" + inner + ("," + inner).join([
+            f"{_json_str(k)}: {v}" if type(v := obj[k]) is int
+            else f"{_json_str(k)}: {_dumps(v, inner)}"
+            for k in sorted(obj)]) + pad + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            _dumps(v, inner) for v in obj]) + pad + "]"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
+
+
 @dataclass(frozen=True)
 class Report:
     kind: str
     exit_code: int
     data: dict
-    text: str
+    #: zero-argument callable building the text report's lines, called
+    #: only when the text report is printed
+    lines: object
+
+    @property
+    def text(self) -> str:
+        return "\n".join(self.lines()) + "\n"
 
     def to_json(self):
         return {"kind": self.kind, "exit_code": self.exit_code,
                 "report": self.data}
 
     def machine(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        return _dumps(self.to_json()) + "\n"
 
 
 def run(job: JobDocument, precision=None, direction=None,
         oracle=False) -> Report:
     """Dispatch a parsed job.  CLI flags beat document options beat
     defaults for precision and direction.  Runners return (data, lines,
-    conclusive, checks), checks being zero-argument oracle checks over
-    what the runner computed, or None for a kind without them."""
+    conclusive, checks): lines is a zero-argument callable building the
+    text report, checks are zero-argument oracle checks over what the
+    runner computed, or None for a kind without them."""
     k = precision if precision is not None else \
         job.options.get("precision", DEFAULT_PRECISION)
     d = direction if direction is not None else \
@@ -394,10 +439,13 @@ def run(job: JobDocument, precision=None, direction=None,
     data, lines, conclusive, checks = _RUNNERS[job.kind](job.payload, k, dirn)
     if oracle and checks is not None:
         data["oracle"] = [check() for check in checks]
-        lines += [f"oracle {c['check']}: {'ok' if c['ok'] else 'FAIL'} "
-                  f"({c['detail']})" for c in data["oracle"]]
-    return Report(job.kind, 0 if conclusive else 1, data,
-                  "\n".join(lines) + "\n")
+        body = lines
+
+        def lines():
+            return body() + [f"oracle {c['check']}: "
+                             f"{'ok' if c['ok'] else 'FAIL'} ({c['detail']})"
+                             for c in data["oracle"]]
+    return Report(job.kind, 0 if conclusive else 1, data, lines)
 
 
 def _novikov_section(rep):
@@ -421,12 +469,15 @@ def _run_complex_homology(payload, k, dirn):
     bounds = morse_lower_bounds(rep)
     data = {"homology": rep.to_json(),
             "morse_bounds": {str(i): bounds[i] for i in sorted(bounds)}}
-    lines = ["kind: complex-homology", "degree  b  q  torsion"]
-    for i in range(rep.lo, rep.hi + 1):
-        t = rep.torsion_factors.get(i, [])
-        lines.append(f"{i:>6}  {rep.b(i)}  {len(t)}  "
-                     f"{', '.join(map(str, t)) if t else '-'}")
-    lines.append(f"morse lower bounds: {_bounds_line(bounds)}")
+
+    def lines():
+        out = ["kind: complex-homology", "degree  b  q  torsion"]
+        for i in range(rep.lo, rep.hi + 1):
+            t = rep.torsion_factors.get(i, [])
+            out.append(f"{i:>6}  {rep.b(i)}  {len(t)}  "
+                       f"{', '.join(map(str, t)) if t else '-'}")
+        out.append(f"morse lower bounds: {_bounds_line(bounds)}")
+        return out
     return data, lines, True, [lambda: _euler_check_int(c, rep)]
 
 
@@ -455,28 +506,31 @@ def _run_novikov(payload, k, dirn):
         o = payload["orientation"]
         c = mapping_torus_complex(payload["h"], o)
         data = {"orientation": o}
-        lines = [f"kind: mapping-torus (orientation {o}, "
-                 f"direction {dirn.value})"]
+        head = f"kind: mapping-torus (orientation {o}, direction {dirn.value})"
     else:
         c = payload["complex"]
         data = {}
-        lines = [f"kind: novikov (direction {dirn.value})"]
+        head = f"kind: novikov (direction {dirn.value})"
     rep = novikov_homology(c, dirn)
     bounds = morse_novikov_bounds(rep)
     data["novikov"] = rep.to_json()
     data["morse_novikov_bounds"] = {str(i): bounds[i] for i in sorted(bounds)}
-    lines += _novikov_section(rep)
-    lines.append(f"morse-novikov bounds: {_bounds_line(bounds)}")
+
+    def lines():
+        return [head, *_novikov_section(rep),
+                f"morse-novikov bounds: {_bounds_line(bounds)}"]
     return data, lines, rep.conclusive, [lambda: _rank_vs_diag_check(rep)]
 
 
 def _run_domination(payload, k, dirn):
     verdict = finite_domination_check(payload["complex"])
     data = {"domination": verdict.to_json()}
-    lines = ["kind: domination",
-             f"vanishes over Z((z)): {verdict.vanishes_plus}",
-             f"vanishes over Z((z^-1)): {verdict.vanishes_minus}",
-             f"finitely dominated: {verdict.finitely_dominated}"]
+
+    def lines():
+        return ["kind: domination",
+                f"vanishes over Z((z)): {verdict.vanishes_plus}",
+                f"vanishes over Z((z^-1)): {verdict.vanishes_minus}",
+                f"finitely dominated: {verdict.finitely_dominated}"]
     checks = [lambda: _rank_vs_diag_check(verdict.reports[Direction.PLUS]),
               lambda: _rank_vs_diag_check(verdict.reports[Direction.MINUS])]
     return data, lines, True, checks
@@ -497,13 +551,15 @@ def _run_fundomain(payload, k, dirn):
         "cokernel_check": {"passed": coker.passed,
                            "degree": coker.degree, "order": coker.order},
     }
-    lines = [f"kind: fundomain (direction {dirn.value}, precision {k})",
-             f"F^ ranks: " + " ".join(f"{i}:{fhat.rank(i)}"
-                                      for i in fhat.degrees())]
-    lines += _novikov_section(rep)
-    lines.append(f"zeta (torsion of projection): {zeta.pretty()}")
-    lines.append(f"cokernel identification through order {k}: "
-                 f"{'pass' if coker.passed else f'FAIL at degree {coker.degree}, order {coker.order}'}")
+
+    def lines():
+        return [f"kind: fundomain (direction {dirn.value}, precision {k})",
+                f"F^ ranks: " + " ".join(f"{i}:{fhat.rank(i)}"
+                                         for i in fhat.degrees()),
+                *_novikov_section(rep),
+                f"zeta (torsion of projection): {zeta.pretty()}",
+                f"cokernel identification through order {k}: "
+                f"{'pass' if coker.passed else f'FAIL at degree {coker.degree}, order {coker.order}'}"]
     checks = [lambda: _exact_vs_truncated_check(fd, fhat, k),
               lambda: _cone_vs_fhat_check(fd.cone, rep)]
     return data, lines, rep.conclusive, checks
@@ -552,21 +608,24 @@ def _run_knot(payload, k, dirn):
     data = {"fibering": verdict.to_json(),
             "novikov_factors": {str(i): [f.to_json() for f in fs]
                                 for i, fs in sorted(factors.items()) if fs}}
-    lines = ["kind: knot"]
-    for i in sorted(verdict.alexander):
-        lines.append(f"alexander[{i}]: {verdict.alexander[i].pretty()}")
-    lines.append(f"novikov homology vanishes: {verdict.novikov_vanishes}")
-    lines.append(f"extreme coefficients +-1: {verdict.extreme_coeffs_unit}")
-    lines.append(f"fibers: {verdict.fibers}")
-    for i, fs in sorted(factors.items()):
-        if fs:
-            lines.append(f"novikov torsion factors[{i}]: "
-                         + ", ".join(f.pretty() for f in fs))
-    if verdict.base_torsion:
-        lines.append("note: base homology has torsion the alexander "
-                     "criterion cannot see: "
-                     + ", ".join(f"H_{i}: {list(t)}"
-                                 for i, t in sorted(verdict.base_torsion.items())))
+
+    def lines():
+        out = ["kind: knot"]
+        for i in sorted(verdict.alexander):
+            out.append(f"alexander[{i}]: {verdict.alexander[i].pretty()}")
+        out.append(f"novikov homology vanishes: {verdict.novikov_vanishes}")
+        out.append(f"extreme coefficients +-1: {verdict.extreme_coeffs_unit}")
+        out.append(f"fibers: {verdict.fibers}")
+        for i, fs in sorted(factors.items()):
+            if fs:
+                out.append(f"novikov torsion factors[{i}]: "
+                           + ", ".join(f.pretty() for f in fs))
+        if verdict.base_torsion:
+            out.append("note: base homology has torsion the alexander "
+                       "criterion cannot see: "
+                       + ", ".join(f"H_{i}: {list(t)}" for i, t
+                                   in sorted(verdict.base_torsion.items())))
+        return out
     agree = (verdict.novikov_vanishes == verdict.extreme_coeffs_unit
              or bool(verdict.base_torsion))
     checks = [lambda: _ses_check(verdict.matrices, factors, dirn),
@@ -597,11 +656,13 @@ def _run_inequalities(payload, k, dirn):
     bounds = {lo + i: v for i, v in enumerate(payload["bounds"])}
     violations = check_inequalities(counts, bounds)
     data = {"violations": violations, "satisfied": not violations}
-    lines = ["kind: inequalities",
-             f"satisfied: {not violations}"]
-    if violations:
-        lines.append("violated at degrees: "
-                     + ", ".join(str(i) for i in violations))
+
+    def lines():
+        out = ["kind: inequalities", f"satisfied: {not violations}"]
+        if violations:
+            out.append("violated at degrees: "
+                       + ", ".join(str(i) for i in violations))
+        return out
     return data, lines, True, None
 
 
@@ -677,8 +738,9 @@ def _precision(text):
     return int(text)
 
 
-def _emit(report, fmt, out):
-    out.write(report.machine() if fmt == "machine" else report.text)
+def _render(report, fmt):
+    """The report in the one format asked for; the other is never built."""
+    return report.machine() if fmt == "machine" else report.text
 
 
 def main(argv=None) -> int:
@@ -689,7 +751,7 @@ def main(argv=None) -> int:
             with open(args.file) as fh:
                 job = parse_document(fh.read())
             report = run(job, args.precision, args.direction, args.oracle)
-            _emit(report, args.format, out)
+            out.write(_render(report, args.format))
             return report.exit_code
         if args.command == "validate":
             with open(args.file) as fh:
@@ -705,8 +767,7 @@ def main(argv=None) -> int:
             for name in bundled_examples():
                 job = parse_document(_read_bundled(name))
                 report = run(job, args.precision, args.direction, args.oracle)
-                out.write(f"== {name}\n")
-                _emit(report, args.format, out)
+                out.write(f"== {name}\n" + _render(report, args.format))
                 code = max(code, report.exit_code)
             return code
     except (ParseError, ValidationError, OSError) as exc:

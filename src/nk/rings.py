@@ -267,7 +267,7 @@ class LaurentPoly:
         return f"LaurentPoly('{self.pretty()}')"
 
     def to_json(self):
-        return {str(j): n for j, n in self.items()}
+        return {str(j): n for j, n in enumerate(self._t, self._s) if n}
 
 
 def _trim(shift, coeffs):

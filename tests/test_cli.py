@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from nk import cli
 from nk.rings import Direction, LaurentPoly
 from nk.linalg import associate
 from nk.novikov import NovikovReport, novikov_homology
@@ -528,6 +529,62 @@ def test_no_floats_anywhere_in_reports():
                 for v in x:
                     walk(v)
         walk(report.to_json())
+
+
+# --- the machine emitter -----------------------------------------------------------
+
+def test_the_emitter_prints_the_stdlib_bytes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # keys such as "-1", "10" and "2" sort as strings, not as the
+    # integers they name
+    keys = st.sampled_from(["-1", "10", "2", "0", ""]) | st.text()
+    trees = st.recursive(
+        st.none() | st.booleans()
+        | st.integers() | st.integers(min_value=-2 ** 80, max_value=2 ** 80)
+        | st.text()
+        | st.sampled_from(['"', "\\", "\n\x00\x1f", "\u00e9\u2203\U0001d53d"]),
+        lambda children: st.lists(children) | st.dictionaries(keys, children),
+        max_leaves=40)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(trees)
+    def prints_the_stdlib_bytes(tree):
+        assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    prints_the_stdlib_bytes()
+
+
+def test_the_emitter_rejects_a_float():
+    with pytest.raises(TypeError):
+        cli._dumps({"a": [1, 0.5]})
+
+
+def test_the_emitter_rejects_an_int_key():
+    with pytest.raises(TypeError):
+        cli._dumps({"a": {2: 3}})
+
+
+@pytest.mark.parametrize("direction", ["plus", "minus"])
+def test_machine_runs_never_render_text(monkeypatch, capsys, direction):
+    def no_pretty(self, var="z"):
+        raise AssertionError("pretty called on a machine run")
+
+    monkeypatch.setattr(LaurentPoly, "pretty", no_pretty)
+    assert main(["examples", "run-all", "--format", "machine", "--oracle",
+                 "--direction", direction]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("direction", ["plus", "minus"])
+def test_text_runs_never_build_machine_json(monkeypatch, capsys, direction):
+    def no_dumps(obj, pad="\n"):
+        raise AssertionError("machine report built on a text run")
+
+    monkeypatch.setattr(cli, "_dumps", no_dumps)
+    assert main(["examples", "run-all", "--format", "text", "--oracle",
+                 "--direction", direction]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # --- entry point -------------------------------------------------------------------
