@@ -398,8 +398,13 @@ def _digits(v, w):
     half = 1 << 8 * w - 1
     if -half < v < half:
         return (v,)
+    # |v| < X^n / 2 <= bias, but n digits reach only X^n - 1 - bias above:
+    # a v past that carries a top digit 1 into one more slot
     n = abs(v).bit_length() // (8 * w) + 1
     b = _bias(n, w)
+    if (v + b) >> 8 * w * n:
+        n += 1
+        b = _bias(n, w)
     return _to_slots((v + b) ^ b, n, w)
 
 

@@ -145,6 +145,23 @@ def test_non_primitive_and_negative_ends():
     check(poly(-6, 0, -2), poly(-2, 0, -6))
 
 
+def test_a_quotient_just_below_a_digit_boundary():
+    # a cofactor quotient near 0x7fffff at X = 2^8 needs a fourth digit
+    s = poly(2 ** 63, -2 ** 63)
+    check(s, s * poly(1, 128, 127))
+
+
+@pytest.mark.parametrize("w", (1, 2, 3, 8))
+def test_digits_reach_the_top_of_each_range(w):
+    X = 1 << 8 * w
+    for n in range(1, 4):
+        for v in (X ** n // 2 - 1, X ** n - 1, -X ** n + 1, X ** n // 2):
+            d = rings._digits(v, w)
+            assert all(-X // 2 <= x < X // 2 for x in d)
+            assert sum(x * X ** i for i, x in enumerate(d)) == v
+            assert v < 0 or d[-1]
+
+
 @pytest.mark.parametrize("degree", range(5))
 def test_shared_factors(degree):
     s = poly(*[(-2) ** k + k for k in range(degree + 1)])
