@@ -23,8 +23,10 @@ the homology computations run on:
   the author to be complete; the heuristic raises ``Inconclusive`` when
   its operation budget runs out.  Its certificate, U (Lambda A) V = D
   and the Schur identities, is always a Laurent identity, checked
-  exactly by evaluating both sides at one X = 2^(8w) (``_product_is``),
-  without Laurent products.
+  exactly by evaluating both sides at one X = 2^(8w), without Laurent
+  products: U (Lambda A) V = D by ``_product_is``, and each Schur
+  identity on the integers its step already holds
+  (``_schur_identity``), widened only when their digits need it.
 
 Matrix entries are plain ints, LaurentPoly, or RationalFunction; the
 arithmetic never leaves exact integer/rational-coefficient land.
@@ -227,8 +229,9 @@ class SNFResult:
     Every reduction checks its factorization exactly before
     returning and raises when the check fails: over Z by integer
     products, over the Novikov ring by one Kronecker evaluation of each
-    identity (``_product_is``).  U and V are shown invertible too: over
-    Z by determinants +-1, over the Novikov ring by unit determinants.
+    identity (``_product_is``, ``_schur_identity``).  U and V are shown
+    invertible too: over Z by determinants +-1, over the Novikov ring by
+    unit determinants.
     """
 
     invariant_factors: tuple
@@ -800,8 +803,8 @@ def _schur_step(W, U, V, t):
     or of the first k rows of A with one row of V[:, t:] V0 appended
     (the new columns of V); w is chosen so that the product of those
     rows' 1-norms, bounded through |U0| and |V0|, is below X/2.  The
-    identity A11 [adj | X] = det [I | A12] is checked on the unpacked
-    values by ``_product_is``, which takes its own width from them.
+    identity A11 [adj | X] = det [I | A12] is checked on the packed
+    integers by ``_schur_identity``, at a width read off their digits.
     Returns (k, det, S).
     """
     nr, nc = len(W), len(V) - t
@@ -836,15 +839,8 @@ def _schur_step(W, U, V, t):
     r, det = _eliminate(gj, k, jordan=True)
     sol = [row[k:] for row in gj]  # [adj | X]
     unit = _unpack(det, 0, w)
-    a1 = [[_unpack(v, 0, w) for v in row] for row in A[:k]]
-    # A11 [adj | X] - det [I | A12] = 0, as one product
-    check = [Matrix(k, 2 * k, [row[:k] + [-unit * x for x in e]
-                               for row, e in zip(a1, eye)]),
-             Matrix(2 * k, nc, [[_unpack(v, 0, w) for v in row]
-                                for row in sol]
-                    + [e + row[k:] for row, e in zip(a1, eye)])]
-    if r < k or not is_novikov_unit(unit) or not _product_is(
-            check, Matrix.zeros(k, nc)):
+    if r < k or not is_novikov_unit(unit) or not _schur_identity(
+            A[:k], sol, det, w):
         raise AssertionError("Schur step self-check failed")
 
     def minus(b, c, d):  # det b - c d
@@ -863,6 +859,42 @@ def _schur_step(W, U, V, t):
     s = [[_unpack(v, 0, w) for v in row]
          for row in minus([row[k:] for row in A[k:]], a21, x)]
     return k, unit, s
+
+
+def _schur_identity(a, sol, det, w):
+    """Does A11 [adj | X] = det [I | A12] hold for the polynomials whose
+    values at X = 2^(8w) are the integers in the rows a = [A11 | A12],
+    the rows sol = [adj | X] and det?
+
+    Those polynomials are the balanced base-X digits (``_unpack``), so
+    the digits' absolute values sum to exact 1-norms.  As in
+    ``_product_is``, no coefficient of A11 [adj | X] - det [I | A12]
+    exceeds |[A11 | -det I]| |[[adj | X], [I | A12]]|, |F| the largest
+    row sum of the entries' 1-norms, and the width w' that puts this
+    bound below X'/2 makes the difference vanish iff its value at X'
+    does.  The width comes from the values, never from the step's bound:
+    when w' <= w the integers already are the values at a large enough
+    X, and otherwise the digits are re-spread into w'-byte slots.
+    """
+    k = len(a)
+
+    def norm(v):
+        return sum(map(abs, _digits(v, w)))
+
+    nd = norm(det)
+    left = max(sum(map(norm, row[:k])) + nd for row in a)
+    right = max(max(sum(map(norm, row)) for row in sol),
+                max(1 + sum(map(norm, row[k:])) for row in a))
+    wide = _slot_width(max(1, left) * right)
+    if wide > w:
+        def spread(v):
+            return _kron(_digits(v, w), wide)
+        a = [list(map(spread, row)) for row in a]
+        sol = [list(map(spread, row)) for row in sol]
+        det = spread(det)
+    return _imul([row[:k] for row in a], sol) == [
+        [det * x for x in [int(i == j) for j in range(k)] + row[k:]]
+        for i, row in enumerate(a)]
 
 
 def _reduce_pivot(red, t):

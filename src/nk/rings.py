@@ -225,6 +225,10 @@ class LaurentPoly:
             return ZERO
         if len(a) < len(b):
             a, b = b, a
+        if len(b) == 1:  # a monomial c z^j: shift, and scale unless c = 1
+            c = b[0]
+            return LaurentPoly._dense(self._s + other._s,
+                                      a if c == 1 else [x * c for x in a])
         out = [0] * (len(a) + len(b) - 1)
         for j, y in enumerate(b):
             if y:

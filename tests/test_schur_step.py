@@ -1,5 +1,6 @@
-"""The packed Schur step against a Schur step on Laurent matrices, and
-LaurentPoly arithmetic with int operands.
+"""The packed Schur step against a Schur step on Laurent matrices, its
+packed self-check against ``_product_is`` on the unpacked values, and
+LaurentPoly arithmetic with int and monomial operands.
 
 ``reference`` is the Schur step written with Laurent matrix products
 (``matmul``), and with its Gauss-Jordan pass run by the LaurentPoly-row
@@ -161,7 +162,156 @@ def test_a_core_of_span_1200_peels_like_the_reference():
 
 
 # ---------------------------------------------------------------------------
-# LaurentPoly with int operands
+# the step's check on its packed integers
+
+
+def unpacked_verdict(a, sol, det, w):
+    """The identity A11 [adj | X] = det [I | A12] on the packed rows
+    a = [A11 | A12], sol = [adj | X] and det, decided on Laurent
+    matrices: every value unpacked to a LaurentPoly, and one
+    ``_product_is`` against zero."""
+    k, nc = len(a), len(a[0])
+    unit = linalg._unpack(det, 0, w)
+    a1 = [[linalg._unpack(v, 0, w) for v in row] for row in a]
+    x = [[linalg._unpack(v, 0, w) for v in row] for row in sol]
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    return linalg._product_is(
+        [Matrix(k, 2 * k, [row[:k] + [-unit * e for e in ident]
+                           for row, ident in zip(a1, eye)]),
+         Matrix(2 * k, nc, x + [ident + row[k:]
+                                for row, ident in zip(a1, eye)])],
+        Matrix.zeros(k, nc))
+
+
+def recorded_checks(W, U, V, t):
+    """The arguments of every packed check that _schur_step runs."""
+    seen, check = [], linalg._schur_identity
+
+    def recording(a, sol, det, w):
+        seen.append(([list(r) for r in a], [list(r) for r in sol], det, w))
+        return check(a, sol, det, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_schur_identity", recording)
+        linalg._schur_step([list(r) for r in W], [list(r) for r in U],
+                           [list(r) for r in V], t)
+    return seen
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(cores(), st.data())
+def test_packed_check_agrees_with_product_is(case, data):
+    """On each drawn core, the packed verdict equals ``_product_is`` on
+    the unpacked values, for the step's own outputs and for outputs with
+    one value moved by +-X^j, X = 2^(8w) the step's slot base."""
+    for a, sol, det, w in recorded_checks(*case):
+        assert linalg._schur_identity(a, sol, det, w)
+        assert unpacked_verdict(a, sol, det, w)
+        where = data.draw(st.sampled_from(["a", "sol", "det"]))
+        delta = data.draw(st.sampled_from([1, -1])) << 8 * w * data.draw(
+            st.integers(0, 3))
+        if where == "det":
+            det += delta
+        else:
+            rows = a if where == "a" else sol
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] += delta
+        verdict = linalg._schur_identity(a, sol, det, w)
+        assert verdict == unpacked_verdict(a, sol, det, w)
+        assert not verdict
+
+
+def spied_step(monkeypatch, corrupt=None):
+    """_schur_step on W = [[1 + 150z, 150z]] with the slot widths it picks
+    and the widths it packs at recorded, and the Gauss-Jordan outputs
+    [adj | X] and det changed by corrupt(M, n, det, X) -> det first.
+
+    The step bounds its values by 1-norms, 150 + 150 + 1 = 302 < 2^15,
+    so its slots are 2 bytes; the check's bound is |[A11 | -det]| = 302
+    times |[[adj | X], [I | A12]]| = 151, which needs 4."""
+    slot_width, kron, eliminate = (linalg._slot_width, linalg._kron,
+                                   linalg._eliminate)
+    widths, packed = [], set()
+
+    def recording(bound):
+        widths.append(slot_width(bound))
+        return widths[-1]
+
+    def packing(t, w):
+        packed.add(w)
+        return kron(t, w)
+
+    def corrupted(M, n, jordan=False):
+        r, det = eliminate(M, n, jordan)
+        if jordan and corrupt is not None:
+            det = corrupt(M, n, det, 1 << 8 * widths[-1])
+        return r, det
+
+    monkeypatch.setattr(linalg, "_slot_width", recording)
+    monkeypatch.setattr(linalg, "_kron", packing)
+    monkeypatch.setattr(linalg, "_eliminate", corrupted)
+    z = LaurentPoly({1: 1})
+    W, U, V = [[1 + 150 * z, 150 * z]], [[1]], [[1, 0], [0, 1]]
+    return (lambda: linalg._schur_step(W, U, V, 0)), widths, packed, (W, U, V)
+
+
+def test_the_check_widens_its_slots_when_the_digits_need_it(monkeypatch):
+    step, widths, packed, (W, U, V) = spied_step(monkeypatch)
+    U2, V2 = [list(r) for r in U], [list(r) for r in V]
+    assert step() == reference(W, U2, V2, 0)
+    assert U == U2 and V == V2
+    assert widths == [2, 4] and 4 in packed
+
+
+def add_z_to_adj(M, n, det, X):
+    M[0][n] += X
+    return det
+
+
+def scale_outputs(M, n, det, X):
+    """det, adj and X times c = 1 + (X/2) X^2: the identity still holds
+    for the integers, so no check at the step's own X sees it, but the
+    digits of the products carry and the polynomials no longer match."""
+    c = 1 + (X // 2) * X ** 2
+    for row in M:
+        row[n:] = [c * v for v in row[n:]]
+    return c * det
+
+
+@pytest.mark.parametrize("corrupt", [add_z_to_adj, scale_outputs])
+def test_the_widened_check_catches_a_corrupted_step(monkeypatch, corrupt):
+    step, widths, packed, _ = spied_step(monkeypatch, corrupt)
+    with pytest.raises(AssertionError, match="Schur step self-check failed"):
+        step()
+    # the identity was checked, on slots wider than the step's
+    assert len(widths) == 2 and widths[1] > widths[0] and widths[1] in packed
+
+
+# ---------------------------------------------------------------------------
+# LaurentPoly with int and monomial operands
+
+
+def schoolbook(p, q):
+    """p q term by term, as an {exponent: coefficient} map without zeros."""
+    out = {}
+    for i, x in p.items():
+        for j, y in q.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {j: n for j, n in out.items() if n}
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.one_of(sparse(6, coeffs=st.integers(-2 ** 70, 2 ** 70)),
+                            sparse(3000)),
+                  st.integers(-3000, 3000),
+                  st.one_of(st.sampled_from([1, -1]),
+                            st.integers(-2 ** 70, 2 ** 70).filter(bool)))
+def test_monomial_operands_shift_and_scale(p, k, c):
+    m = LaurentPoly({k: c})
+    for value in (m * p, p * m):
+        assert value == LaurentPoly(schoolbook(m, p))
+        assert value._t[:1] != (0,) and value._t[-1:] != (0,)
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
