@@ -18,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import LaurentPoly, RationalFunction
-from .linalg import (
-    Matrix,
-    matmul,
-    matrix_to_json,
-    smith_normal_form_int,
-)
+from .linalg import Matrix, matmul, smith_normal_form_int
 
 
 class NotAComplex(Exception):
@@ -114,15 +109,6 @@ class BasedChainComplex:
     def __repr__(self):
         return (f"BasedChainComplex(degrees [{self.lo},{self.hi}], "
                 f"ranks {list(self.ranks)})")
-
-    def to_json(self):
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "ranks": list(self.ranks),
-            "differentials": {str(i): matrix_to_json(d)
-                              for i, d in sorted(self.differentials.items())},
-        }
 
 
 def validate_complex(c: BasedChainComplex):

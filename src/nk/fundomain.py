@@ -25,7 +25,11 @@ Out of this come three exact constructions:
   and each entry of z h_F adj c is divided by it once;
 * the torsion of the projection C(phi) -> F^, in commutative determinant
   form: the alternating product of det(1 - z h_D | D_i), a zeta-type
-  rational function.
+  ``RationalFunction`` whose numerator and denominator have constant
+  coefficient 1.
+
+Each degree's blocks 1 - z h_D and z h_F adj(1 - z h_D) are built once
+per domain and shared by C(phi), F^ and the cokernel check.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .rings import ONE, Z, LaurentPoly, RationalFunction
-from .linalg import Matrix, matmul, matrix_to_json, solve_laurent
+from .linalg import Matrix, matmul, solve_laurent
 from .complexes import BasedChainComplex
 
 
@@ -92,13 +96,26 @@ class AlgebraicFundamentalDomain:
         return self.h_F.get(i) or Matrix.zeros(self.F.rank(i), self.D.rank(i))
 
     @cached_property
+    def one_minus_zh(self):
+        """{i: 1 - z h_D on D_i}, for each degree where D is nonzero."""
+        return {i: Matrix.identity(self.D.rank(i)) - self.h_D_at(i).scaled(Z)
+                for i in self.D.degrees() if self.D.rank(i)}
+
+    @cached_property
     def adjugates(self):
         """{i: (det, adj)} of 1 - z h_D on D_i, for each degree where D
         is nonzero: one elimination per degree and domain, shared by F^,
         the cokernel check and the zeta."""
-        return {i: solve_laurent(_one_minus_zh(self, i),
-                                 Matrix.identity(self.D.rank(i)))
-                for i in self.D.degrees() if self.D.rank(i)}
+        return {i: solve_laurent(m, Matrix.identity(m.rows))
+                for i, m in self.one_minus_zh.items()}
+
+    @cached_property
+    def zh_F_adj(self):
+        """{i: z h_F adj(1 - z h_D)} on D_i, for each degree where D is
+        nonzero: the middle block of the projection C(phi) -> F^ and,
+        times c, the tail of the numerators of F^."""
+        return {i: matmul(self.h_F_at(i), adj).scaled(Z)
+                for i, (_, adj) in self.adjugates.items()}
 
     def adjugate_at(self, i):
         """(det, adj) of 1 - z h_D on D_i; (1, empty) where D_i = 0."""
@@ -117,19 +134,12 @@ class AlgebraicFundamentalDomain:
         out = {}
         for i in range(min(self.D.lo, self.F.lo) + 1,
                        max(self.D.hi + 1, self.F.hi) + 1):
-            det, adj = self.adjugate_at(i - 1)
-            tail = matmul(matmul(self.h_F_at(i - 1), adj), self.c_at(i))
-            out[i] = det, self.F.differential(i).scaled(det) + tail.scaled(Z)
+            det, _ = self.adjugate_at(i - 1)
+            num = self.F.differential(i).scaled(det)
+            if i - 1 in self.zh_F_adj:
+                num = num + matmul(self.zh_F_adj[i - 1], self.c_at(i))
+            out[i] = det, num
         return out
-
-    def to_json(self):
-        return {
-            "D": self.D.to_json(),
-            "F": self.F.to_json(),
-            "c": {str(i): matrix_to_json(m) for i, m in sorted(self.c.items())},
-            "hD": {str(i): matrix_to_json(m) for i, m in sorted(self.h_D.items())},
-            "hF": {str(i): matrix_to_json(m) for i, m in sorted(self.h_F.items())},
-        }
 
 
 def _conform(blocks, shape, name):
@@ -199,16 +209,11 @@ def assemble_mapping_cone(fd: AlgebraicFundamentalDomain) -> BasedChainComplex:
     for i in range(lo + 1, hi + 1):
         diffs[i] = Matrix.block(
             [[-D.differential(i - 1), None, None],
-             [_one_minus_zh(fd, i - 1), D.differential(i), fd.c_at(i)],
+             [fd.one_minus_zh.get(i - 1), D.differential(i), fd.c_at(i)],
              [-fd.h_F_at(i - 1).scaled(Z), None, F.differential(i)]],
             row_sizes=[D.rank(i - 2), D.rank(i - 1), F.rank(i - 1)],
             col_sizes=[D.rank(i - 1), D.rank(i), F.rank(i)])
     return BasedChainComplex(lo, hi, ranks, diffs)
-
-
-def _one_minus_zh(fd, i) -> Matrix:
-    """1 - z h_D on D_i, as a Laurent matrix."""
-    return Matrix.identity(fd.D.rank(i)) - fd.h_D_at(i).scaled(Z)
 
 
 @dataclass(frozen=True)
@@ -298,10 +303,10 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
     cone = fd.cone
     proj = {}
     for i in cone.degrees():
-        det, adj = fd.adjugate_at(i)
-        mid = matmul(fd.h_F_at(i), adj).scaled(Z)
+        det, _ = fd.adjugate_at(i)
         proj[i] = det, Matrix.block(
-            [[None, mid, Matrix.identity(fd.F.rank(i)).scaled(det)]],
+            [[None, fd.zh_F_adj.get(i),
+              Matrix.identity(fd.F.rank(i)).scaled(det)]],
             row_sizes=[fd.F.rank(i)],
             col_sizes=[fd.D.rank(i - 1), fd.D.rank(i), fd.F.rank(i)])
     first = None
@@ -320,27 +325,10 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
     return CokernelCheck(False, first[0], first[1])
 
 
-@dataclass(frozen=True)
-class ZetaFunction:
-    """The commutative torsion of the projection C(phi) -> F^:
-    the alternating product prod_i det(1 - z h_D | D_i)^((-1)^i)."""
-
-    value: RationalFunction
-
-    def __post_init__(self):
-        num, den = self.value.numerator, self.value.denominator
-        if num.coeff(0) != 1 or den.coeff(0) != 1:  # pragma: no cover
-            raise AssertionError("zeta parts must have constant coefficient 1")
-
-    def pretty(self):
-        return self.value.pretty()
-
-    def to_json(self):
-        return self.value.to_json()
-
-
-def torsion_zeta(fd: AlgebraicFundamentalDomain) -> ZetaFunction:
-    """Alternating determinant product over the degrees of D.
+def torsion_zeta(fd: AlgebraicFundamentalDomain) -> RationalFunction:
+    """The commutative torsion of the projection C(phi) -> F^: the
+    alternating product prod_i det(1 - z h_D | D_i)^((-1)^i) over the
+    degrees of D.
 
     Each det(1 - z h_D | D_i) lies in S (constant coefficient 1), so the
     product is a well-defined element of the rational subring; even
@@ -353,4 +341,8 @@ def torsion_zeta(fd: AlgebraicFundamentalDomain) -> ZetaFunction:
             num = num * det
         else:
             den = den * det
-    return ZetaFunction(RationalFunction(num, den))
+    zeta = RationalFunction(num, den)
+    parts = zeta.numerator.coeff(0), zeta.denominator.coeff(0)
+    if parts != (1, 1):  # pragma: no cover
+        raise AssertionError("zeta parts must have constant coefficient 1")
+    return zeta

@@ -165,9 +165,6 @@ class Matrix:
     def __sub__(self, other):
         return self + (-other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -200,16 +197,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         out.append(row)
     return Matrix(a.rows, b.cols, out)
-
-
-def matrix_to_json(m: Matrix):
-    """Array-of-rows form; int entries stay bare, polynomials become
-    coefficient maps keyed by decimal exponent strings."""
-    def enc(e):
-        if isinstance(e, int):
-            return e
-        return e.to_json()
-    return [[enc(e) for e in row] for row in m.entries]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rings import Z, LaurentPoly, Direction
-from .linalg import (Matrix, inverse_int, matmul, matrix_to_json,
-                     smith_normal_form_int, solve_laurent)
+from .linalg import (Matrix, inverse_int, matmul, smith_normal_form_int,
+                     solve_laurent)
 from .complexes import (
     BasedChainComplex,
     ChainMap,
@@ -104,11 +104,6 @@ class SeifertData:
         if self.e.source != self.base or self.e.target != self.base:
             raise ValueError("e must be a chain self-map of the base")
 
-    def to_json(self):
-        return {"base": self.base.to_json(),
-                "e": {str(i): matrix_to_json(self.e.component(i))
-                      for i in self.base.degrees()}}
-
 
 def knot_fundamental_domain(s: SeifertData) -> AlgebraicFundamentalDomain:
     """The fundamental domain of a knot complement cut along a Seifert
@@ -182,19 +177,6 @@ def induced_map_on_free_homology(c: BasedChainComplex, f: ChainMap, i: int):
     return Matrix(free, free, coords.entries[rh:])
 
 
-def alexander_polynomials(s: SeifertData) -> dict:
-    """Alexander polynomials per degree: det(e + z(1 - e)) on the free
-    part of H_i(base).
-
-    Torsion in H_i(base) is outside the determinant's reach and is
-    reported separately by ``fibering_check``.  Normalization: the
-    representative has nonnegative exponents, a nonzero constant term,
-    and positive leading coefficient.
-    """
-    return {i: _alexander_polynomial(alexander_matrix(s, i))
-            for i in s.base.degrees()}
-
-
 def alexander_matrix(s: SeifertData, i: int) -> Matrix:
     """e + z(1 - e) on the free part of H_i(base), over Z[z,z^-1]."""
     ebar = induced_map_on_free_homology(s.base, s.e, i)
@@ -205,7 +187,9 @@ def alexander_matrix(s: SeifertData, i: int) -> Matrix:
 
 
 def _alexander_polynomial(m: Matrix) -> LaurentPoly:
-    """det m, normalized as in ``alexander_polynomials``."""
+    """The Alexander polynomial det m of an Alexander matrix, normalized:
+    nonnegative exponents, a nonzero constant term, and positive leading
+    coefficient."""
     p, _ = solve_laurent(m, Matrix.zeros(m.rows, 0))
     if p.is_zero:  # pragma: no cover - det(e + z(1-e)) never vanishes
         raise AssertionError("Alexander polynomial cannot be zero: "

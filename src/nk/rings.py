@@ -14,11 +14,12 @@ series.  It works with three exact stand-ins:
   coefficient 1, the polynomials invertible in Z[[z]] up to sign);
 * ``TruncatedSeries``   -- a window of a Z((z)) element: a LaurentPoly of
   the coefficients below an explicit cutoff exponent, nothing more.
+  Windows are values that compare; they have no arithmetic of their own.
 
 Everything is immutable and pure; integer coefficients are arbitrary
-precision.  Computations "at z = infinity" (the ring Z((z^-1))) are done
-by reversing the variable and delegating to the z-side code; reversed
-results are expressed in the reversed variable w = z^-1.
+precision.  Series windows are taken in Z((z)) only: a question "at
+z = infinity" (the ring Z((z^-1))) is asked of ``reverse_variable(x)``,
+whose answer is expressed in the reversed variable w = z^-1.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ class LaurentPoly:
             out = out * self
         return out
 
-    def pretty(self, var="z"):
+    def pretty(self):
         """Human-readable form, ascending exponents: '1 - 2*z'."""
         if not self._t:
             return "0"
@@ -259,7 +260,7 @@ class LaurentPoly:
             if j == 0:
                 body = str(a)
             else:
-                power = var if j == 1 else f"{var}^{j}"
+                power = "z" if j == 1 else f"z^{j}"
                 body = power if a == 1 else f"{a}*{power}"
             if not parts:
                 parts.append(body if n > 0 else f"-{body}")
@@ -304,6 +305,16 @@ def _coerce_poly(x):
     return LaurentPoly._dense(0, (x,))
 
 
+def _poly_arg(x):
+    """_coerce_poly for a function argument: TypeError naming the type
+    where the arithmetic would return NotImplemented."""
+    p = _coerce_poly(x)
+    if p is NotImplemented:
+        raise TypeError(
+            f"expected an integer or LaurentPoly, got {type(x).__name__}")
+    return p
+
+
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 Z = LaurentPoly({1: 1})
@@ -318,7 +329,7 @@ def reverse_variable(p):
     if isinstance(p, RationalFunction):
         return RationalFunction(reverse_variable(p.numerator),
                                 reverse_variable(p.denominator))
-    p = _coerce_poly(p)
+    p = _poly_arg(p)
     return LaurentPoly._dense(1 - p._s - len(p._t), p._t[::-1])
 
 
@@ -336,7 +347,7 @@ def is_novikov_unit(p, direction=Direction.PLUS) -> bool:
     >>> is_novikov_unit(LaurentPoly({0: -2, 1: 1}), Direction.MINUS)
     True
     """
-    p = _coerce_poly(p)
+    p = _poly_arg(p)
     if p.is_zero:
         return False
     c = p.lowest_coeff() if direction is Direction.PLUS else p.highest_coeff()
@@ -487,8 +498,9 @@ class RationalFunction:
     The constructor accepts any pair whose quotient lies in the subring,
     factoring monomials out of the denominator into the numerator's
     support and fixing signs; it raises ``NotInRationalSubring``
-    otherwise.  Because of Fatou's lemma this makes ``a / b`` a decision
-    procedure for divisibility of rational elements inside Z((z)).
+    otherwise.  Because of Fatou's lemma this makes
+    ``RationalFunction(a, b)`` a decision procedure for divisibility of
+    rational elements inside Z((z)).
 
     The gcd that cancels the common factor is ``_gcd_cofactors``: one
     integer gcd of both parts evaluated at X = 2^(8w), with the two
@@ -508,11 +520,7 @@ class RationalFunction:
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator, denominator=ONE):
-        num = _coerce_poly(numerator)
-        den = _coerce_poly(denominator)
-        if num is NotImplemented or den is NotImplemented:
-            raise TypeError("RationalFunction needs integer or LaurentPoly parts")
-        num, den = _canonical(num, den)
+        num, den = _canonical(_poly_arg(numerator), _poly_arg(denominator))
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
@@ -582,15 +590,6 @@ class RationalFunction:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = _coerce_rational(other)
         if other is NotImplemented:
@@ -605,30 +604,10 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero")
-        if not self:
-            return RationalFunction(ZERO)
-        # cancel numerator against numerator and denominator against
-        # denominator before the S-membership check on the result
-        n1, n2 = _cancel(self.numerator, other.numerator)
-        d2, d1 = _cancel(other.denominator, self.denominator)
-        return RationalFunction(n1 * d2, d1 * n2)
-
-    def __rtruediv__(self, other):
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def pretty(self, var="z"):
+    def pretty(self):
         if self.is_polynomial:
-            return self.numerator.pretty(var)
-        return f"({self.numerator.pretty(var)})/({self.denominator.pretty(var)})"
+            return self.numerator.pretty()
+        return f"({self.numerator.pretty()})/({self.denominator.pretty()})"
 
     def __repr__(self):
         return f"RationalFunction('{self.pretty()}')"
@@ -699,8 +678,8 @@ class TruncatedSeries:
     and ``lowest`` equal to the cutoff itself.
 
     ``precision`` counts the retained exponents beyond the lowest.
-    Arithmetic is Laurent arithmetic cut to the surviving window: the
-    min rule under addition, the order-shift rule under multiplication.
+    Windows are values: they compare and print.  Arithmetic happens on
+    the exact Laurent polynomials before ``of_poly`` cuts the window.
     """
 
     __slots__ = ("_p", "cutoff")
@@ -741,12 +720,6 @@ class TruncatedSeries:
             raise ValueError(f"coefficient of z^{j} is beyond the window")
         return self._p.coeff(j)
 
-    def truncate(self, upto):
-        """Shrink the window to exponents <= upto (never below lowest)."""
-        if upto + 1 >= self.cutoff:
-            return self
-        return TruncatedSeries.of_poly(self._p, max(upto, self.lowest - 1))
-
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
             return self.cutoff == other.cutoff and self._p == other._p
@@ -755,67 +728,28 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self._p, self.cutoff))
 
-    def __neg__(self):
-        return TruncatedSeries.of_poly(-self._p, self.cutoff - 1)
-
-    def __add__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = TruncatedSeries.of_poly(other, self.cutoff - 1)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return TruncatedSeries.of_poly(self._p + other._p,
-                                       min(self.cutoff, other.cutoff) - 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, LaurentPoly, TruncatedSeries)):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            p = _coerce_poly(other)
-            if p.is_zero:
-                # exact zero: known through self's window shifted arbitrarily
-                return TruncatedSeries(self.cutoff, ())
-            # exact factor: only the O(z^cutoff) tail limits the result
-            return TruncatedSeries.of_poly(self._p * p,
-                                           self.cutoff + p.ord() - 1)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        # a zero window has lowest == cutoff, so this covers it too
-        cut = min(self.lowest + other.cutoff, other.lowest + self.cutoff)
-        return TruncatedSeries.of_poly(self._p * other._p, cut - 1)
-
-    __rmul__ = __mul__
-
-    def pretty(self, var="z"):
-        return f"{self._p.pretty(var)} + O({var}^{self.cutoff})"
+    def pretty(self):
+        return f"{self._p.pretty()} + O(z^{self.cutoff})"
 
     def __repr__(self):
         return f"TruncatedSeries('{self.pretty()}')"
 
 
-def invert_as_series(p, direction=Direction.PLUS, precision=DEFAULT_PRECISION):
-    """Invert a Novikov unit as a series window.
+def invert_as_series(p, precision=DEFAULT_PRECISION):
+    """Invert a Z((z))-unit as a series window.
 
-    Returns q with p*q == 1 through the first precision+1 exponents on
-    the chosen side.  The mechanism is the geometric series: a unit
-    +-z^k(1 - w) with ord(w) >= 1 has inverse +-z^-k(1 + w + w^2 + ...).
-    MINUS-side inverses are computed by variable reversal; their window
-    is expressed in the reversed variable w = z^-1.
+    Returns q with p*q == 1 through the first precision+1 exponents.  The
+    mechanism is the geometric series: a unit +-z^k(1 - w) with
+    ord(w) >= 1 has inverse +-z^-k(1 + w + w^2 + ...).
 
     >>> invert_as_series(LaurentPoly({0: 1, 1: -1}), precision=3)
     TruncatedSeries('1 + z + z^2 + z^3 + O(z^4)')
     """
-    p = _coerce_poly(p)
+    p = _poly_arg(p)
     if precision < 0:
         raise ValueError("precision must be >= 0")
-    if not is_novikov_unit(p, direction):
-        raise NotAUnit(f"{p!r} is not a unit on the {direction.value} side")
-    if direction is Direction.MINUS:
-        return invert_as_series(reverse_variable(p), Direction.PLUS, precision)
+    if not is_novikov_unit(p):
+        raise NotAUnit(f"{p!r} is not a unit on the plus side")
     k = p.ord()
     sign = p.lowest_coeff()
     # p = sign * z^k * (1 + t) with ord(t) >= 1
@@ -831,35 +765,29 @@ def invert_as_series(p, direction=Direction.PLUS, precision=DEFAULT_PRECISION):
     return TruncatedSeries(-k, [sign * c for c in out])
 
 
-def expand(r, direction=Direction.PLUS, precision=DEFAULT_PRECISION):
-    """Series window of a rational element in the chosen completion.
+def expand(r, precision=DEFAULT_PRECISION):
+    """Series window of a rational element in Z((z)).
 
     The window covers every exponent up to ``precision`` inclusive
     (below that cutoff the expansion of an element of S^-1 Z[z,z^-1] is
     determined exactly), so the result is exact whenever r is a
-    polynomial whose top exponent is at most ``precision``.  On the
-    MINUS side the denominator must be a Z((z^-1))-unit, and the window
-    is expressed in the reversed variable w = z^-1.
+    polynomial whose top exponent is at most ``precision``.
 
     >>> expand(RationalFunction(Z, ONE - Z), precision=3)
     TruncatedSeries('z + z^2 + z^3 + O(z^4)')
     """
-    r = _coerce_rational(r)
-    if direction is Direction.MINUS:
-        if not is_novikov_unit(r.denominator, Direction.MINUS):
-            raise NotAUnit(
-                f"denominator {r.denominator!r} is not a Z((z^-1))-unit")
-        return expand(reverse_variable(r), Direction.PLUS, precision)
+    if not isinstance(r, RationalFunction):
+        r = RationalFunction(r)
     if r.is_zero or r.series_ord() > precision:
         return TruncatedSeries(precision + 1, ())
     num = r.numerator
-    lo = num.ord()
-    n = precision - lo  # need denominator inverse through z^n
-    inv = invert_as_series(r.denominator, Direction.PLUS, max(n, 0))
-    return (inv * num).truncate(precision)
+    # the inverse of the denominator through z^(precision - ord num)
+    # fixes the product through z^precision
+    inv = invert_as_series(r.denominator, precision - num.ord())
+    return TruncatedSeries.of_poly(inv._p * num, precision)
 
 
 def truncate_poly(p, upto) -> LaurentPoly:
     """Drop every term of exponent > upto."""
-    p = _coerce_poly(p)
+    p = _poly_arg(p)
     return LaurentPoly._dense(p._s, p._t[:max(0, upto + 1 - p._s)])

@@ -154,6 +154,34 @@ def is_zero_window(w):
     return not w.coeffs
 
 
+# --- document writers: the inverse of the ``nk.cli`` reader ----------------
+
+def matrix_to_json(m):
+    """Array-of-rows form; int entries stay bare, polynomials become
+    coefficient maps keyed by decimal exponent strings."""
+    return [[e if isinstance(e, int) else e.to_json() for e in row]
+            for row in m.entries]
+
+
+def complex_to_json(c):
+    return {"lo": c.lo, "hi": c.hi, "ranks": list(c.ranks),
+            "differentials": {str(i): matrix_to_json(d)
+                              for i, d in sorted(c.differentials.items())}}
+
+
+def domain_to_json(fd):
+    def blocks(b):
+        return {str(i): matrix_to_json(m) for i, m in sorted(b.items())}
+    return {"D": complex_to_json(fd.D), "F": complex_to_json(fd.F),
+            "c": blocks(fd.c), "hD": blocks(fd.h_D), "hF": blocks(fd.h_F)}
+
+
+def seifert_to_json(s):
+    return {"base": complex_to_json(s.base),
+            "e": {str(i): matrix_to_json(s.e.component(i))
+                  for i in s.base.degrees()}}
+
+
 def random_int_matrix(rng, rows, cols, max_coeff=2):
     return Matrix(rows, cols, [[rng.randint(-max_coeff, max_coeff)
                                 for _ in range(cols)] for _ in range(rows)])

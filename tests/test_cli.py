@@ -567,7 +567,7 @@ def test_the_emitter_rejects_an_int_key():
 
 @pytest.mark.parametrize("direction", ["plus", "minus"])
 def test_machine_runs_never_render_text(monkeypatch, capsys, direction):
-    def no_pretty(self, var="z"):
+    def no_pretty(self):
         raise AssertionError("pretty called on a machine run")
 
     monkeypatch.setattr(LaurentPoly, "pretty", no_pretty)

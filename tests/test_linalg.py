@@ -15,7 +15,6 @@ from nk.linalg import (
     Matrix,
     associate,
     matmul,
-    matrix_to_json,
     novikov_diagonalize,
     rank_over_function_field,
     smith_normal_form_int,
@@ -25,6 +24,7 @@ from nk.linalg import (
 from domains import (
     assert_diagonalizes,
     det_oracle,
+    matrix_to_json,
     random_int_matrix,
     random_laurent,
     rng_for,
@@ -305,7 +305,7 @@ def test_diag_rank_agrees_with_function_field():
         for a, b in zip(r.invariant_factors, r.invariant_factors[1:]):
             if b != one:
                 # divisibility chain: b/a must expand integrally
-                q = RationalFunction(b) / RationalFunction(a)
+                q = RationalFunction(b, a)
                 assert q is not None
 
 

@@ -16,7 +16,6 @@ from nk.fundomain import (
 )
 from nk.models import (
     SeifertData,
-    alexander_polynomials,
     circle_exercise,
     fibering_check,
     induced_map_on_free_homology,
@@ -33,6 +32,7 @@ from domains import (
     random_unit_scalar_equivalence,
     rng_for,
     seifert_corpus,
+    seifert_to_json,
 )
 
 z = LaurentPoly({1: 1})
@@ -206,7 +206,7 @@ def test_knot_domains_over_general_bases():
             [b.rank(i) + b.rank(i - 1) for i in range(b.hi + 2)]
         assert cokernel_iso_check(fd, 16).passed
         doc = parse_document(json.dumps({"kind": "knot",
-                                         "payload": s.to_json()}))
+                                         "payload": seifert_to_json(s)}))
         for direction in ("plus", "minus"):
             report = run(doc, direction=direction, oracle=True)
             assert report.exit_code == 0
@@ -222,7 +222,7 @@ def test_e_zero_gives_unit_block():
 # --- alexander polynomials ---------------------------------------------------------------
 
 def test_trefoil_alexander():
-    alex = alexander_polynomials(seifert(TREFOIL))
+    alex = fibering_check(seifert(TREFOIL)).alexander
     assert alex[1] == z ** 2 - z + one
     # independent oracle: symbolic determinant of e + z(1 - e)
     m = Matrix.from_rows([[z, one - z], [z - 1, one]])
@@ -230,14 +230,14 @@ def test_trefoil_alexander():
 
 
 def test_nonfibered_alexander():
-    alex = alexander_polynomials(seifert(NONFIBERED))
+    alex = fibering_check(seifert(NONFIBERED)).alexander
     assert alex[1] == 2 * z ** 2 - 3 * z + 2 * one
     m = Matrix.from_rows([[z, -2 + 2 * z], [one - z, one]])
     assert det_oracle(m) == alex[1]
 
 
 def test_identity_alexander_is_one():
-    alex = alexander_polynomials(seifert([[1, 0], [0, 1]]))
+    alex = fibering_check(seifert([[1, 0], [0, 1]])).alexander
     assert alex == {1: one}
 
 
@@ -249,7 +249,7 @@ def test_alexander_uses_induced_map_on_homology():
     e = ChainMap(base, base, comp)
     ebar = induced_map_on_free_homology(base, e, 1)
     assert ebar == Matrix.from_rows([[-1]])
-    alex = alexander_polynomials(SeifertData(base, e))
+    alex = fibering_check(SeifertData(base, e)).alexander
     # det(-1 + 2z) normalized to positive leading coefficient
     assert alex[1] == 2 * z - 1
 
@@ -306,7 +306,7 @@ def test_seifert_base_in_nonnegative_degrees():
 def test_seifert_json_roundtrip():
     for s in [seifert(TREFOIL)] + seifert_corpus(10):
         doc = parse_document(json.dumps({"kind": "knot",
-                                         "payload": s.to_json()}))
+                                         "payload": seifert_to_json(s)}))
         assert doc.payload["seifert"] == s
 
 
