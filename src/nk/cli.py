@@ -489,14 +489,26 @@ def _euler_check_int(c, rep):
                       f"sum (-1)^i b_i = {chi_b}"}
 
 
+def _agreement(check, mismatches, skipped):
+    """An oracle entry that fails on any mismatch and names the degrees
+    it could not compare because a diagonalization was Inconclusive."""
+    details = mismatches or [
+        "all compared degrees agree" if skipped else "all degrees agree"]
+    details += [f"skipped: degree {i} inconclusive" for i in skipped]
+    return {"check": check, "ok": not mismatches,
+            "detail": "; ".join(details)}
+
+
 def _rank_vs_diag_check(rep):
     """The Q(z) rank of each differential of a NovikovReport against the
-    rank of its diagonalization; Inconclusive degrees are skipped."""
-    details = [f"degree {i}: rank {r} vs diagonal {s}"
-               for i, (r, s) in sorted(rep.ranks.items())
-               if s is not None and s != r]
-    return {"check": "rank-vs-diagonalization", "ok": not details,
-            "detail": "; ".join(details) if details else "all degrees agree"}
+    rank of its diagonalization; Inconclusive degrees are skipped and
+    named."""
+    pairs = sorted(rep.ranks.items())
+    return _agreement(
+        "rank-vs-diagonalization",
+        [f"degree {i}: rank {r} vs diagonal {s}"
+         for i, (r, s) in pairs if s is not None and s != r],
+        [i for i, (_, s) in pairs if s is None])
 
 
 def _run_novikov(payload, k, dirn):
@@ -603,8 +615,9 @@ def _cone_vs_fhat_check(cone, rb):
 
 
 def _run_knot(payload, k, dirn):
-    verdict = fibering_check(payload["seifert"])
-    factors = verdict.novikov[dirn].factors_by_degree()
+    verdict = fibering_check(payload["seifert"], dirn)
+    own = verdict.novikov[dirn]
+    factors = own.factors_by_degree()
     data = {"fibering": verdict.to_json(),
             "novikov_factors": {str(i): [f.to_json() for f in fs]
                                 for i, fs in sorted(factors.items()) if fs}}
@@ -631,23 +644,23 @@ def _run_knot(payload, k, dirn):
     checks = [lambda: _ses_check(verdict.matrices, factors, dirn),
               lambda: {"check": "fibering-criteria-agree", "ok": agree,
                        "detail": "(ii) vs (iii)"}]
-    return data, lines, True, checks
+    return data, lines, own.conclusive, checks
 
 
 def _ses_check(matrices, factors, dirn):
     """Novikov factors of the knot complex match the non-unit invariant
     factors of the Alexander matrix e + z(1-e) on each H_i."""
-    details = []
+    mismatches, skipped = [], []
     for i, m in sorted(matrices.items()):
         try:
             direct = [f for f in novikov_diagonalize(m, dirn).invariant_factors
                       if f != 1]
         except Inconclusive:
+            skipped.append(i)
             continue
         if not _same_factors(factors.get(i, ()), direct, dirn):
-            details.append(f"degree {i}")
-    return {"check": "short-exact-sequence-factors", "ok": not details,
-            "detail": "; ".join(details) if details else "all degrees agree"}
+            mismatches.append(f"degree {i}")
+    return _agreement("short-exact-sequence-factors", mismatches, skipped)
 
 
 def _run_inequalities(payload, k, dirn):

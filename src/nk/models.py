@@ -30,7 +30,8 @@ from .complexes import (
     mapping_cone,
 )
 from .fundomain import AlgebraicFundamentalDomain
-from .novikov import finite_domination_check, novikov_homology
+from .novikov import (_function_field_ranks, _novikov_homology,
+                      novikov_homology, vanishes)
 
 
 class InternalInconsistency(Exception):
@@ -213,8 +214,10 @@ class FiberingVerdict:
     equivalent whenever the base homology is torsion-free; disagreement
     there raises InternalInconsistency.  ``base_torsion`` flags degrees
     whose homology torsion the determinant criterion cannot see.
-    ``novikov`` holds the complement's NovikovReport per Direction and
-    ``matrices`` the Alexander matrix e + z(1 - e) per degree.
+    ``novikov`` holds the complement's NovikovReport per Direction: the
+    run's own completion always, and the other one only when the first
+    vanishes (otherwise the verdict is already false).  ``matrices``
+    holds the Alexander matrix e + z(1 - e) per degree.
     """
 
     alexander: dict
@@ -241,7 +244,8 @@ class FiberingVerdict:
         }
 
 
-def fibering_check(s: SeifertData) -> FiberingVerdict:
+def fibering_check(s: SeifertData,
+                   direction=Direction.PLUS) -> FiberingVerdict:
     """Run both fibering criteria and assert they agree.
 
     (ii) the Novikov homology of the assembled knot complex vanishes
@@ -249,22 +253,31 @@ def fibering_check(s: SeifertData) -> FiberingVerdict:
     coefficients +-1.  On a torsion-free base these are equivalent
     degreewise through the exact sequence
     0 -> H_i((z)) --e+z(1-e)--> H_i((z)) -> H^Nov_i -> 0, so any
-    disagreement is an internal error.
+    disagreement is an internal error.  (ii) is a conjunction, so the
+    cone is diagonalized over ``direction``'s completion first and over
+    the other one only when the first vanishes; both share one set of
+    Q(z) ranks.
     """
     matrices = {i: alexander_matrix(s, i) for i in s.base.degrees()}
     alex = {i: _alexander_polynomial(m) for i, m in matrices.items()}
     extreme = all(abs(p.coeff(0)) == 1 and abs(p.highest_coeff()) == 1
                   for p in alex.values())
-    verdict = finite_domination_check(knot_fundamental_domain(s).cone)
-    nov = verdict.finitely_dominated
+    cone = knot_fundamental_domain(s).cone
+    ranks = _function_field_ranks(cone)
+    other = Direction.MINUS if direction is Direction.PLUS else Direction.PLUS
+    reports = {}
+    for d in (direction, other):
+        reports[d] = _novikov_homology(cone, d, ranks)
+        nov = vanishes(reports[d])
+        if not nov:
+            break
     torsion = {i: tuple(t) for i, t in
                integral_homology(s.base).torsion_factors.items() if t}
     if not torsion and nov != extreme:
         raise InternalInconsistency(
             f"criteria disagree: novikov_vanishes={nov}, "
             f"extreme_coeffs_unit={extreme}")
-    return FiberingVerdict(alex, nov, extreme, torsion, verdict.reports,
-                           matrices)
+    return FiberingVerdict(alex, nov, extreme, torsion, reports, matrices)
 
 
 def knot_novikov_factors(s: SeifertData, direction=Direction.PLUS) -> dict:

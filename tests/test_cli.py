@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import nk.novikov
 from nk import cli
 from nk.rings import Direction, LaurentPoly
-from nk.linalg import associate
+from nk.linalg import Inconclusive, associate
+from nk.models import knot_fundamental_domain
 from nk.novikov import NovikovReport, novikov_homology
 from nk.cli import (
     MAX_PRECISION,
@@ -401,8 +403,88 @@ def test_rank_vs_diag_check_reads_the_report_ranks():
 
     assert check({1: (1, 0), 2: (1, None)}) == {
         "check": "rank-vs-diagonalization", "ok": False,
-        "detail": "degree 1: rank 1 vs diagonal 0"}
+        "detail": "degree 1: rank 1 vs diagonal 0; "
+                  "skipped: degree 2 inconclusive"}
     assert check({1: (1, 1), 2: (0, None)})["ok"] is True
+
+
+def gives_up(monkeypatch, module, when):
+    """Make module.novikov_diagonalize raise Inconclusive on the calls
+    (matrix, direction) that when selects."""
+    real = module.novikov_diagonalize
+
+    def reduce(m, direction=Direction.PLUS):
+        if when(m, direction):
+            raise Inconclusive("budget exceeded")
+        return real(m, direction)
+    monkeypatch.setattr(module, "novikov_diagonalize", reduce)
+
+
+def test_rank_vs_diag_check_names_skipped_degrees(monkeypatch):
+    doc = parse_document(NOVIKOV_TWO_STEP)
+    d2 = doc.payload["complex"].differential(2)
+    gives_up(monkeypatch, nk.novikov, lambda m, _: m == d2)
+    report = run(doc, oracle=True)
+    assert report.exit_code == 1
+    assert report.data["oracle"] == [{
+        "check": "rank-vs-diagonalization", "ok": True,
+        "detail": "all compared degrees agree; "
+                  "skipped: degree 2 inconclusive"}]
+
+
+def test_ses_check_names_skipped_degrees(monkeypatch):
+    gives_up(monkeypatch, cli, lambda m, _: True)
+    report = run(parse_document(TREFOIL), oracle=True)
+    assert report.data["oracle"][0] == {
+        "check": "short-exact-sequence-factors", "ok": True,
+        "detail": "all compared degrees agree; "
+                  "skipped: degree 1 inconclusive"}
+
+
+NONFIBERED = _read_bundled("knot_nonfibered.json")
+
+
+@pytest.mark.parametrize("text, direction, reduced", [
+    (NONFIBERED, "plus", [Direction.PLUS]),
+    (NONFIBERED, "minus", [Direction.MINUS]),
+    (TREFOIL, "plus", [Direction.PLUS, Direction.MINUS]),
+    (TREFOIL, "minus", [Direction.MINUS, Direction.PLUS]),
+], ids=["nonfibered-plus", "nonfibered-minus", "trefoil-plus",
+        "trefoil-minus"])
+def test_knot_job_reduces_the_other_completion_only_if_its_own_vanishes(
+        monkeypatch, text, direction, reduced):
+    reductions = count_calls(monkeypatch, "nk.linalg", "novikov_diagonalize")
+    run(parse_document(text), direction=direction)
+    order = [d for _, d in reductions]
+    assert sorted(set(order), key=order.index) == reduced
+
+
+@pytest.mark.parametrize("text, code", [(NONFIBERED, 0), (TREFOIL, 1)],
+                         ids=["nonfibered", "trefoil"])
+def test_an_inconclusive_other_completion_matters_only_if_its_own_vanishes(
+        monkeypatch, tmp_path, capsys, text, code):
+    """The non-fibered plus side is nonzero, which decides the verdict;
+    the trefoil's vanishes, so its verdict waits on the minus side."""
+    gives_up(monkeypatch, nk.novikov, lambda _, d: d is Direction.MINUS)
+    f = tmp_path / "knot.json"
+    f.write_text(text)
+    assert main(["run", str(f), "--format", "machine"]) == code
+    out = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out.out)["report"]["fibering"]["fibers"] is False
+    else:
+        assert out.err.startswith("inconclusive: ")
+
+
+@pytest.mark.parametrize("direction", ["plus", "minus"])
+def test_knot_job_with_lower_bound_factors_exits_1(monkeypatch, direction):
+    doc = parse_document(NONFIBERED)
+    d1 = knot_fundamental_domain(doc.payload["seifert"]).cone.differential(1)
+    gives_up(monkeypatch, nk.novikov, lambda m, _: m == d1)
+    report = run(doc, direction=direction)
+    assert report.exit_code == 1
+    assert report.data["fibering"]["fibers"] is False
+    assert report.data["novikov_factors"]["1"]
 
 
 def test_run_circle_all_zero():

@@ -23,7 +23,7 @@ from nk.models import (
     knot_novikov_factors,
     mapping_torus_complex,
 )
-from nk.novikov import finite_domination_check, novikov_homology
+from nk.novikov import finite_domination_check, novikov_homology, vanishes
 from nk.cli import parse_document, run
 
 from domains import (
@@ -314,6 +314,18 @@ def test_criteria_agree_on_corpus():
     for s in seifert_corpus(50):
         v = fibering_check(s)  # raises InternalInconsistency on divergence
         assert v.fibers == v.novikov_vanishes == v.extreme_coeffs_unit
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_one_sided_first_verdict_matches_both_completions(direction):
+    """The run's own completion decides a nonzero verdict alone; the
+    other one is reduced only when the first vanishes."""
+    for s in seifert_corpus(50):
+        v = fibering_check(s, direction)
+        cone = knot_fundamental_domain(s).cone
+        assert v.fibers == finite_domination_check(cone).finitely_dominated
+        assert v.novikov[direction] == novikov_homology(cone, direction)
+        assert (len(v.novikov) == 2) == vanishes(v.novikov[direction])
 
 
 def test_one_sided_unit_still_consistent():
