@@ -11,6 +11,7 @@ to hold an invalid complex.
 Integral homology splits each H_i as Z^b_i (+) torsion via Smith normal
 forms of the adjacent differentials; the Morse inequality lower bound in
 degree i is b_i + q_i + q_{i-1} with q counting torsion generators.
+Unit cancellation shrinks a Laurent complex up to chain equivalence.
 """
 
 from __future__ import annotations
@@ -180,6 +181,56 @@ def direct_sum(a: BasedChainComplex, b: BasedChainComplex) -> BasedChainComplex:
                              col_sizes=[a.rank(i), b.rank(i)])
              for i in range(lo + 1, hi + 1)}
     return BasedChainComplex(lo, hi, ranks, diffs)
+
+
+def _first_unit(m):
+    """(r, k, a^-1) for the first entry a = m[r][k] = +-z^j in row-major
+    order, a unit of Z[z,z^-1]; None when there is none."""
+    for r, row in enumerate(m):
+        for k, e in enumerate(row):
+            if e in (1, -1):
+                return r, k, e
+            if e.__class__ is LaurentPoly and e and e.ord() == e.deg() \
+                    and e.lowest_coeff() in (1, -1):
+                return r, k, e ** -1
+    return None
+
+
+def cancel_units(c: BasedChainComplex) -> BasedChainComplex:
+    """Gaussian elimination along the entries +-z^j of a complex with
+    int or Laurent entries: a chain equivalent complex on [lo, hi] with
+    no such entry left.
+
+    Each step takes the first one, a = d_i[r][k], of the lowest degree
+    that has one, drops generator k of C_i and r of C_{i-1}, sets
+    d_i' = delta - gamma a^-1 beta, and deletes row k of d_{i+1} and
+    column r of d_{i-1}.  a is a unit of Q(z) and of both completions,
+    so the Betti numbers and torsion ideals there do not change: two
+    critical points joined by one flow line cancel (Milnor, Lectures on
+    the h-cobordism theorem, 1965, 5; Skoldberg, Trans. AMS 358, 2006).
+    """
+    lo, ranks = c.lo, list(c.ranks)
+    d = {i: [list(row) for row in c.differential(i).entries]
+         for i in range(lo + 1, c.hi + 1)}
+    for i in d:  # a step at i only deletes from d_{i-1}: no new units there
+        while (pivot := _first_unit(d[i])) is not None:
+            r, k, inv = pivot
+            beta = d[i].pop(r)
+            for row in d[i]:
+                if row[k]:
+                    g = row[k] * inv
+                    for y, b in enumerate(beta):
+                        if b and y != k:
+                            row[y] = row[y] - g * b
+                del row[k]
+            if i + 1 in d:
+                del d[i + 1][k]
+            for row in d.get(i - 1, ()):
+                del row[r]
+            ranks[i - lo] -= 1
+            ranks[i - 1 - lo] -= 1
+    return BasedChainComplex(lo, c.hi, ranks, {
+        i: Matrix(ranks[i - 1 - lo], ranks[i - lo], m) for i, m in d.items()})
 
 
 @dataclass(frozen=True)

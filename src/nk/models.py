@@ -22,13 +22,8 @@ from dataclasses import dataclass, field
 from .rings import Z, LaurentPoly, Direction
 from .linalg import (Matrix, inverse_int, matmul, smith_normal_form_int,
                      solve_laurent)
-from .complexes import (
-    BasedChainComplex,
-    ChainMap,
-    direct_sum,
-    integral_homology,
-    mapping_cone,
-)
+from .complexes import (BasedChainComplex, ChainMap, cancel_units,
+                        direct_sum, integral_homology, mapping_cone)
 from .fundomain import AlgebraicFundamentalDomain
 from .novikov import (_function_field_ranks, _novikov_homology,
                       novikov_homology, vanishes)
@@ -253,16 +248,19 @@ def fibering_check(s: SeifertData,
     coefficients +-1.  On a torsion-free base these are equivalent
     degreewise through the exact sequence
     0 -> H_i((z)) --e+z(1-e)--> H_i((z)) -> H^Nov_i -> 0, so any
-    disagreement is an internal error.  (ii) is a conjunction, so the
-    cone is diagonalized over ``direction``'s completion first and over
-    the other one only when the first vanishes; both share one set of
-    Q(z) ranks.
+    disagreement is an internal error.  The cone is first reduced by
+    ``cancel_units`` along the entries +-z^k of its identity and 1 - e
+    blocks, units of Q(z) and of both completions, which keeps every
+    Betti number and torsion ideal.  (ii) is a conjunction, so the
+    reduced cone is diagonalized over ``direction``'s completion first
+    and over the other one only when the first vanishes; both share one
+    set of Q(z) ranks.
     """
     matrices = {i: alexander_matrix(s, i) for i in s.base.degrees()}
     alex = {i: _alexander_polynomial(m) for i, m in matrices.items()}
     extreme = all(abs(p.coeff(0)) == 1 and abs(p.highest_coeff()) == 1
                   for p in alex.values())
-    cone = knot_fundamental_domain(s).cone
+    cone = cancel_units(knot_fundamental_domain(s).cone)
     ranks = _function_field_ranks(cone)
     other = Direction.MINUS if direction is Direction.PLUS else Direction.PLUS
     reports = {}
@@ -281,6 +279,8 @@ def fibering_check(s: SeifertData,
 
 
 def knot_novikov_factors(s: SeifertData, direction=Direction.PLUS) -> dict:
-    """Non-unit Novikov invariant factors of the knot complex per degree."""
-    cone = knot_fundamental_domain(s).cone
+    """Non-unit Novikov invariant factors of the knot complex per degree,
+    read off its cone after ``cancel_units`` as in ``fibering_check``: a
+    chain equivalence over both completions keeps each factor's ideal."""
+    cone = cancel_units(knot_fundamental_domain(s).cone)
     return novikov_homology(cone, direction).factors_by_degree()

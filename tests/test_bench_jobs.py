@@ -21,8 +21,9 @@ from pathlib import Path
 import pytest
 
 from nk.cli import main, parse_document
+from nk.complexes import cancel_units
 from nk.linalg import Matrix, associate, novikov_diagonalize, solve_laurent
-from nk.models import mapping_torus_complex
+from nk.models import knot_fundamental_domain, mapping_torus_complex
 from nk.novikov import novikov_homology
 from nk.rings import Direction, LaurentPoly
 
@@ -129,3 +130,18 @@ def test_swelling_documents_answer_in_both_directions(tmp_path, capsys,
                 product = product * f
             det, _ = solve_laurent(d, Matrix.zeros(d.rows, 0))
             assert associate(product, det, dirn), (name, i)
+
+
+def test_the_knot_cones_of_jobs_mixed_cancel_to_under_300():
+    """The 84 seeded knot cones of jobs-mixed seeds 1-3 have a total rank
+    of 1,008; unit cancellation leaves at most 300 (274 when written)."""
+    ranks = []
+    for seed in (1, 2, 3):
+        for job in jobs.make_jobs("jobs-mixed", seed, ROOT / "src"):
+            if job.doc["kind"] == "knot" and not job.golden:
+                seifert = parse_document(json.dumps(job.doc)).payload["seifert"]
+                cone = knot_fundamental_domain(seifert).cone
+                ranks.append((sum(cone.ranks), sum(cancel_units(cone).ranks)))
+    assert len(ranks) == 84
+    assert sum(r for r, _ in ranks) == 1008
+    assert sum(r for _, r in ranks) <= 300

@@ -12,6 +12,7 @@ import nk.novikov
 from nk import cli
 from nk.rings import Direction, LaurentPoly
 from nk.linalg import Inconclusive, associate
+from nk.complexes import cancel_units
 from nk.models import knot_fundamental_domain
 from nk.novikov import NovikovReport, novikov_homology
 from nk.cli import (
@@ -320,8 +321,8 @@ def count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("direction", ["plus", "minus"])
 def test_knot_job_builds_one_cone(monkeypatch, direction):
     """The knot factors come from the fibering check's reports: one cone,
-    and one Q(z) rank per cone differential for both completions,
-    whatever the direction."""
+    and one Q(z) rank per differential of the cone reduced by unit
+    cancellation, for both completions, whatever the direction."""
     import nk.models
     cones = count_calls(monkeypatch, "nk.fundomain", "assemble_mapping_cone")
     ranks = count_calls(monkeypatch, "nk.linalg", "rank_over_function_field")
@@ -329,7 +330,7 @@ def test_knot_job_builds_one_cone(monkeypatch, direction):
     report = run(doc, direction=direction, oracle=True)
     assert all(c["ok"] for c in report.data["oracle"])
     assert len(cones) == 1
-    cone = cones[0][0].cone
+    cone = cancel_units(cones[0][0].cone)
     assert [m for m, in ranks] == [cone.differential(i)
                                    for i in range(cone.lo + 1, cone.hi + 1)]
     factors = nk.models.knot_novikov_factors(doc.payload["seifert"],
@@ -408,14 +409,16 @@ def test_rank_vs_diag_check_reads_the_report_ranks():
     assert check({1: (1, 1), 2: (0, None)})["ok"] is True
 
 
-def gives_up(monkeypatch, module, when):
+def gives_up(monkeypatch, module, when, keep_factors=False):
     """Make module.novikov_diagonalize raise Inconclusive on the calls
-    (matrix, direction) that when selects."""
+    (matrix, direction) that when selects; with keep_factors, after
+    finding the factors that the real reduction finds."""
     real = module.novikov_diagonalize
 
     def reduce(m, direction=Direction.PLUS):
         if when(m, direction):
-            raise Inconclusive("budget exceeded")
+            found = real(m, direction).invariant_factors if keep_factors else ()
+            raise Inconclusive("budget exceeded", found)
         return real(m, direction)
     monkeypatch.setattr(module, "novikov_diagonalize", reduce)
 
@@ -478,9 +481,11 @@ def test_an_inconclusive_other_completion_matters_only_if_its_own_vanishes(
 
 @pytest.mark.parametrize("direction", ["plus", "minus"])
 def test_knot_job_with_lower_bound_factors_exits_1(monkeypatch, direction):
+    # unit cancellation leaves d_1 0x1, and the factor in d_2
     doc = parse_document(NONFIBERED)
-    d1 = knot_fundamental_domain(doc.payload["seifert"]).cone.differential(1)
-    gives_up(monkeypatch, nk.novikov, lambda m, _: m == d1)
+    d2 = cancel_units(knot_fundamental_domain(doc.payload["seifert"]).cone
+                      ).differential(2)
+    gives_up(monkeypatch, nk.novikov, lambda m, _: m == d2, keep_factors=True)
     report = run(doc, direction=direction)
     assert report.exit_code == 1
     assert report.data["fibering"]["fibers"] is False
