@@ -50,9 +50,8 @@ class BasedChainComplex:
             raise ValueError("ranks must list one count per degree in [lo, hi]")
         diffs = {}
         for i in range(lo + 1, hi + 1):
-            d = differentials.get(i)
-            if d is None:
-                d = Matrix.zeros(ranks[i - 1 - lo], ranks[i - lo])
+            d = differentials.get(i) or Matrix.zeros(ranks[i - 1 - lo],
+                                                     ranks[i - lo])
             if (d.rows, d.cols) != (ranks[i - 1 - lo], ranks[i - lo]):
                 raise ValueError(
                     f"differential at degree {i} is {d.rows}x{d.cols}, "
@@ -83,10 +82,8 @@ class BasedChainComplex:
 
     def differential(self, i):
         """The matrix of d: C_i -> C_{i-1} (zero-shaped outside range)."""
-        d = self.differentials.get(i)
-        if d is None:
-            d = Matrix.zeros(self.rank(i - 1), self.rank(i))
-        return d
+        return self.differentials.get(i) or Matrix.zeros(self.rank(i - 1),
+                                                         self.rank(i))
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -134,9 +131,8 @@ class ChainMap:
         comps = {}
         for i in range(min(self.source.lo, self.target.lo),
                        max(self.source.hi, self.target.hi) + 1):
-            f = self.components.get(i)
-            if f is None:
-                f = Matrix.zeros(self.target.rank(i), self.source.rank(i))
+            f = self.components.get(i) or Matrix.zeros(
+                self.target.rank(i), self.source.rank(i))
             if (f.rows, f.cols) != (self.target.rank(i), self.source.rank(i)):
                 raise ValueError(f"component at degree {i} has wrong shape")
             comps[i] = f
@@ -149,10 +145,8 @@ class ChainMap:
                 raise ValueError(f"does not commute with d at degree {i}")
 
     def component(self, i):
-        f = self.components.get(i)
-        if f is None:
-            f = Matrix.zeros(self.target.rank(i), self.source.rank(i))
-        return f
+        return self.components.get(i) or Matrix.zeros(self.target.rank(i),
+                                                      self.source.rank(i))
 
 
 def mapping_cone(f: ChainMap) -> BasedChainComplex:

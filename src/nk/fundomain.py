@@ -20,7 +20,7 @@ Out of this come three exact constructions:
   d_F + z h_F (1 - z h_D)^-1 c  =  d_F + sum_{j>=1} z^j h_F h_D^{j-1} c,
   exactly or truncated at a series order.  Exactly, each 1 - z h_D | D_i
   goes through one fraction-free elimination per domain, which gives
-  its determinant and adjugate over Z[z,z^-1]; the determinant has
+  its determinant and h_F adj over Z[z,z^-1]; the determinant has
   constant coefficient 1, hence is invertible in the rational subring,
   and each entry of z h_F adj c is divided by it once;
 * the torsion of the projection C(phi) -> F^, in commutative determinant
@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rings import ONE, Z, LaurentPoly, RationalFunction
-from .linalg import Matrix, matmul, solve_laurent
+from .rings import ONE, LaurentPoly, RationalFunction
+from .linalg import Matrix, _is_int, matmul, solve_laurent
 from .complexes import BasedChainComplex
 
 
@@ -97,29 +97,26 @@ class AlgebraicFundamentalDomain:
 
     @cached_property
     def one_minus_zh(self):
-        """{i: 1 - z h_D on D_i}, for each degree where D is nonzero."""
-        return {i: Matrix.identity(self.D.rank(i)) - self.h_D_at(i).scaled(Z)
-                for i in self.D.degrees() if self.D.rank(i)}
+        """{i: 1 - z h_D on D_i}, for each degree where D is nonzero,
+        built entry by entry."""
+        return {i: Matrix(h.rows, h.cols, [
+            [LaurentPoly._dense(0, (int(r == k), -e)) for k, e in enumerate(row)]
+            for r, row in enumerate(h.entries)])
+            for i in self.D.degrees() if self.D.rank(i)
+            for h in [self.h_D_at(i)]}
 
     @cached_property
-    def adjugates(self):
-        """{i: (det, adj)} of 1 - z h_D on D_i, for each degree where D
-        is nonzero: one elimination per degree and domain, shared by F^,
-        the cokernel check and the zeta."""
-        return {i: solve_laurent(m, Matrix.identity(m.rows))
-                for i, m in self.one_minus_zh.items()}
-
-    @cached_property
-    def zh_F_adj(self):
-        """{i: z h_F adj(1 - z h_D)} on D_i, for each degree where D is
-        nonzero: the middle block of the projection C(phi) -> F^ and,
-        times c, the tail of the numerators of F^."""
-        return {i: matmul(self.h_F_at(i), adj).scaled(Z)
-                for i, (_, adj) in self.adjugates.items()}
-
-    def adjugate_at(self, i):
-        """(det, adj) of 1 - z h_D on D_i; (1, empty) where D_i = 0."""
-        return self.adjugates.get(i) or (ONE, Matrix.zeros(0, 0))
+    def solved(self):
+        """{i: (det M, z h_F adj M)} for M = 1 - z h_D on D_i, in each
+        degree where D is nonzero, by one Gauss-Jordan pass over
+        [M^T | h_F^T], since adj(M^T) = adj(M)^T.  z h_F adj M is the
+        middle block of the projection C(phi) -> F^ and, times c, the
+        tail of the numerators of F^."""
+        out = {}
+        for i, m in self.one_minus_zh.items():
+            det, x = solve_laurent(m.transposed(), self.h_F_at(i).transposed())
+            out[i] = det, x.transposed().map_entries(lambda e: e.shifted(1))
+        return out
 
     @cached_property
     def cone(self):
@@ -134,10 +131,10 @@ class AlgebraicFundamentalDomain:
         out = {}
         for i in range(min(self.D.lo, self.F.lo) + 1,
                        max(self.D.hi + 1, self.F.hi) + 1):
-            det, _ = self.adjugate_at(i - 1)
+            det, zh_F_adj = self.solved.get(i - 1, (ONE, None))
             num = self.F.differential(i).scaled(det)
-            if i - 1 in self.zh_F_adj:
-                num = num + matmul(self.zh_F_adj[i - 1], self.c_at(i))
+            if i - 1 in self.h_F and i in self.c:
+                num = num + matmul(zh_F_adj, self.c[i])
             out[i] = det, num
         return out
 
@@ -149,6 +146,8 @@ def _conform(blocks, shape, name):
         if (m.rows, m.cols) != (rs, cs):
             raise InvalidDomain(f"{name} shape", i,
                                 f"{m.rows}x{m.cols}, expected {rs}x{cs}")
+        if not _is_int(m.entries):
+            raise InvalidDomain("entries", i, f"{name} must be over Z")
         if not m.is_zero:
             out[i] = m
     return out
@@ -165,27 +164,37 @@ def validate_fundamental_domain(fd) -> tuple | None:
       d_D c + c d_F = 0
       d_D h_D + c h_F = h_D d_D
       d_F h_F = h_F d_D
+
+    Only products of two present blocks are formed: a missing block or
+    a zero differential is zero, and so is every product it enters.
     """
-    D, F = fd.D, fd.F
-    span = fd._span()
-    for i in span:
-        # d_D c + c d_F = 0 : F_i -> D_{i-2}
-        lhs = matmul(D.differential(i - 1), fd.c_at(i)) + \
-            matmul(fd.c_at(i - 1), F.differential(i))
-        if not lhs.is_zero:
-            return ("d_D c + c d_F = 0", i)
-        # d_D h_D + c h_F = h_D d_D : D_i -> D_{i-1}
-        lhs = matmul(D.differential(i), fd.h_D_at(i)) + \
-            matmul(fd.c_at(i), fd.h_F_at(i))
-        rhs = matmul(fd.h_D_at(i - 1), D.differential(i))
-        if lhs != rhs:
-            return ("d_D h_D + c h_F = h_D d_D", i)
-        # d_F h_F = h_F d_D : D_i -> F_{i-1}
-        lhs = matmul(F.differential(i), fd.h_F_at(i))
-        rhs = matmul(fd.h_F_at(i - 1), D.differential(i))
-        if lhs != rhs:
-            return ("d_F h_F = h_F d_D", i)
+    d_D, d_F = ({i: m for i, m in X.differentials.items() if not m.is_zero}
+                for X in (fd.D, fd.F))
+    c, h_D, h_F = fd.c, fd.h_D, fd.h_F
+    for i in fd._span():
+        for name, lhs, rhs in (
+                ("d_D c + c d_F = 0",  # F_i -> D_{i-2}
+                 [(d_D.get(i - 1), c.get(i)), (c.get(i - 1), d_F.get(i))], []),
+                ("d_D h_D + c h_F = h_D d_D",  # D_i -> D_{i-1}
+                 [(d_D.get(i), h_D.get(i)), (c.get(i), h_F.get(i))],
+                 [(h_D.get(i - 1), d_D.get(i))]),
+                ("d_F h_F = h_F d_D",  # D_i -> F_{i-1}
+                 [(d_F.get(i), h_F.get(i))], [(h_F.get(i - 1), d_D.get(i))])):
+            if not _balanced(lhs, rhs):
+                return name, i
     return None
+
+
+def _balanced(lhs, rhs):
+    """Is the sum of a @ b over the pairs lhs that over the pairs rhs?
+    A pair with a missing block (None) is zero and never multiplied."""
+    total = None
+    for pairs, sign in ((lhs, 1), (rhs, -1)):
+        for a, b in pairs:
+            if a is not None and b is not None:
+                p = matmul(a, b) if sign > 0 else -matmul(a, b)
+                total = p if total is None else total + p
+    return total is None or total.is_zero
 
 
 def assemble_mapping_cone(fd: AlgebraicFundamentalDomain) -> BasedChainComplex:
@@ -209,8 +218,9 @@ def assemble_mapping_cone(fd: AlgebraicFundamentalDomain) -> BasedChainComplex:
     for i in range(lo + 1, hi + 1):
         diffs[i] = Matrix.block(
             [[-D.differential(i - 1), None, None],
-             [fd.one_minus_zh.get(i - 1), D.differential(i), fd.c_at(i)],
-             [-fd.h_F_at(i - 1).scaled(Z), None, F.differential(i)]],
+             [fd.one_minus_zh.get(i - 1), D.differential(i), fd.c.get(i)],
+             [fd.h_F_at(i - 1).map_entries(lambda e: LaurentPoly._dense(
+                 1, (-e,))), None, F.differential(i)]],
             row_sizes=[D.rank(i - 2), D.rank(i - 1), F.rank(i - 1)],
             col_sizes=[D.rank(i - 1), D.rank(i), F.rank(i)])
     return BasedChainComplex(lo, hi, ranks, diffs)
@@ -303,9 +313,9 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
     cone = fd.cone
     proj = {}
     for i in cone.degrees():
-        det, _ = fd.adjugate_at(i)
+        det, zh_F_adj = fd.solved.get(i, (ONE, None))
         proj[i] = det, Matrix.block(
-            [[None, fd.zh_F_adj.get(i),
+            [[None, zh_F_adj,
               Matrix.identity(fd.F.rank(i)).scaled(det)]],
             row_sizes=[fd.F.rank(i)],
             col_sizes=[fd.D.rank(i - 1), fd.D.rank(i), fd.F.rank(i)])
@@ -335,8 +345,7 @@ def torsion_zeta(fd: AlgebraicFundamentalDomain) -> RationalFunction:
     degrees multiply the numerator, odd degrees the denominator.
     """
     num, den = ONE, ONE
-    for i in fd.D.degrees():
-        det, _ = fd.adjugate_at(i)
+    for i, (det, _) in fd.solved.items():
         if i % 2 == 0:
             num = num * det
         else:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cache
 
 from .rings import (
     ONE,
@@ -108,7 +109,9 @@ class Matrix:
                           for i in range(n)])
 
     @classmethod
+    @cache
     def zeros(cls, rows, cols):
+        """The zero matrix of a shape: one shared instance per shape."""
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
@@ -132,6 +135,10 @@ class Matrix:
                 c0 += cs
             r0 += rs
         return cls(rows, cols, out)
+
+    def transposed(self):
+        return Matrix(self.cols, self.rows, [[row[j] for row in self.entries]
+                                             for j in range(self.cols)])
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -181,22 +188,20 @@ class Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product; raises DimensionMismatch unless a.cols == b.rows."""
+    """Exact product; raises DimensionMismatch unless a.cols == b.rows.
+    Integer operands take the integer kernel ``_imul``, and an empty
+    dimension gives the zero block at once."""
     if a.cols != b.rows:
         raise DimensionMismatch(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = 0
-            for k in range(a.cols):
-                x, y = a.entries[i][k], b.entries[k][j]
-                if x and y:
-                    acc = acc + x * y
-            row.append(acc)
-        out.append(row)
-    return Matrix(a.rows, b.cols, out)
+    if not (a.rows and a.cols and b.cols):
+        return Matrix.zeros(a.rows, b.cols)
+    if _is_int(a.entries) and _is_int(b.entries):
+        return Matrix(a.rows, b.cols, _imul(a.entries, b.entries))
+    cols = list(zip(*b.entries))
+    return Matrix(a.rows, b.cols, [
+        [sum((x * y for x, y in zip(row, col) if x and y), 0) for col in cols]
+        for row in a.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +364,11 @@ def _orders_and_norms(rows):
                 lo = o
         out.append((lo, norm))
     return out
+
+
+def _is_int(grid):
+    """Are all entries of the rows grid plain ints?"""
+    return all(e.__class__ is int for row in grid for e in row)
 
 
 def _imul(a, b):

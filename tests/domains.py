@@ -72,6 +72,14 @@ def det_oracle(m):
     return total
 
 
+def naive_matmul(a, b):
+    """a @ b by the textbook triple loop, adding every term, zeros too:
+    the reference product, independent of ``linalg.matmul``."""
+    return Matrix(a.rows, b.cols, [
+        [sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), 0)
+         for j in range(b.cols)] for i in range(a.rows)])
+
+
 def assert_diagonalizes(m, res, direction=None):
     """Re-multiply a diagonalization of m instead of trusting it.
 
@@ -152,6 +160,67 @@ def divexact(a, b):
 def is_zero_window(w):
     """Is the TruncatedSeries w known to vanish below its cutoff?"""
     return not w.coeffs
+
+
+# --- the dense validator and corrupted domains --------------------------------
+
+def dense_validate_fundamental_domain(fd):
+    """The reference for ``fundomain.validate_fundamental_domain``: every
+    product of the three block identities formed on dense blocks, zero
+    blocks included; (identity name, degree) of the first failure, or
+    None."""
+    D, F = fd.D, fd.F
+    for i in fd._span():
+        # d_D c + c d_F = 0 : F_i -> D_{i-2}
+        lhs = matmul(D.differential(i - 1), fd.c_at(i)) + \
+            matmul(fd.c_at(i - 1), F.differential(i))
+        if not lhs.is_zero:
+            return ("d_D c + c d_F = 0", i)
+        # d_D h_D + c h_F = h_D d_D : D_i -> D_{i-1}
+        lhs = matmul(D.differential(i), fd.h_D_at(i)) + \
+            matmul(fd.c_at(i), fd.h_F_at(i))
+        rhs = matmul(fd.h_D_at(i - 1), D.differential(i))
+        if lhs != rhs:
+            return ("d_D h_D + c h_F = h_D d_D", i)
+        # d_F h_F = h_F d_D : D_i -> F_{i-1}
+        lhs = matmul(F.differential(i), fd.h_F_at(i))
+        rhs = matmul(fd.h_F_at(i - 1), D.differential(i))
+        if lhs != rhs:
+            return ("d_F h_F = h_F d_D", i)
+    return None
+
+
+def _unchecked(cls, **fields):
+    """An instance of cls holding fields, built without its validation."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def corrupt_domain(fd, rng):
+    """fd with one entry of one block (c, h_D, h_F, d_D or d_F) moved by
+    a nonzero amount, built without the construction-time validator (a
+    corrupted differential need not square to zero)."""
+    spots = [(name, i, getattr(fd, f"{name}_at")(i))
+             for name in ("c", "h_D", "h_F") for i in fd._span()]
+    spots += [(name, i, X.differential(i))
+              for name, X in (("d_D", fd.D), ("d_F", fd.F))
+              for i in range(X.lo + 1, X.hi + 1)]
+    name, i, m = rng.choice([s for s in spots if s[2].rows and s[2].cols])
+    grid = [list(row) for row in m.entries]
+    grid[rng.randrange(m.rows)][rng.randrange(m.cols)] += rng.choice(
+        (-2, -1, 1, 2))
+    blocks = {"D": fd.D, "F": fd.F, "c": fd.c, "h_D": fd.h_D, "h_F": fd.h_F}
+    if name in ("d_D", "d_F"):
+        X = blocks[name[-1]]
+        blocks[name[-1]] = _unchecked(
+            BasedChainComplex, lo=X.lo, hi=X.hi, ranks=X.ranks,
+            differentials={**X.differentials,
+                           i: Matrix(m.rows, m.cols, grid)})
+    else:
+        blocks[name] = {**blocks[name], i: Matrix(m.rows, m.cols, grid)}
+    return _unchecked(AlgebraicFundamentalDomain, **blocks)
 
 
 # --- document writers: the inverse of the ``nk.cli`` reader ----------------

@@ -1,5 +1,6 @@
 """Document parsing, dispatch, report formats, exit codes."""
 
+import dataclasses
 import importlib
 import io
 import json
@@ -442,6 +443,42 @@ def test_ses_check_names_skipped_degrees(monkeypatch):
         "check": "short-exact-sequence-factors", "ok": True,
         "detail": "all compared degrees agree; "
                   "skipped: degree 1 inconclusive"}
+
+
+# d_F^ = 2 + z on F_1 -> F_0: torsion 2 + z in degree 0 over Z((z))
+TORSION_DOMAIN = job("fundomain", {"domain": {
+    "D": {"lo": 0, "hi": 0, "ranks": [1], "differentials": {}},
+    "F": {"lo": 0, "hi": 1, "ranks": [1, 1],
+          "differentials": {"1": [[2]]}},
+    "c": {"1": [[1]]}, "hF": {"0": [[1]]}}})
+
+
+def test_cone_vs_fhat_check_names_skipped_degrees(monkeypatch):
+    # F^ gives up on its only differential with no factors found, which
+    # read as totals would disagree with the cone's factor 2 + z
+    doc = parse_document(TORSION_DOMAIN)
+    d1 = cli.algebraic_novikov_complex(doc.payload["domain"]).differential(1)
+    gives_up(monkeypatch, nk.novikov, lambda m, _: m == d1)
+    report = run(doc, oracle=True)
+    assert report.exit_code == 1
+    assert report.data["oracle"][1] == {
+        "check": "cone-vs-algebraic-novikov", "ok": True,
+        "detail": "reports compared degreewise; "
+                  "skipped: degree 0 inconclusive"}
+
+
+def test_cone_vs_fhat_check_compares_betti_in_skipped_degrees(monkeypatch):
+    fd = parse_document(TORSION_DOMAIN).payload["domain"]
+    d1 = cli.algebraic_novikov_complex(fd).differential(1)
+    gives_up(monkeypatch, nk.novikov, lambda m, _: m == d1)
+    rb = novikov_homology(cli.algebraic_novikov_complex(fd))
+    assert not rb.conclusive
+    assert cli._cone_vs_fhat_check(fd.cone, rb)["ok"] is True
+    wrong = dataclasses.replace(rb, betti={**rb.betti, 0: rb.b(0) + 1})
+    assert cli._cone_vs_fhat_check(fd.cone, wrong) == {
+        "check": "cone-vs-algebraic-novikov", "ok": False,
+        "detail": "reports compared degreewise; "
+                  "skipped: degree 0 inconclusive"}
 
 
 NONFIBERED = _read_bundled("knot_nonfibered.json")

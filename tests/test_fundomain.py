@@ -25,8 +25,16 @@ from nk.fundomain import (
 from nk.novikov import novikov_homology
 import nk.fundomain
 from nk.cli import parse_document, run
+from nk.models import knot_fundamental_domain
 
-from domains import domain_corpus, domain_to_json, rng_for
+from domains import (
+    corrupt_domain,
+    dense_validate_fundamental_domain,
+    domain_corpus,
+    domain_to_json,
+    rng_for,
+    seifert_corpus,
+)
 
 z = LaurentPoly({1: 1})
 one = LaurentPoly({0: 1})
@@ -106,6 +114,11 @@ def test_domain_needs_integer_entries():
     with pytest.raises(InvalidDomain) as exc:
         AlgebraicFundamentalDomain(D, F, c={}, h_D={}, h_F={})
     assert exc.value.identity == "entries"
+    D = BasedChainComplex(0, 0, [1], {})
+    with pytest.raises(InvalidDomain) as exc:
+        AlgebraicFundamentalDomain(D, F, c={}, h_F={},
+                                   h_D={0: Matrix.from_rows([[z]])})
+    assert exc.value.identity == "entries"
 
 
 def test_invalid_shape_reported():
@@ -134,6 +147,23 @@ def test_broken_chain_identity_detected():
 def test_corpus_domains_validate():
     for fd in CORPUS:
         assert validate_fundamental_domain(fd) is None
+
+
+def test_validator_agrees_with_the_dense_reference_on_corrupted_domains():
+    rng = rng_for("corrupted-domains")
+    domains = CORPUS + [knot_fundamental_domain(s) for s in seifert_corpus()]
+    caught = 0
+    for fd in domains:
+        assert validate_fundamental_domain(fd) is None
+        assert dense_validate_fundamental_domain(fd) is None
+        for _ in range(3):
+            bad = corrupt_domain(fd, rng)
+            found = validate_fundamental_domain(bad)
+            assert found == dense_validate_fundamental_domain(bad)
+            caught += found is not None
+    # most corrupted domains are valid again (say, an h_D entry where
+    # d_D and c vanish); this keeps the test from passing with none caught
+    assert caught > len(domains) // 2
 
 
 # --- assembly ------------------------------------------------------------------------
@@ -339,10 +369,11 @@ def test_domain_json_roundtrip():
 def test_rank_eight_dense_domain():
     fd = dense_domain(8)
     for i in (0, 1):
-        det, adj = fd.adjugate_at(i)
+        det, zh_F_adj = fd.solved[i]
         m = Matrix.identity(8) - fd.h_D_at(i).scaled(z)
         assert det.coeff(0) == 1 and det.deg() == 8
-        assert matmul(m, adj) == Matrix.identity(8).scaled(det)
+        # z h_F adj(m) m = det z h_F, since adj(m) m = det I
+        assert matmul(zh_F_adj, m) == fd.h_F_at(i).scaled(z * det)
     fhat = algebraic_novikov_complex(fd, "exact")
     assert validate_complex(fhat) is None
     K = 12

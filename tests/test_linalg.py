@@ -25,6 +25,7 @@ from domains import (
     assert_diagonalizes,
     det_oracle,
     matrix_to_json,
+    naive_matmul,
     random_int_matrix,
     random_laurent,
     rng_for,
@@ -114,6 +115,57 @@ def test_matmul_empty_edge():
 def test_matmul_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         matmul(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
+
+
+def test_matmul_matches_the_naive_product():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ints = st.integers(-5, 5)
+    laurents = st.dictionaries(st.integers(-2, 2), ints,
+                               max_size=3).map(LaurentPoly)
+    rationals = st.builds(
+        lambda n, d: RationalFunction(n, LaurentPoly({0: 1, 1: d})),
+        laurents, st.integers(-2, 2))
+    kinds = st.sampled_from([ints, laurents, rationals,
+                             st.one_of(ints, laurents, rationals)])
+
+    def matrices(rows, cols):
+        return kinds.flatmap(lambda e: st.lists(
+            st.lists(e, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows).map(
+                lambda grid: Matrix(rows, cols, grid)))
+
+    # 0 x n, n x 0 and an empty inner dimension come up among the shapes
+    dims = st.integers(0, 3)
+    pairs = st.tuples(dims, dims, dims).flatmap(
+        lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], s[2])))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(pairs, dims)
+    def agrees(pair, extra):
+        a, b = pair
+        prod = matmul(a, b)
+        assert (prod.rows, prod.cols) == (a.rows, b.cols)
+        assert prod == naive_matmul(a, b)
+        if all(isinstance(e, int) for m in pair for row in m.entries
+               for e in row):
+            assert all(e.__class__ is int for row in prod.entries
+                       for e in row)
+        with pytest.raises(DimensionMismatch):
+            matmul(a, Matrix.zeros(b.rows + 1 + extra, b.cols))
+
+    agrees()
+
+
+def test_zeros_is_one_immutable_instance_per_shape():
+    for rows, cols in itertools.product(range(4), repeat=2):
+        zero = Matrix.zeros(rows, cols)
+        assert Matrix.zeros(rows, cols) is zero
+        assert (zero.rows, zero.cols) == (rows, cols) and zero.is_zero
+        assert zero == Matrix(rows, cols, [[0] * cols] * rows)
+        with pytest.raises(AttributeError):
+            zero.entries = ((1,) * cols,) * rows
+    assert Matrix.zeros(2, 3) is not Matrix.zeros(3, 2)
 
 
 def test_matrix_json_roundtrip():
