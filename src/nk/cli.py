@@ -579,16 +579,17 @@ def _run_fundomain(payload, k, dirn):
 
 def _exact_vs_truncated_check(fd, fhat, k):
     trunc = algebraic_novikov_complex(fd, "truncated", order=k)
-    ok = True
+    detail = f"windows through z^{k}"
     for i in range(fhat.lo + 1, fhat.hi + 1):
         ex, tr = fhat.differential(i), trunc.differential(i)
         for r in range(ex.rows):
             for c in range(ex.cols):
                 w = expand(ex.entry(r, c), precision=k)
                 if w != TruncatedSeries.of_poly(tr.entry(r, c), k):
-                    ok = False
-    return {"check": "exact-vs-truncated", "ok": ok,
-            "detail": f"windows through z^{k}"}
+                    return {"check": "exact-vs-truncated", "ok": False,
+                            "detail": f"{detail}; first mismatch: "
+                                      f"degree {i}, entry ({r}, {c})"}
+    return {"check": "exact-vs-truncated", "ok": True, "detail": detail}
 
 
 def _same_factors(fa, fb, dirn):

@@ -28,8 +28,9 @@ Out of this come three exact constructions:
   ``RationalFunction`` whose numerator and denominator have constant
   coefficient 1.
 
-Each degree's blocks 1 - z h_D and z h_F adj(1 - z h_D) are built once
-per domain and shared by C(phi), F^ and the cokernel check.
+Each degree's 1 - z h_D (for C(phi)), and its det and z h_F adj from
+one elimination (for F^ and the cokernel check, which never builds
+C(phi)), are built once per domain.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rings import ONE, LaurentPoly, RationalFunction
-from .linalg import Matrix, _is_int, matmul, solve_laurent
+from .rings import ONE, LaurentPoly, RationalFunction, _slot_width
+from .linalg import (Matrix, _imul, _is_int, _orders_and_norms, _pack,
+                     _unpack, matmul, solve_laurent)
 from .complexes import BasedChainComplex
 
 
@@ -295,44 +297,57 @@ class CokernelCheck:
 
 def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelCheck:
     """Verify, through series order `precision`, that projecting C(phi)
-    onto its F-summand along the image of phi intertwines the assembled
-    differential with the F^ differential.
+    onto its F-summand along im(phi), p_i = [0, Y_i / det_i, 1] with
+    (det_i, Y_i) the (det, z h_F adj) of 1 - z h_D on D_i (``fd.solved``),
+    intertwines d_{C(phi)} with d_F^ = N_i / det_{i-1}.
 
-    phi = [1 - z h_D; -z h_F] is split injective because 1 - z h_D is
-    invertible; reducing (b, f) in D_i (+) F_i modulo im(phi) leaves
-    (0, f + z h_F (1 - z h_D)^-1 b), so the projection in degree i is
-    the block row p_i = [0, z h_F (1 - z h_D)^-1, 1].  The check is
-    p_{i-1} d_{C(phi)} = d_F^ p_i through the requested order; the first
-    mismatch is reported with its degree and series order.
-
-    Both sides are compared over Z[z,z^-1], multiplied through by
-    det_{i-1} det_i with det_i = det(1 - z h_D | D_i): each det has
-    order 0 and constant coefficient 1, so the series order of a
-    mismatch is the order of its Laurent numerator.
+    Times det_{i-1} det_i, the difference in degree i has three column
+    blocks, read off the domain without building C(phi) (block row
+    D_{i-2} meets a zero of p_{i-1}): det_i (Y_{i-1} (1 - z h_D) -
+    z det_{i-1} h_F) on D_{i-1} (adjugate identity), det_i Y_{i-1} d_D -
+    N_i Y_i on D_i (chain map), det_i (Y_{i-1} c + det_{i-1} d_F - N_i)
+    on F_i (numerators).  Keeping det_i keeps every entry, hence the first
+    mismatch (degree, then lowest order; a det has order 0 and constant
+    coefficient 1), that of the product with the cone, for any ``solved``
+    and ``numerators``.  The Laurent inputs pack once per degree at
+    X = 2^(8w), w above the 1-norm bound of all the terms.
     """
-    cone = fd.cone
-    proj = {}
-    for i in cone.degrees():
-        det, zh_F_adj = fd.solved.get(i, (ONE, None))
-        proj[i] = det, Matrix.block(
-            [[None, zh_F_adj,
-              Matrix.identity(fd.F.rank(i)).scaled(det)]],
-            row_sizes=[fd.F.rank(i)],
-            col_sizes=[fd.D.rank(i - 1), fd.D.rank(i), fd.F.rank(i)])
-    first = None
-    for i in range(cone.lo + 1, cone.hi + 1):
-        _, num = fd.numerators[i]
-        det, p_i = proj[i]
-        diff = (matmul(proj[i - 1][1], cone.differential(i)).scaled(det)
-                - matmul(num, p_i))
-        for row in diff.entries:
-            for e in row:
-                if e and e.ord() <= precision:
-                    if first is None or (i, e.ord()) < first:
-                        first = (i, e.ord())
-    if first is None:
-        return CokernelCheck(True)
-    return CokernelCheck(False, first[0], first[1])
+    for i in range(min(fd.D.lo, fd.F.lo) + 1, max(fd.D.hi + 1, fd.F.hi) + 1):
+        (det1, y1), (det0, y0) = (fd.solved.get(j, (ONE, None))
+                                  for j in (i - 1, i))
+        laurent = [[[det1]], [[det0]], y1 and y1.entries, y0 and y0.entries,
+                   fd.numerators[i][1].entries]
+        h_D, h_F, c, d_D, d_F = ints = [m and m.entries for m in (
+            fd.h_D.get(i - 1), fd.h_F.get(i - 1), fd.c.get(i),
+            fd.D.differentials.get(i), fd.F.differentials.get(i))]
+        on = [_orders_and_norms(m or ()) for m in laurent + ints]
+        s = min([0] + [lo for r in on for lo, _ in r if lo is not None])
+        n1, n0, ny1, ny0, nn, nh_D, nh_F, nc, nd_D, nd_F = (
+            max((n for _, n in r), default=0) for r in on)
+        w = _slot_width(n0 * (ny1 * (1 + nh_D + nd_D + nc) + n1 * (nh_F + nd_F)
+                              + nn) + nn * ny0)
+        [[p1]], [[p0]], y1, y0, num = (
+            m and [[_pack(e, s, w) for e in row] for row in m] for m in laurent)
+        x = 8 * w  # z packs as X = 2^x; every block packs at shift 2s
+        m = h_D and [[(r == k) - (e << x) for k, e in enumerate(row)]
+                     for r, row in enumerate(h_D)]  # 1 - z h_D
+        blocks = ((p0, _add((1, _imul(y1, m) if m else y1), (-p1 << x, h_F))),
+                  (1, _add((p0, y1 and d_D and _imul(y1, d_D)),
+                           (-1, y0 and _imul(num, y0)))),
+                  (p0, _add((1, y1 and c and _imul(y1, c)), (p1, d_F),
+                            (-1, num))))
+        orders = [_unpack(u, 2 * s, w).ord() for k, rows in blocks
+                  for row in rows for v in row if v for u in [k * v] if u]
+        if orders and min(orders) <= precision:
+            return CokernelCheck(False, i, min(orders))
+    return CokernelCheck(True)
+
+
+def _add(*terms):
+    """The sum of k rows over the terms (k, rows) with rows not empty."""
+    terms = [t for t in terms if t[1]]
+    return [[sum(k * v for (k, _), v in zip(terms, vs)) for vs in zip(*rs)]
+            for rs in zip(*(rows for _, rows in terms))]
 
 
 def torsion_zeta(fd: AlgebraicFundamentalDomain) -> RationalFunction:

@@ -23,11 +23,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from nk.rings import (Direction, LaurentPoly, RationalFunction,
+from nk.rings import (ONE, Direction, LaurentPoly, RationalFunction,
                       is_novikov_unit, reverse_variable)
 from nk.linalg import Matrix, _laurent_rows, matmul, solve_laurent
 from nk.complexes import BasedChainComplex, ChainMap, direct_sum
-from nk.fundomain import AlgebraicFundamentalDomain
+from nk.fundomain import AlgebraicFundamentalDomain, CokernelCheck
 from nk.models import SeifertData, knot_fundamental_domain
 
 
@@ -223,6 +223,81 @@ def corrupt_domain(fd, rng):
     return _unchecked(AlgebraicFundamentalDomain, **blocks)
 
 
+def corrupt_solution(fd, rng, kind):
+    """A copy of fd whose cached ``solved`` or ``numerators`` has one
+    value moved by +-z^k, set in the copy's instance dict: a det of
+    ``solved`` (kind "det"), an entry of its z h_F adj(1 - z h_D)
+    ("adjugate") or an entry of a numerator N ("numerator").  None when
+    fd has no such value."""
+    fd.numerators, fd.cone  # built once, shared with the copies
+    name = "numerators" if kind == "numerator" else "solved"
+    table = getattr(fd, name)
+    spots = [i for i, (_, m) in table.items()
+             if kind == "det" or m.rows and m.cols]
+    if not spots:
+        return None
+    i = rng.choice(spots)
+    det, m = table[i]
+    delta = LaurentPoly({rng.choice((-1, 0, 1, 2, 5, 20)): rng.choice((-1, 1))})
+    if kind == "det":
+        det = det + delta
+    else:
+        grid = [list(row) for row in m.entries]
+        grid[rng.randrange(m.rows)][rng.randrange(m.cols)] += delta
+        m = Matrix(m.rows, m.cols, grid)
+    bad = _unchecked(AlgebraicFundamentalDomain, **vars(fd))
+    bad.__dict__[name] = {**table, i: (det, m)}
+    return bad
+
+
+# --- the cone-based cokernel identification -----------------------------------
+
+# The reference for ``fundomain.cokernel_iso_check``: the same matrix,
+# formed as the product of the projections with the assembled differential
+# of C(phi) by generic Laurent ``matmul``.
+
+def cone_cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelCheck:
+    """Verify, through series order `precision`, that projecting C(phi)
+    onto its F-summand along the image of phi intertwines the assembled
+    differential with the F^ differential.
+
+    phi = [1 - z h_D; -z h_F] is split injective because 1 - z h_D is
+    invertible; reducing (b, f) in D_i (+) F_i modulo im(phi) leaves
+    (0, f + z h_F (1 - z h_D)^-1 b), so the projection in degree i is
+    the block row p_i = [0, z h_F (1 - z h_D)^-1, 1].  The check is
+    p_{i-1} d_{C(phi)} = d_F^ p_i through the requested order; the first
+    mismatch is reported with its degree and series order.
+
+    Both sides are compared over Z[z,z^-1], multiplied through by
+    det_{i-1} det_i with det_i = det(1 - z h_D | D_i): each det has
+    order 0 and constant coefficient 1, so the series order of a
+    mismatch is the order of its Laurent numerator.
+    """
+    cone = fd.cone
+    proj = {}
+    for i in cone.degrees():
+        det, zh_F_adj = fd.solved.get(i, (ONE, None))
+        proj[i] = det, Matrix.block(
+            [[None, zh_F_adj,
+              Matrix.identity(fd.F.rank(i)).scaled(det)]],
+            row_sizes=[fd.F.rank(i)],
+            col_sizes=[fd.D.rank(i - 1), fd.D.rank(i), fd.F.rank(i)])
+    first = None
+    for i in range(cone.lo + 1, cone.hi + 1):
+        _, num = fd.numerators[i]
+        det, p_i = proj[i]
+        diff = (matmul(proj[i - 1][1], cone.differential(i)).scaled(det)
+                - matmul(num, p_i))
+        for row in diff.entries:
+            for e in row:
+                if e and e.ord() <= precision:
+                    if first is None or (i, e.ord()) < first:
+                        first = (i, e.ord())
+    if first is None:
+        return CokernelCheck(True)
+    return CokernelCheck(False, first[0], first[1])
+
+
 # --- document writers: the inverse of the ``nk.cli`` reader ----------------
 
 def matrix_to_json(m):
@@ -398,6 +473,19 @@ def random_fundamental_domain(rng):
     if family == "knot":
         return knot_fundamental_domain(random_seifert(rng))
     return _scalar_family(rng)
+
+
+def random_flow_domain(rng):
+    """A domain with F = D and c = 0: h_D a chain self-map of D and
+    h_F = a h_D + b.  Unlike the corpus families it has d_D and h_F both
+    nonzero, so the chain-map block det_i Y_{i-1} d_D - N_i Y_i of the
+    cokernel identification cancels two nonzero products."""
+    d, selfmap = random_chain_selfmap(rng)
+    a, b = rng.randint(-2, 2), rng.choice((-1, 1))
+    h_D = dict(selfmap.components)
+    h_F = {i: m.scaled(a) + Matrix.identity(m.rows).scaled(b)
+           for i, m in h_D.items()}
+    return AlgebraicFundamentalDomain(d, d, c={}, h_D=h_D, h_F=h_F)
 
 
 def domain_corpus(n=100, seed="domains"):

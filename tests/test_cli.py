@@ -12,7 +12,7 @@ import pytest
 import nk.novikov
 from nk import cli
 from nk.rings import Direction, LaurentPoly
-from nk.linalg import Inconclusive, associate
+from nk.linalg import Inconclusive, Matrix, associate
 from nk.complexes import cancel_units
 from nk.models import knot_fundamental_domain
 from nk.novikov import NovikovReport, novikov_homology
@@ -398,6 +398,46 @@ def test_fundomain_job_builds_one_cone(monkeypatch):
     assert len(cones) == 1
 
 
+@pytest.mark.parametrize("direction, oracle, built", [
+    ("plus", False, 0), ("minus", False, 1), ("minus", True, 1)])
+def test_fundomain_job_builds_the_cone_only_to_read_it(monkeypatch, direction,
+                                                       oracle, built):
+    # the cokernel identification reads the domain's blocks; the cone is
+    # read by the minus Novikov report and the cone-vs-F^ oracle only
+    # (a plus --oracle run builds it once: the test above)
+    cones = count_calls(monkeypatch, "nk.fundomain", "assemble_mapping_cone")
+    report = run(parse_document(_read_bundled("scalar_domain.json")),
+                 direction=direction, oracle=oracle)
+    assert report.data["cokernel_check"]["passed"] is True
+    assert len(cones) == built
+
+
+def test_a_failing_cokernel_identification_is_reported(monkeypatch, tmp_path,
+                                                       capsys):
+    # F^ is built from the true blocks; then the entry of
+    # z h_F adj(1 - z h_D) on D_0 moves by z^2, which the adjugate
+    # identity, on the D_0 column block of degree 1, sees at order 2
+    doc = parse_document(_read_bundled("scalar_domain.json"))
+    fd = doc.payload["domain"]
+    fd.numerators
+    det, y = fd.solved[0]
+    fd.__dict__["solved"] = {0: (det, Matrix(1, 1, [
+        [y.entry(0, 0) + LaurentPoly({2: 1})]]))}
+    monkeypatch.setattr(cli, "parse_document", lambda text: doc)
+    f = tmp_path / "scalar.json"
+    f.write_text(_read_bundled("scalar_domain.json"))
+    assert main(["run", str(f), "--precision", "8"]) == 0
+    assert ("cokernel identification through order 8: "
+            "FAIL at degree 1, order 2") in capsys.readouterr().out.splitlines()
+    assert main(["run", str(f), "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["cokernel_check"] \
+        == {"passed": False, "degree": 1, "order": 2}
+    # below the order of the mismatch the identification holds
+    assert main(["run", str(f), "--precision", "1"]) == 0
+    assert ("cokernel identification through order 1: pass"
+            in capsys.readouterr().out.splitlines())
+
+
 def test_rank_vs_diag_check_reads_the_report_ranks():
     def check(ranks):
         return _rank_vs_diag_check(NovikovReport(
@@ -622,6 +662,30 @@ def test_fundomain_minus_reads_the_cone():
     assert nov == novikov_homology(doc.payload["domain"].cone,
                                    Direction.MINUS).to_json()
     assert all(c["ok"] for c in report.data["oracle"])
+
+
+def test_exact_vs_truncated_check_names_the_first_mismatch(monkeypatch):
+    real = cli.algebraic_novikov_complex
+
+    def moved(fd, mode="exact", order=None):
+        out = real(fd, mode, order)
+        if mode == "truncated":  # entry (0, 0) of d_2 moves by 1
+            d = out.differentials[2]
+            grid = [list(row) for row in d.entries]
+            grid[0][0] += 1
+            out = dataclasses.replace(out, differentials={
+                **out.differentials, 2: Matrix(d.rows, d.cols, grid)})
+        return out
+
+    monkeypatch.setattr(cli, "algebraic_novikov_complex", moved)
+    expanded = count_calls(monkeypatch, "nk.rings", "expand")
+    report = run(parse_document(MINUS_DOMAIN), precision=3, oracle=True)
+    assert report.data["oracle"][0] == {
+        "check": "exact-vs-truncated", "ok": False,
+        "detail": "windows through z^3; first mismatch: degree 2, entry (0, 0)"}
+    assert len(expanded) == 1  # d_2 is 1 x 2: its entry (0, 1) is not expanded
+    assert ("oracle exact-vs-truncated: FAIL (windows through z^3; "
+            "first mismatch: degree 2, entry (0, 0))") in report.text
 
 
 # --- golden round trips ------------------------------------------------------------

@@ -28,10 +28,13 @@ from nk.cli import parse_document, run
 from nk.models import knot_fundamental_domain
 
 from domains import (
+    cone_cokernel_iso_check,
     corrupt_domain,
+    corrupt_solution,
     dense_validate_fundamental_domain,
     domain_corpus,
     domain_to_json,
+    random_flow_domain,
     rng_for,
     seifert_corpus,
 )
@@ -288,6 +291,31 @@ def test_cokernel_f_zero_trivially():
 def test_cokernel_corpus():
     for fd in CORPUS[:50]:
         assert cokernel_iso_check(fd, 16).passed
+
+
+def test_cokernel_check_agrees_with_the_cone_reference():
+    """The block check and the cone-based product give the same outcome,
+    first failing degree and order on the corpus, the knot domains,
+    domains with nonzero d_D and h_F, and copies of them with one
+    corrupted det or entry of ``solved`` or entry of ``numerators`` (the
+    numerators' det is the det of ``solved``, which both read instead)."""
+    rng = rng_for("corrupted-solutions")
+    flows = rng_for("flow-domains")
+    domains = (CORPUS + [knot_fundamental_domain(s) for s in seifert_corpus()]
+               + [random_flow_domain(flows) for _ in range(30)])
+    failed = dict.fromkeys((None, "det", "adjugate", "numerator"), 0)
+    for fd in domains:
+        for kind in failed:
+            copies = ([fd] if kind is None else
+                      [corrupt_solution(fd, rng, kind) for _ in range(2)])
+            for bad in filter(None, copies):
+                for k in (0, 1, 4, 16):
+                    found = cokernel_iso_check(bad, k)
+                    assert found == cone_cokernel_iso_check(bad, k)
+                    failed[kind] += not found.passed
+    # the true domains pass, and each corruption kind fails some runs
+    assert failed.pop(None) == 0
+    assert all(failed.values()), failed
 
 
 # --- torsion zeta ---------------------------------------------------------------------------
