@@ -303,51 +303,72 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
 
     Times det_{i-1} det_i, the difference in degree i has three column
     blocks, read off the domain without building C(phi) (block row
-    D_{i-2} meets a zero of p_{i-1}): det_i (Y_{i-1} (1 - z h_D) -
-    z det_{i-1} h_F) on D_{i-1} (adjugate identity), det_i Y_{i-1} d_D -
-    N_i Y_i on D_i (chain map), det_i (Y_{i-1} c + det_{i-1} d_F - N_i)
-    on F_i (numerators).  Keeping det_i keeps every entry, hence the first
-    mismatch (degree, then lowest order; a det has order 0 and constant
-    coefficient 1), that of the product with the cone, for any ``solved``
-    and ``numerators``.  The Laurent inputs pack once per degree at
-    X = 2^(8w), w above the 1-norm bound of all the terms.
+    D_{i-2} meets a zero of p_{i-1}):
+
+      on D_{i-1}: det_i (Y_{i-1} (1 - z h_D) - z det_{i-1} h_F)  (adjugate)
+      on D_i:     det_i Y_{i-1} d_D - N_i Y_i                   (chain map)
+      on F_i:     det_i (Y_{i-1} c + det_{i-1} d_F - N_i)       (numerators)
+
+    Keeping det_i keeps every entry, hence the first mismatch (degree,
+    then lowest order; a det has order 0 and constant coefficient 1),
+    that of the product with the cone, for any ``solved`` and
+    ``numerators``.  The Laurent inputs pack once per degree at
+    X = 2^(8w), w above the 1-norm bound of each block and of each packed
+    input; the integer blocks stay ints.
     """
     for i in range(min(fd.D.lo, fd.F.lo) + 1, max(fd.D.hi + 1, fd.F.hi) + 1):
+        rows = fd.F.rank(i - 1)
+        if not rows:  # every block maps into F_{i-1}
+            continue
         (det1, y1), (det0, y0) = (fd.solved.get(j, (ONE, None))
                                   for j in (i - 1, i))
-        laurent = [[[det1]], [[det0]], y1 and y1.entries, y0 and y0.entries,
-                   fd.numerators[i][1].entries]
-        h_D, h_F, c, d_D, d_F = ints = [m and m.entries for m in (
-            fd.h_D.get(i - 1), fd.h_F.get(i - 1), fd.c.get(i),
-            fd.D.differentials.get(i), fd.F.differentials.get(i))]
-        on = [_orders_and_norms(m or ()) for m in laurent + ints]
-        s = min([0] + [lo for r in on for lo, _ in r if lo is not None])
-        n1, n0, ny1, ny0, nn, nh_D, nh_F, nc, nd_D, nd_F = (
-            max((n for _, n in r), default=0) for r in on)
-        w = _slot_width(n0 * (ny1 * (1 + nh_D + nd_D + nc) + n1 * (nh_F + nd_F)
-                              + nn) + nn * ny0)
-        [[p1]], [[p0]], y1, y0, num = (
-            m and [[_pack(e, s, w) for e in row] for row in m] for m in laurent)
+        num = fd.numerators[i][1].entries
+        y1, y0 = (y.entries if y else () for y in (y1, y0))
+        h_D, h_F, c = (fd.h_D_at(i - 1).entries, fd.h_F_at(i - 1).entries,
+                       fd.c_at(i).entries)
+        d_D, d_F = fd.D.differential(i).entries, fd.F.differential(i).entries
+        (s1, n1), (s0, n0), (sy1, ny1), (sy0, ny0), (sn, nn) = (
+            _low_and_norm(m) for m in ([[det1]], [[det0]], y1, y0, num))
+        nh_D, nh_F, nc, nd_D, nd_F = (_low_and_norm(m)[1]
+                                      for m in (h_D, h_F, c, d_D, d_F))
+        bound_adj = n0 * (ny1 * (1 + nh_D) + n1 * nh_F)
+        bound_chain = n0 * ny1 * nd_D + nn * ny0
+        bound_num = n0 * (ny1 * nc + n1 * nd_F + nn)
+        s = min(0, s1, s0, sy1, sy0, sn)
+        w = _slot_width(max(bound_adj, bound_chain, bound_num,
+                            n1, n0, ny1, ny0, nn))
         x = 8 * w  # z packs as X = 2^x; every block packs at shift 2s
-        m = h_D and [[(r == k) - (e << x) for k, e in enumerate(row)]
-                     for r, row in enumerate(h_D)]  # 1 - z h_D
-        blocks = ((p0, _add((1, _imul(y1, m) if m else y1), (-p1 << x, h_F))),
-                  (1, _add((p0, y1 and d_D and _imul(y1, d_D)),
-                           (-1, y0 and _imul(num, y0)))),
-                  (p0, _add((1, y1 and c and _imul(y1, c)), (p1, d_F),
-                            (-1, num))))
-        orders = [_unpack(u, 2 * s, w).ord() for k, rows in blocks
-                  for row in rows for v in row if v for u in [k * v] if u]
+        p1, p0 = _pack(det1, s, w), _pack(det0, s, w)
+        Y1, Y0, N = ([[_pack(e, s, w) for e in row] for row in m]
+                     for m in (y1, y0, num))
+        Y1h_D = _times(Y1, h_D, rows, fd.D.rank(i - 1))
+        Y1d_D = _times(Y1, d_D, rows, fd.D.rank(i))
+        NY0 = _times(N, Y0, rows, fd.D.rank(i))
+        Y1c = _times(Y1, c, rows, fd.F.rank(i))
+        adj = [[p0 * (y - ((a + p1 * h) << x)) for y, a, h in zip(*r)]
+               for r in zip(Y1, Y1h_D, h_F)]
+        chain = [[p0 * a - b for a, b in zip(*r)] for r in zip(Y1d_D, NY0)]
+        nums = [[p0 * (a + p1 * d - n) for a, d, n in zip(*r)]
+                for r in zip(Y1c, d_F, N)]
+        orders = [_unpack(v, 2 * s, w).ord() for block in (adj, chain, nums)
+                  for row in block for v in row if v]
         if orders and min(orders) <= precision:
             return CokernelCheck(False, i, min(orders))
     return CokernelCheck(True)
 
 
-def _add(*terms):
-    """The sum of k rows over the terms (k, rows) with rows not empty."""
-    terms = [t for t in terms if t[1]]
-    return [[sum(k * v for (k, _), v in zip(terms, vs)) for vs in zip(*rs)]
-            for rs in zip(*(rows for _, rows in terms))]
+def _low_and_norm(rows):
+    """The lowest order of the nonzero entries of the rows (0 if there
+    are none) and their largest 1-norm."""
+    on = _orders_and_norms(rows)
+    return (min((lo for lo, _ in on if lo is not None), default=0),
+            max((n for _, n in on), default=0))
+
+
+def _times(a, b, rows, cols):
+    """a @ b for int rows a (`rows` of them) and b (`cols` columns); zero
+    when b has no rows, i.e. the inner dimension is empty."""
+    return _imul(a, b) if b else [[0] * cols for _ in range(rows)]
 
 
 def torsion_zeta(fd: AlgebraicFundamentalDomain) -> RationalFunction:

@@ -60,6 +60,27 @@ def f_zero_domain(h_d):
         D, F, c={}, h_D={0: Matrix.from_rows([[h_d]])}, h_F={})
 
 
+def wide_coefficient_domains():
+    """Domains with a det or z h_F adj coefficient of 128 or more in a
+    degree where every block that multiplies it vanishes, so only the
+    packed input itself needs the wide slot: a det on D_{i-1} with
+    h_F = d_F = 0 (rank 1, and rank 2 with det 1 - 20z + 200z^2), a
+    det on D_i with nothing else in the degree, z h_F adj on D_i with
+    N_i = 0, and F = 0."""
+    def domain(d, f, h_D=None, h_F=None):
+        return AlgebraicFundamentalDomain(
+            BasedChainComplex(d[0], d[0], [d[1]], {}),
+            BasedChainComplex(f[0], f[0] + len(f[1]) - 1, f[1], {}), c={},
+            h_D={d[0]: Matrix.from_rows(h_D)} if h_D else {},
+            h_F={d[0]: Matrix.from_rows(h_F)} if h_F else {})
+    return [domain((0, 1), (0, [1]), h_D=[[200]]),
+            domain((0, 2), (0, [1]), h_D=[[10, 1], [-100, 10]]),
+            domain((1, 1), (0, [1]), h_D=[[200]]),
+            domain((1, 2), (0, [1, 1]), h_D=[[0, 1], [0, 0]],
+                   h_F=[[200, 200]]),
+            f_zero_domain(200)]
+
+
 def dense_domain(n):
     """D = Z^n in degrees 0 and 1 with dense h_D; F has ranks 2, 4, 2.
 
@@ -296,13 +317,15 @@ def test_cokernel_corpus():
 def test_cokernel_check_agrees_with_the_cone_reference():
     """The block check and the cone-based product give the same outcome,
     first failing degree and order on the corpus, the knot domains,
-    domains with nonzero d_D and h_F, and copies of them with one
+    domains with nonzero d_D and h_F, domains with wide coefficients
+    next to vanishing blocks, and copies of them with one
     corrupted det or entry of ``solved`` or entry of ``numerators`` (the
     numerators' det is the det of ``solved``, which both read instead)."""
     rng = rng_for("corrupted-solutions")
     flows = rng_for("flow-domains")
     domains = (CORPUS + [knot_fundamental_domain(s) for s in seifert_corpus()]
-               + [random_flow_domain(flows) for _ in range(30)])
+               + [random_flow_domain(flows) for _ in range(30)]
+               + wide_coefficient_domains())
     failed = dict.fromkeys((None, "det", "adjugate", "numerator"), 0)
     for fd in domains:
         for kind in failed:
