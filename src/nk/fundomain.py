@@ -19,28 +19,29 @@ Out of this come three exact constructions:
 * the algebraic Novikov complex F^ on the ranks of F, with differential
   d_F + z h_F (1 - z h_D)^-1 c  =  d_F + sum_{j>=1} z^j h_F h_D^{j-1} c,
   exactly or truncated at a series order.  Exactly, each 1 - z h_D | D_i
-  goes through one fraction-free elimination per domain, which gives
-  its determinant and h_F adj over Z[z,z^-1]; the determinant has
-  constant coefficient 1, hence is invertible in the rational subring,
-  and each entry of z h_F adj c is divided by it once;
+  goes through one fraction-free elimination per domain, on integers
+  packed straight from h_D and h_F, which gives its determinant and
+  z h_F adj over Z[z,z^-1]; the determinant has constant coefficient 1,
+  hence is invertible in the rational subring, and each entry of
+  z h_F adj c is divided by it once;
 * the torsion of the projection C(phi) -> F^, in commutative determinant
   form: the alternating product of det(1 - z h_D | D_i), a zeta-type
   ``RationalFunction`` whose numerator and denominator have constant
   coefficient 1.
 
-Each degree's 1 - z h_D (for C(phi)), and its det and z h_F adj from
-one elimination (for F^ and the cokernel check, which never builds
-C(phi)), are built once per domain.
+Each degree's det and z h_F adj (for F^ and the cokernel check, which
+never builds C(phi)) are built once per domain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .rings import ONE, LaurentPoly, RationalFunction, _slot_width
-from .linalg import (Matrix, _imul, _is_int, _orders_and_norms, _pack,
-                     _unpack, matmul, solve_laurent)
+from .linalg import (Matrix, _eliminate, _imul, _is_int, _orders_and_norms,
+                     _pack, _unpack, matmul)
 from .complexes import BasedChainComplex
 
 
@@ -98,26 +99,31 @@ class AlgebraicFundamentalDomain:
         return self.h_F.get(i) or Matrix.zeros(self.F.rank(i), self.D.rank(i))
 
     @cached_property
-    def one_minus_zh(self):
-        """{i: 1 - z h_D on D_i}, for each degree where D is nonzero,
-        built entry by entry."""
-        return {i: Matrix(h.rows, h.cols, [
-            [LaurentPoly._dense(0, (int(r == k), -e)) for k, e in enumerate(row)]
-            for r, row in enumerate(h.entries)])
-            for i in self.D.degrees() if self.D.rank(i)
-            for h in [self.h_D_at(i)]}
-
-    @cached_property
     def solved(self):
         """{i: (det M, z h_F adj M)} for M = 1 - z h_D on D_i, in each
-        degree where D is nonzero, by one Gauss-Jordan pass over
-        [M^T | h_F^T], since adj(M^T) = adj(M)^T.  z h_F adj M is the
-        middle block of the projection C(phi) -> F^ and, times c, the
-        tail of the numerators of F^."""
+        degree where D is nonzero: the middle block of the projection
+        C(phi) -> F^ and, times c, the tail of the numerators of F^.
+
+        One Gauss-Jordan pass of the Bareiss kernel over [M^T | h_F^T]
+        gives both (adj(M^T) = adj(M)^T), on rows packed from the int
+        blocks at X = 2^(8w): row r is 1 - X h_D[k][r] and h_F[j][r], of
+        order 0, and w puts the product of the row 1-norms, which bounds
+        every coefficient of every minor, below X/2."""
         out = {}
-        for i, m in self.one_minus_zh.items():
-            det, x = solve_laurent(m.transposed(), self.h_F_at(i).transposed())
-            out[i] = det, x.transposed().map_entries(lambda e: e.shifted(1))
+        for i in filter(self.D.rank, self.D.degrees()):
+            n = self.D.rank(i)
+            h_D, h_F = self.h_D_at(i).entries, self.h_F_at(i).entries
+            cols = list(zip(zip(*h_D), zip(*h_F) if h_F else [()] * n))
+            w = _slot_width(math.prod(1 + sum(map(abs, a)) + sum(map(abs, b))
+                                      for a, b in cols))
+            M = [[(k == r) - (e << 8 * w) for k, e in enumerate(a)] + list(b)
+                 for r, (a, b) in enumerate(cols)]
+            rank, det = _eliminate(M, n, jordan=True)
+            if rank < n:  # pragma: no cover - internal invariant
+                raise AssertionError("1 - z h_D must be invertible")
+            adj = zip(*(row[n:] for row in M))  # the columns of adj(M^T) h_F^T
+            out[i] = _unpack(det, 0, w), Matrix(len(h_F), n, [
+                [_unpack(v, 1, w) for v in col] for col in adj])
         return out
 
     @cached_property
@@ -218,9 +224,13 @@ def assemble_mapping_cone(fd: AlgebraicFundamentalDomain) -> BasedChainComplex:
     ranks = [D.rank(i - 1) + D.rank(i) + F.rank(i) for i in range(lo, hi + 1)]
     diffs = {}
     for i in range(lo + 1, hi + 1):
+        n = D.rank(i - 1)
+        one_minus_zh = Matrix(n, n, [
+            [LaurentPoly._dense(0, (int(r == k), -e)) for k, e in enumerate(row)]
+            for r, row in enumerate(fd.h_D_at(i - 1).entries)])
         diffs[i] = Matrix.block(
             [[-D.differential(i - 1), None, None],
-             [fd.one_minus_zh.get(i - 1), D.differential(i), fd.c.get(i)],
+             [one_minus_zh, D.differential(i), fd.c.get(i)],
              [fd.h_F_at(i - 1).map_entries(lambda e: LaurentPoly._dense(
                  1, (-e,))), None, F.differential(i)]],
             row_sizes=[D.rank(i - 2), D.rank(i - 1), F.rank(i - 1)],

@@ -250,6 +250,61 @@ def corrupt_solution(fd, rng, kind):
     return bad
 
 
+# --- the Laurent route to ``solved`` -------------------------------------------
+
+def laurent_solved(fd: AlgebraicFundamentalDomain):
+    """The reference for ``AlgebraicFundamentalDomain.solved``: 1 - z h_D
+    built as LaurentPoly entries, then solve_laurent((1 - z h_D)^T,
+    h_F^T), transposed and shifted by one, in each degree where D is
+    nonzero.  It packs through ``linalg._bareiss``, which reads the row
+    orders and slot width off the Laurent entries."""
+    one_minus_zh = {i: Matrix(h.rows, h.cols, [
+        [LaurentPoly._dense(0, (int(r == k), -e)) for k, e in enumerate(row)]
+        for r, row in enumerate(h.entries)])
+        for i in fd.D.degrees() if fd.D.rank(i)
+        for h in [fd.h_D_at(i)]}
+    out = {}
+    for i, m in one_minus_zh.items():
+        det, x = solve_laurent(m.transposed(), fd.h_F_at(i).transposed())
+        out[i] = det, x.transposed().map_entries(lambda e: e.shifted(1))
+    return out
+
+
+def wide_coefficient_domains():
+    """Domains that need a wide packing slot, all with zero differentials.
+
+    The first five have a det or z h_F adj coefficient of 128 or more
+    in a degree where every block that multiplies it vanishes, so only
+    the packed input of the cokernel check itself needs the wide slot: a
+    det on D_{i-1} with h_F = d_F = 0 (rank 1, and rank 2 with det
+    1 - 20z + 200z^2), a det on D_i with nothing else in the degree,
+    z h_F adj on D_i with N_i = 0, and F = 0.
+
+    The last four each give ``solved`` a wrong answer at half its slot
+    width: a column of h_D and h_F with 1-norm past 127, where z h_F adj
+    has 200 z^2; one with 1-norm past 32,767, where it has 40000 z^2
+    (4 bytes); a wide h_F next to h_D = 0; and F_0 = 0, so h_F has no
+    rows, with det 1 - 20z + 200z^2 from two columns of 1-norm 21.
+    """
+    def domain(d, f, h_D=None, h_F=None):
+        return AlgebraicFundamentalDomain(
+            BasedChainComplex(d[0], d[0], [d[1]], {}),
+            BasedChainComplex(f[0], f[0] + len(f[1]) - 1, f[1], {}), c={},
+            h_D={d[0]: Matrix.from_rows(h_D)} if h_D else {},
+            h_F={d[0]: Matrix.from_rows(h_F)} if h_F else {})
+    return [domain((0, 1), (0, [1]), h_D=[[200]]),
+            domain((0, 2), (0, [1]), h_D=[[10, 1], [-100, 10]]),
+            domain((1, 1), (0, [1]), h_D=[[200]]),
+            domain((1, 2), (0, [1, 1]), h_D=[[0, 1], [0, 0]],
+                   h_F=[[200, 200]]),
+            domain((0, 1), (0, [0]), h_D=[[200]]),
+            domain((0, 2), (0, [1]), h_D=[[0, 0], [100, 0]], h_F=[[30, 2]]),
+            domain((0, 2), (0, [1]), h_D=[[0, 0], [20000, 0]],
+                   h_F=[[15000, 2]]),
+            domain((0, 2), (0, [1]), h_F=[[200, -3]]),
+            domain((0, 2), (1, [1]), h_D=[[10, 10], [-10, 10]])]
+
+
 # --- the cone-based cokernel identification -----------------------------------
 
 # The reference for ``fundomain.cokernel_iso_check``: the same matrix,

@@ -34,9 +34,11 @@ from domains import (
     dense_validate_fundamental_domain,
     domain_corpus,
     domain_to_json,
+    laurent_solved,
     random_flow_domain,
     rng_for,
     seifert_corpus,
+    wide_coefficient_domains,
 )
 
 z = LaurentPoly({1: 1})
@@ -58,27 +60,6 @@ def f_zero_domain(h_d):
     F = BasedChainComplex(0, 0, [0], {})
     return AlgebraicFundamentalDomain(
         D, F, c={}, h_D={0: Matrix.from_rows([[h_d]])}, h_F={})
-
-
-def wide_coefficient_domains():
-    """Domains with a det or z h_F adj coefficient of 128 or more in a
-    degree where every block that multiplies it vanishes, so only the
-    packed input itself needs the wide slot: a det on D_{i-1} with
-    h_F = d_F = 0 (rank 1, and rank 2 with det 1 - 20z + 200z^2), a
-    det on D_i with nothing else in the degree, z h_F adj on D_i with
-    N_i = 0, and F = 0."""
-    def domain(d, f, h_D=None, h_F=None):
-        return AlgebraicFundamentalDomain(
-            BasedChainComplex(d[0], d[0], [d[1]], {}),
-            BasedChainComplex(f[0], f[0] + len(f[1]) - 1, f[1], {}), c={},
-            h_D={d[0]: Matrix.from_rows(h_D)} if h_D else {},
-            h_F={d[0]: Matrix.from_rows(h_F)} if h_F else {})
-    return [domain((0, 1), (0, [1]), h_D=[[200]]),
-            domain((0, 2), (0, [1]), h_D=[[10, 1], [-100, 10]]),
-            domain((1, 1), (0, [1]), h_D=[[200]]),
-            domain((1, 2), (0, [1, 1]), h_D=[[0, 1], [0, 0]],
-                   h_F=[[200, 200]]),
-            f_zero_domain(200)]
 
 
 def dense_domain(n):
@@ -108,6 +89,9 @@ def dense_domain(n):
 
 
 CORPUS = domain_corpus(100)
+# unlike the corpus families, these have d_D and h_F both nonzero
+_flows = rng_for("flow-domains")
+FLOWS = [random_flow_domain(_flows) for _ in range(30)]
 
 
 # --- validation --------------------------------------------------------------------
@@ -263,7 +247,7 @@ def test_geometric_series_identity_on_corpus():
 
 def test_exact_and_truncated_agree_through_order():
     K = 16
-    for fd in CORPUS[:40]:
+    for fd in CORPUS[:40] + FLOWS:
         fhat = algebraic_novikov_complex(fd, "exact")
         trunc = algebraic_novikov_complex(fd, "truncated", order=K)
         for i in range(fd.F.lo + 1, fd.F.hi + 1):
@@ -278,7 +262,7 @@ def test_exact_and_truncated_agree_through_order():
 
 
 def test_exact_mode_d_squared_identically():
-    for fd in CORPUS:
+    for fd in CORPUS + FLOWS:
         fhat = algebraic_novikov_complex(fd, "exact")
         assert validate_complex(fhat) is None
 
@@ -322,10 +306,8 @@ def test_cokernel_check_agrees_with_the_cone_reference():
     corrupted det or entry of ``solved`` or entry of ``numerators`` (the
     numerators' det is the det of ``solved``, which both read instead)."""
     rng = rng_for("corrupted-solutions")
-    flows = rng_for("flow-domains")
     domains = (CORPUS + [knot_fundamental_domain(s) for s in seifert_corpus()]
-               + [random_flow_domain(flows) for _ in range(30)]
-               + wide_coefficient_domains())
+               + FLOWS + wide_coefficient_domains())
     failed = dict.fromkeys((None, "det", "adjugate", "numerator"), 0)
     for fd in domains:
         for kind in failed:
@@ -395,7 +377,7 @@ def test_zeta_multiplicative_under_direct_sum():
 # --- chain equivalence consequence -----------------------------------------------------------
 
 def test_cone_and_fhat_reports_agree():
-    for fd in CORPUS[:40]:
+    for fd in CORPUS[:40] + FLOWS:
         cone = assemble_mapping_cone(fd)
         fhat = algebraic_novikov_complex(fd, "exact")
         ra = novikov_homology(cone)
@@ -440,15 +422,26 @@ def test_rank_eight_dense_domain():
 
 def test_fundomain_job_eliminates_each_degree_once(monkeypatch):
     calls = []
-    solve = nk.fundomain.solve_laurent
+    eliminate = nk.fundomain._eliminate
 
-    def counted(m, b):
-        calls.append(m.rows)
-        return solve(m, b)
+    def counted(M, n, jordan=False):
+        calls.append(n)
+        return eliminate(M, n, jordan)
 
-    monkeypatch.setattr(nk.fundomain, "solve_laurent", counted)
+    monkeypatch.setattr(nk.fundomain, "_eliminate", counted)
     doc = {"kind": "fundomain",
            "payload": {"domain": domain_to_json(dense_domain(2))}}
     report = run(parse_document(json.dumps(doc)), oracle=True)
     assert all(c["ok"] for c in report.data["oracle"])
     assert calls == [2, 2]
+
+
+def test_solved_matches_the_laurent_route():
+    """The packed ``solved`` equals the Laurent route through
+    ``solve_laurent`` on the corpus, the knot domains, domains with
+    nonzero d_D and h_F, a dense rank-8 domain and domains that need a
+    wide packing slot."""
+    domains = (CORPUS + [knot_fundamental_domain(s) for s in seifert_corpus()]
+               + FLOWS + [dense_domain(8)] + wide_coefficient_domains())
+    for fd in domains:
+        assert fd.solved == laurent_solved(fd)
