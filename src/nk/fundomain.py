@@ -29,8 +29,11 @@ Out of this come three exact constructions:
   ``RationalFunction`` whose numerator and denominator have constant
   coefficient 1.
 
-Each degree's det and z h_F adj (for F^ and the cokernel check, which
-never builds C(phi)) are built once per domain.
+Each degree's det and z h_F adj are built once per domain, for F^ and
+for the cokernel identification: that the projection p: C(phi) -> F^
+is a chain map is decided without building C(phi), in each degree by
+one product of two integer matrices packed at X = 2^(8w), w above the
+product of the two factors' largest row 1-norms (``cokernel_iso_check``).
 """
 
 from __future__ import annotations
@@ -311,74 +314,67 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
     (det_i, Y_i) the (det, z h_F adj) of 1 - z h_D on D_i (``fd.solved``),
     intertwines d_{C(phi)} with d_F^ = N_i / det_{i-1}.
 
-    Times det_{i-1} det_i, the difference in degree i has three column
-    blocks, read off the domain without building C(phi) (block row
-    D_{i-2} meets a zero of p_{i-1}):
+    Times det_{i-1} det_i, the difference in degree i is one product L R,
+    read off the domain without building C(phi) (block row D_{i-2} meets
+    a zero of p_{i-1}):
 
-      on D_{i-1}: det_i (Y_{i-1} (1 - z h_D) - z det_{i-1} h_F)  (adjugate)
-      on D_i:     det_i Y_{i-1} d_D - N_i Y_i                   (chain map)
-      on F_i:     det_i (Y_{i-1} c + det_{i-1} d_F - N_i)       (numerators)
+      L = [det_i Y_{i-1} | det_i det_{i-1} I | -N_i]
+      R = [[1 - z h_D, d_D, c], [-z h_F, 0, d_F], [0, Y_i, det_i I]]
 
-    Keeping det_i keeps every entry, hence the first mismatch (degree,
-    then lowest order; a det has order 0 and constant coefficient 1),
-    that of the product with the cone, for any ``solved`` and
-    ``numerators``.  The Laurent inputs pack once per degree at
-    X = 2^(8w), w above the 1-norm bound of each block and of each packed
-    input; the integer blocks stay ints.
+    Its column blocks on D_{i-1}, D_i and F_i are the adjugate, chain-map
+    and numerator identities.  Keeping det_i keeps every entry, hence the
+    first mismatch (degree, then lowest order; a det has order 0 and
+    constant coefficient 1), that of the product with the cone, for any
+    ``solved`` and ``numerators``.
+
+    The dets, Y and N pack once per degree at one shift s <= 0, and R's
+    int blocks as they are, with z as X = 2^(8w).  One bound rule, that
+    of ``_product_is``, sets w: the product |L| |R| of the factors'
+    largest row 1-norms is below X/2, |L| taken through
+    |pq|_1 <= |p|_1 |q|_1 with each det's norm at least 1.  That bounds
+    every coefficient of L R and, as |L|, |R| >= 1, of every packed input.
     """
-    for i in range(min(fd.D.lo, fd.F.lo) + 1, max(fd.D.hi + 1, fd.F.hi) + 1):
-        rows = fd.F.rank(i - 1)
-        if not rows:  # every block maps into F_{i-1}
+    D, F = fd.D, fd.F
+    for i in range(min(D.lo, F.lo) + 1, max(D.hi + 1, F.hi) + 1):
+        rows = F.rank(i - 1)
+        if not rows:  # L has no rows
             continue
-        (det1, y1), (det0, y0) = (fd.solved.get(j, (ONE, None))
-                                  for j in (i - 1, i))
-        num = fd.numerators[i][1].entries
-        y1, y0 = (y.entries if y else () for y in (y1, y0))
-        h_D, h_F, c = (fd.h_D_at(i - 1).entries, fd.h_F_at(i - 1).entries,
-                       fd.c_at(i).entries)
-        d_D, d_F = fd.D.differential(i).entries, fd.F.differential(i).entries
-        (s1, n1), (s0, n0), (sy1, ny1), (sy0, ny0), (sn, nn) = (
-            _low_and_norm(m) for m in ([[det1]], [[det0]], y1, y0, num))
-        nh_D, nh_F, nc, nd_D, nd_F = (_low_and_norm(m)[1]
-                                      for m in (h_D, h_F, c, d_D, d_F))
-        bound_adj = n0 * (ny1 * (1 + nh_D) + n1 * nh_F)
-        bound_chain = n0 * ny1 * nd_D + nn * ny0
-        bound_num = n0 * (ny1 * nc + n1 * nd_F + nn)
-        s = min(0, s1, s0, sy1, sy0, sn)
-        w = _slot_width(max(bound_adj, bound_chain, bound_num,
-                            n1, n0, ny1, ny0, nn))
-        x = 8 * w  # z packs as X = 2^x; every block packs at shift 2s
+        (det1, y1), (det0, y0) = (
+            fd.solved.get(j, (ONE, Matrix.zeros(F.rank(j), 0)))
+            for j in (i - 1, i))
+        y1, y0, num = y1.entries, y0.entries, fd.numerators[i][1].entries
+        laurent = [_orders_and_norms(m)
+                   for m in ([[det1], [det0]], y1, y0, num)]
+        s = min([0] + [lo for m in laurent for lo, _ in m if lo is not None])
+        (n1, n0), ny1, ny0, nn = ([n for _, n in m] for m in laurent)
+        n1, n0 = max(1, n1), max(1, n0)  # a det's norm, taken at least 1
+        # R's block rows on D_{i-1} and on F_{i-1}, from the int blocks
+        top = list(zip(fd.h_D_at(i - 1).entries, D.differential(i).entries,
+                       fd.c_at(i).entries))
+        mid = list(zip(fd.h_F_at(i - 1).entries, F.differential(i).entries))
+        w = _slot_width(
+            max(n0 * (a + n1) + b for a, b in zip(ny1, nn))
+            * max([1] + [1 + sum(map(abs, h + d + c)) for h, d, c in top]
+                  + [sum(map(abs, h + d)) for h, d in mid]
+                  + [n + n0 for n in ny0]))
+        x = 8 * w  # z packs as X = 2^x
         p1, p0 = _pack(det1, s, w), _pack(det0, s, w)
-        Y1, Y0, N = ([[_pack(e, s, w) for e in row] for row in m]
-                     for m in (y1, y0, num))
-        Y1h_D = _times(Y1, h_D, rows, fd.D.rank(i - 1))
-        Y1d_D = _times(Y1, d_D, rows, fd.D.rank(i))
-        NY0 = _times(N, Y0, rows, fd.D.rank(i))
-        Y1c = _times(Y1, c, rows, fd.F.rank(i))
-        adj = [[p0 * (y - ((a + p1 * h) << x)) for y, a, h in zip(*r)]
-               for r in zip(Y1, Y1h_D, h_F)]
-        chain = [[p0 * a - b for a, b in zip(*r)] for r in zip(Y1d_D, NY0)]
-        nums = [[p0 * (a + p1 * d - n) for a, d, n in zip(*r)]
-                for r in zip(Y1c, d_F, N)]
-        orders = [_unpack(v, 2 * s, w).ord() for block in (adj, chain, nums)
-                  for row in block for v in row if v]
+        L = [[p0 * _pack(e, s, w) for e in y]
+             + [p0 * p1 * (k == r) for k in range(rows)]
+             + [-_pack(e, s, w) for e in n]
+             for r, (y, n) in enumerate(zip(y1, num))]
+        R = ([[(k == r) - (e << x) for k, e in enumerate(h)] + list(d + c)
+              for r, (h, d, c) in enumerate(top)]
+             + [[-(e << x) for e in h] + [0] * D.rank(i) + list(d)
+                for h, d in mid]
+             + [[0] * D.rank(i - 1) + [_pack(e, s, w) for e in y]
+                + [p0 * (k == r) for k in range(F.rank(i))]
+                for r, y in enumerate(y0)])
+        orders = [_unpack(v, 2 * s, w).ord()
+                  for row in _imul(L, R) for v in row if v]
         if orders and min(orders) <= precision:
             return CokernelCheck(False, i, min(orders))
     return CokernelCheck(True)
-
-
-def _low_and_norm(rows):
-    """The lowest order of the nonzero entries of the rows (0 if there
-    are none) and their largest 1-norm."""
-    on = _orders_and_norms(rows)
-    return (min((lo for lo, _ in on if lo is not None), default=0),
-            max((n for _, n in on), default=0))
-
-
-def _times(a, b, rows, cols):
-    """a @ b for int rows a (`rows` of them) and b (`cols` columns); zero
-    when b has no rows, i.e. the inner dimension is empty."""
-    return _imul(a, b) if b else [[0] * cols for _ in range(rows)]
 
 
 def torsion_zeta(fd: AlgebraicFundamentalDomain) -> RationalFunction:

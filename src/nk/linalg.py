@@ -136,10 +136,6 @@ class Matrix:
             r0 += rs
         return cls(rows, cols, out)
 
-    def transposed(self):
-        return Matrix(self.cols, self.rows, [[row[j] for row in self.entries]
-                                             for j in range(self.cols)])
-
     def entry(self, i, j):
         return self.entries[i][j]
 

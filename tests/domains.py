@@ -20,8 +20,11 @@ summands, scalar on elementary ones).
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from nk.rings import (ONE, Direction, LaurentPoly, RationalFunction,
                       is_novikov_unit, reverse_variable)
@@ -29,6 +32,22 @@ from nk.linalg import Matrix, _laurent_rows, matmul, solve_laurent
 from nk.complexes import BasedChainComplex, ChainMap, direct_sum
 from nk.fundomain import AlgebraicFundamentalDomain, CokernelCheck
 from nk.models import SeifertData, knot_fundamental_domain
+
+
+def load_bench(name):
+    """The module ``bench/<name>.py``, loaded read-only: no bytecode is
+    written under ``bench/``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"nk_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve string annotations through sys.modules
+    sys.modules[spec.name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 def rng_for(name):
@@ -263,15 +282,20 @@ def laurent_solved(fd: AlgebraicFundamentalDomain):
         for r, row in enumerate(h.entries)])
         for i in fd.D.degrees() if fd.D.rank(i)
         for h in [fd.h_D_at(i)]}
+
+    def transposed(m):  # zip(*rows) loses the columns of a matrix with no rows
+        return Matrix(m.cols, m.rows, list(zip(*m.entries)) or [()] * m.cols)
+
     out = {}
     for i, m in one_minus_zh.items():
-        det, x = solve_laurent(m.transposed(), fd.h_F_at(i).transposed())
-        out[i] = det, x.transposed().map_entries(lambda e: e.shifted(1))
+        det, x = solve_laurent(transposed(m), transposed(fd.h_F_at(i)))
+        out[i] = det, transposed(x).map_entries(lambda e: e.shifted(1))
     return out
 
 
 def wide_coefficient_domains():
-    """Domains that need a wide packing slot, all with zero differentials.
+    """Domains that need a wide packing slot, all but the last with zero
+    differentials.
 
     The first five have a det or z h_F adj coefficient of 128 or more
     in a degree where every block that multiplies it vanishes, so only
@@ -280,11 +304,17 @@ def wide_coefficient_domains():
     1 - 20z + 200z^2), a det on D_i with nothing else in the degree,
     z h_F adj on D_i with N_i = 0, and F = 0.
 
-    The last four each give ``solved`` a wrong answer at half its slot
+    The next four each give ``solved`` a wrong answer at half its slot
     width: a column of h_D and h_F with 1-norm past 127, where z h_F adj
     has 200 z^2; one with 1-norm past 32,767, where it has 40000 z^2
     (4 bytes); a wide h_F next to h_D = 0; and F_0 = 0, so h_F has no
     rows, with det 1 - 20z + 200z^2 from two columns of 1-norm 21.
+
+    The last has D = F = (Z --> Z^2 --> Z), differentials with entries
+    256 and 0, and h_F = 256 in every degree: a det_1 moved by +-z^k gives the cokernel product the
+    entry +-z^k Y_0 d_D = +-2^16 z^(k+1), past the 2-byte slot that the
+    sum of the two factors' norms would give (1,025 to 1,282) and inside
+    the 4-byte one of their product (262,656 to 394,240).
     """
     def domain(d, f, h_D=None, h_F=None):
         return AlgebraicFundamentalDomain(
@@ -292,6 +322,8 @@ def wide_coefficient_domains():
             BasedChainComplex(f[0], f[0] + len(f[1]) - 1, f[1], {}), c={},
             h_D={d[0]: Matrix.from_rows(h_D)} if h_D else {},
             h_F={d[0]: Matrix.from_rows(h_F)} if h_F else {})
+    d256 = BasedChainComplex(0, 2, [1, 2, 1], {
+        1: Matrix.from_rows([[256, 0]]), 2: Matrix.from_rows([[0], [256]])})
     return [domain((0, 1), (0, [1]), h_D=[[200]]),
             domain((0, 2), (0, [1]), h_D=[[10, 1], [-100, 10]]),
             domain((1, 1), (0, [1]), h_D=[[200]]),
@@ -302,8 +334,35 @@ def wide_coefficient_domains():
             domain((0, 2), (0, [1]), h_D=[[0, 0], [20000, 0]],
                    h_F=[[15000, 2]]),
             domain((0, 2), (0, [1]), h_F=[[200, -3]]),
-            domain((0, 2), (1, [1]), h_D=[[10, 10], [-10, 10]])]
+            domain((0, 2), (1, [1]), h_D=[[10, 10], [-10, 10]]),
+            AlgebraicFundamentalDomain(
+                d256, d256, c={}, h_D={},
+                h_F={i: Matrix.identity(d256.rank(i)).scaled(256)
+                     for i in d256.degrees()})]
 
+
+
+def empty_block_domains():
+    """Domains in which the cokernel check meets F_{i-1} > 0 next to an
+    empty block with something to cancel around it, which the other
+    reference inputs do not.
+
+    The first has D_0 = 0 next to F_0 > 0 and F_1 > 0, with d_F and h_F
+    nonzero: the only nonzero product in degree 1 is N_1 Y_1 =
+    d_F z h_F adj, which vanishes as a sum, so a corrupted Y_1 shows
+    there.  The second has F_1 = 0 next to d_D != 0: the chain-map
+    block is det_1 Y_0 d_D alone, zero because h_F d_D = 0.
+    """
+    rows = Matrix.from_rows
+    return [AlgebraicFundamentalDomain(
+                BasedChainComplex(1, 1, [1], {}),
+                BasedChainComplex(0, 1, [1, 2], {1: rows([[1, 1]])}),
+                c={}, h_D={1: rows([[3]])}, h_F={1: rows([[2], [-2]])}),
+            AlgebraicFundamentalDomain(
+                BasedChainComplex(0, 1, [2, 1], {1: rows([[1], [0]])}),
+                BasedChainComplex(0, 0, [1], {}), c={},
+                h_D={0: rows([[2, 1], [0, 3]]), 1: rows([[2]])},
+                h_F={0: rows([[0, 5]])})]
 
 # --- the cone-based cokernel identification -----------------------------------
 

@@ -12,10 +12,8 @@ times, and the documents that hit the coefficient swelling of the plain
 reduction heuristic run in both directions.
 """
 
-import importlib.util
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -27,27 +25,15 @@ from nk.models import knot_fundamental_domain, mapping_torus_complex
 from nk.novikov import novikov_homology
 from nk.rings import Direction, LaurentPoly
 
+from domains import load_bench
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"nk_bench_{name}",
-                                                  BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolve string annotations through sys.modules
-    sys.modules[spec.name] = module
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
-
-jobs = _load("jobs")
-verify = _load("verify")
+jobs = load_bench("jobs")
+verify = load_bench("verify")
 
 
 def _smallest_per_bucket(workload):

@@ -34,6 +34,7 @@ from domains import (
     dense_validate_fundamental_domain,
     domain_corpus,
     domain_to_json,
+    empty_block_domains,
     laurent_solved,
     random_flow_domain,
     rng_for,
@@ -299,15 +300,16 @@ def test_cokernel_corpus():
 
 
 def test_cokernel_check_agrees_with_the_cone_reference():
-    """The block check and the cone-based product give the same outcome,
+    """The packed check and the cone-based product give the same outcome,
     first failing degree and order on the corpus, the knot domains,
     domains with nonzero d_D and h_F, domains with wide coefficients
-    next to vanishing blocks, and copies of them with one
+    next to vanishing blocks, domains with F_{i-1} > 0 next to an empty
+    D_{i-1} or F_i, and copies of them with one
     corrupted det or entry of ``solved`` or entry of ``numerators`` (the
     numerators' det is the det of ``solved``, which both read instead)."""
     rng = rng_for("corrupted-solutions")
     domains = (CORPUS + [knot_fundamental_domain(s) for s in seifert_corpus()]
-               + FLOWS + wide_coefficient_domains())
+               + FLOWS + wide_coefficient_domains() + empty_block_domains())
     failed = dict.fromkeys((None, "det", "adjugate", "numerator"), 0)
     for fd in domains:
         for kind in failed:
