@@ -22,13 +22,12 @@ floats.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass, field
-from importlib import resources
+from types import SimpleNamespace
 
 from .rings import (
     DEFAULT_PRECISION,
@@ -36,6 +35,7 @@ from .rings import (
     LaurentPoly,
     NotAUnit,
     NotInRationalSubring,
+    Record,
     TruncatedSeries,
     expand,
 )
@@ -49,29 +49,22 @@ from .linalg import (
 from .complexes import (
     BasedChainComplex,
     ChainMap,
+    InvalidDomain,
     NotAComplex,
     integral_homology,
     morse_lower_bounds,
 )
-from .fundomain import (
-    AlgebraicFundamentalDomain,
-    InvalidDomain,
-    algebraic_novikov_complex,
-    cokernel_iso_check,
-    torsion_zeta,
-)
-from .models import (
-    InternalInconsistency,
-    SeifertData,
-    fibering_check,
-    mapping_torus_complex,
-)
 from .novikov import (
+    InternalInconsistency,
     check_inequalities,
     finite_domination_check,
     morse_novikov_bounds,
     novikov_homology,
 )
+
+# nk.fundomain and nk.models are imported by the kinds that use them, when
+# called, so a name patched there reaches these callers too; argparse only
+# for what _run_args leaves to it.
 
 KINDS = ("complex-homology", "novikov", "domination", "fundomain",
          "mapping-torus", "knot", "inequalities")
@@ -99,11 +92,11 @@ class ValidationError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class JobDocument:
-    kind: str
-    payload: dict
-    options: dict = field(default_factory=dict)
+class JobDocument(Record):
+    __slots__ = _fields = ("kind", "payload", "options")
+
+    def __init__(self, kind, payload, options=None):
+        self._set(kind, payload, options or {})
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +263,8 @@ def parse_document(text: str) -> JobDocument:
         raise ParseError(f"line {exc.lineno}", exc.msg)
     except ValueError as exc:  # an integer past Python's digit limit
         raise ParseError("$", str(exc))
+    except RecursionError:
+        raise ParseError("$", "nested too deeply") from None
     kind = _need(obj, "kind", "$", str)
     if kind not in KINDS:
         raise ParseError("$.kind", f"unknown kind {kind!r}; expected one of "
@@ -301,6 +296,7 @@ def _parse_payload_complex(payload, path, integral=False):
 
 
 def _parse_payload_fundomain(payload, path):
+    from .fundomain import AlgebraicFundamentalDomain
     dom = _need(payload, "domain", path, dict)
     dpath = f"{path}.domain"
     D = _parse_complex(_need(dom, "D", dpath, dict), f"{dpath}.D",
@@ -329,6 +325,7 @@ def _parse_payload_mapping_torus(payload, path):
 
 
 def _parse_payload_knot(payload, path):
+    from .models import SeifertData
     base = _parse_complex(_need(payload, "base", path, dict),
                           f"{path}.base", integral=True)
     fam = _parse_matrix_family(_need(payload, "e", path, dict), f"{path}.e")
@@ -403,14 +400,13 @@ def _dumps(obj, pad="\n"):
                     f"is not JSON serializable")
 
 
-@dataclass(frozen=True)
-class Report:
-    kind: str
-    exit_code: int
-    data: dict
-    #: zero-argument callable building the text report's lines, called
-    #: only when the text report is printed
-    lines: object
+class Report(Record):
+    # lines: zero-argument callable building the text report's lines,
+    # called only when the text report is printed
+    __slots__ = _fields = ("kind", "exit_code", "data", "lines")
+
+    def __init__(self, kind, exit_code, data, lines):
+        self._set(kind, exit_code, data, lines)
 
     @property
     def text(self) -> str:
@@ -515,6 +511,7 @@ def _run_novikov(payload, k, dirn):
     """novikov and mapping-torus jobs: the Novikov homology of one
     Laurent complex and its Morse-Novikov bounds."""
     if "orientation" in payload:
+        from .models import mapping_torus_complex
         o = payload["orientation"]
         c = mapping_torus_complex(payload["h"], o)
         data = {"orientation": o}
@@ -549,6 +546,8 @@ def _run_domination(payload, k, dirn):
 
 
 def _run_fundomain(payload, k, dirn):
+    from .fundomain import (algebraic_novikov_complex, cokernel_iso_check,
+                            torsion_zeta)
     fd = payload["domain"]
     fhat = algebraic_novikov_complex(fd, "exact")
     # F^ needs det(1 - z h_D) to be a unit, which it is in Z((z)) only;
@@ -578,6 +577,7 @@ def _run_fundomain(payload, k, dirn):
 
 
 def _exact_vs_truncated_check(fd, fhat, k):
+    from .fundomain import algebraic_novikov_complex
     trunc = algebraic_novikov_complex(fd, "truncated", order=k)
     detail = f"windows through z^{k}"
     for i in range(fhat.lo + 1, fhat.hi + 1):
@@ -622,6 +622,7 @@ def _cone_vs_fhat_check(cone, rb):
 
 
 def _run_knot(payload, k, dirn):
+    from .models import fibering_check
     verdict = fibering_check(payload["seifert"], dirn)
     own = verdict.novikov[dirn]
     factors = own.factors_by_degree()
@@ -701,20 +702,25 @@ _RUNNERS = {
 # entry point
 
 
+#: read through __file__: importlib.resources is slow to import
+_EXAMPLES = os.path.join(os.path.dirname(__file__), "examples")
+
+
 def bundled_examples():
     """Names of the documents shipped with the package, in a fixed order."""
-    root = resources.files("nk") / "examples"
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(n for n in os.listdir(_EXAMPLES) if n.endswith(".json"))
 
 
 def _read_bundled(name):
-    return (resources.files("nk") / "examples" / name).read_text()
+    with open(os.path.join(_EXAMPLES, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 @functools.cache
 def _build_argparser():
     """Built once: parsing does not change it, and usage errors go to
     the ``sys.stderr`` of each call."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="nk",
         description="exact circle-valued Morse theory computations")
@@ -752,10 +758,44 @@ def _precision(text):
     """--precision follows the document rule: a nonnegative integer up
     to MAX_PRECISION."""
     if not re.fullmatch(r"[0-9]+", text) or int(text) > MAX_PRECISION:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"expected a nonnegative integer up to {MAX_PRECISION}, "
             f"got {text!r}")
     return int(text)
+
+
+_RUN_CHOICES = {"--format": ("text", "machine"),
+                "--direction": ("plus", "minus")}
+
+
+def _run_args(argv):
+    """argparse's namespace for ``run <file> [--format F] [--direction D]
+    [--oracle] [--precision K]`` with exact option names, each value its
+    own token; None for anything else, which argparse parses itself."""
+    if argv[:1] != ["run"]:
+        return None
+    args = SimpleNamespace(command="run", file=None, precision=None,
+                           direction=None, format="text", oracle=False)
+    rest = iter(argv[1:])
+    for token in rest:
+        if token == "--oracle":
+            args.oracle = True
+        elif token == "--precision":
+            try:
+                args.precision = _precision(next(rest, None))
+            except Exception:  # argparse reports whatever _precision rejects
+                return None
+        elif token in _RUN_CHOICES:
+            value = next(rest, None)
+            if value not in _RUN_CHOICES[token]:
+                return None
+            setattr(args, token[2:], value)
+        elif token.startswith("-") or args.file is not None:
+            return None
+        else:
+            args.file = token
+    return args if args.file is not None else None
 
 
 def _render(report, fmt):
@@ -764,33 +804,31 @@ def _render(report, fmt):
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _run_args(argv) or _build_argparser().parse_args(argv)
     out, err = sys.stdout, sys.stderr
     try:
-        if args.command == "run":
-            with open(args.file) as fh:
+        if args.command != "examples":
+            with open(args.file, encoding="utf-8") as fh:
                 job = parse_document(fh.read())
+            if args.command == "validate":
+                out.write("ok\n")
+                return 0
             report = run(job, args.precision, args.direction, args.oracle)
             out.write(_render(report, args.format))
             return report.exit_code
-        if args.command == "validate":
-            with open(args.file) as fh:
-                parse_document(fh.read())
-            out.write("ok\n")
-            return 0
-        if args.command == "examples":
-            if args.examples_command == "list":
-                for name in bundled_examples():
-                    out.write(name + "\n")
-                return 0
-            code = 0
+        if args.examples_command == "list":
             for name in bundled_examples():
-                job = parse_document(_read_bundled(name))
-                report = run(job, args.precision, args.direction, args.oracle)
-                out.write(f"== {name}\n" + _render(report, args.format))
-                code = max(code, report.exit_code)
-            return code
-    except (ParseError, ValidationError, OSError) as exc:
+                out.write(name + "\n")
+            return 0
+        code = 0
+        for name in bundled_examples():
+            job = parse_document(_read_bundled(name))
+            report = run(job, args.precision, args.direction, args.oracle)
+            out.write(f"== {name}\n" + _render(report, args.format))
+            code = max(code, report.exit_code)
+        return code
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         err.write(f"error: {exc}\n")
         return 2
     except Inconclusive as exc:
@@ -802,7 +840,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         err.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
-    return 2
 
 
 if __name__ == "__main__":

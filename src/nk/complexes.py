@@ -16,9 +16,7 @@ Unit cancellation shrinks a Laurent complex up to chain equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .rings import LaurentPoly, RationalFunction
+from .rings import LaurentPoly, RationalFunction, Record
 from .linalg import Matrix, matmul, smith_normal_form_int
 
 
@@ -29,6 +27,18 @@ class NotAComplex(Exception):
         super().__init__(f"d o d != 0 at degree {degree}")
         self.degree = degree
         self.product = product
+
+
+class InvalidDomain(Exception):
+    """A fundamental-domain identity fails; names the identity and degree."""
+
+    def __init__(self, identity, degree, detail=""):
+        msg = f"{identity} fails at degree {degree}"
+        if detail:
+            msg += f": {detail}"
+        super().__init__(msg)
+        self.identity = identity
+        self.degree = degree
 
 
 def _entry_ok(e):
@@ -119,15 +129,13 @@ def validate_complex(c: BasedChainComplex):
     return None
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(Record):
     """A degree-preserving map of complexes commuting with d, exactly."""
 
-    source: BasedChainComplex
-    target: BasedChainComplex
-    components: dict
+    __slots__ = _fields = ("source", "target", "components")
 
-    def __post_init__(self):
+    def __init__(self, source, target, components):
+        self._set(source, target, components)
         comps = {}
         for i in range(min(self.source.lo, self.target.lo),
                        max(self.source.hi, self.target.hi) + 1):
@@ -227,8 +235,7 @@ def cancel_units(c: BasedChainComplex) -> BasedChainComplex:
         i: Matrix(ranks[i - 1 - lo], ranks[i - lo], m) for i, m in d.items()})
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(Record):
     """Per degree: Betti number b_i, torsion invariant factors (each
     dividing the next, unit factors stripped), q_i = their count.
 
@@ -236,10 +243,10 @@ class HomologyReport:
     normalized Laurent representatives (``novikov.NovikovReport``).
     """
 
-    lo: int
-    hi: int
-    betti: dict
-    torsion_factors: dict
+    __slots__ = _fields = ("lo", "hi", "betti", "torsion_factors")
+
+    def __init__(self, lo, hi, betti, torsion_factors):
+        self._set(lo, hi, betti, torsion_factors)
 
     def b(self, i):
         return self.betti.get(i, 0)

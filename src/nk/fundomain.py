@@ -39,29 +39,15 @@ product of the two factors' largest row 1-norms (``cokernel_iso_check``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .rings import ONE, LaurentPoly, RationalFunction, _slot_width
+from .rings import ONE, LaurentPoly, RationalFunction, Record, _slot_width
 from .linalg import (Matrix, _eliminate, _imul, _is_int, _orders_and_norms,
                      _pack, _unpack, matmul)
-from .complexes import BasedChainComplex
+from .complexes import BasedChainComplex, InvalidDomain
 
 
-class InvalidDomain(Exception):
-    """A fundamental-domain identity fails; names the identity and degree."""
-
-    def __init__(self, identity, degree, detail=""):
-        msg = f"{identity} fails at degree {degree}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.identity = identity
-        self.degree = degree
-
-
-@dataclass(frozen=True)
-class AlgebraicFundamentalDomain:
+class AlgebraicFundamentalDomain(Record):
     """The block data (d_D, d_F, c, h_D, h_F) of a fundamental domain.
 
     ``c[i]``: F_i -> D_{i-1}; ``h_D[i]``: D_i -> D_i; ``h_F[i]``:
@@ -69,21 +55,16 @@ class AlgebraicFundamentalDomain:
     the full validator.
     """
 
-    D: BasedChainComplex
-    F: BasedChainComplex
-    c: dict
-    h_D: dict
-    h_F: dict
+    # no __slots__: the cached properties below need the instance dict
+    _fields = ("D", "F", "c", "h_D", "h_F")
 
-    def __post_init__(self):
-        if not (self.D.is_integral and self.F.is_integral):
-            raise InvalidDomain("entries", self.D.lo, "D and F must be over Z")
-        object.__setattr__(self, "c", _conform(
-            self.c, lambda i: (self.D.rank(i - 1), self.F.rank(i)), "c"))
-        object.__setattr__(self, "h_D", _conform(
-            self.h_D, lambda i: (self.D.rank(i), self.D.rank(i)), "h_D"))
-        object.__setattr__(self, "h_F", _conform(
-            self.h_F, lambda i: (self.F.rank(i), self.D.rank(i)), "h_F"))
+    def __init__(self, D, F, c, h_D, h_F):
+        if not (D.is_integral and F.is_integral):
+            raise InvalidDomain("entries", D.lo, "D and F must be over Z")
+        self._set(D, F,
+                  _conform(c, lambda i: (D.rank(i - 1), F.rank(i)), "c"),
+                  _conform(h_D, lambda i: (D.rank(i), D.rank(i)), "h_D"),
+                  _conform(h_F, lambda i: (F.rank(i), D.rank(i)), "h_F"))
         bad = validate_fundamental_domain(self)
         if bad is not None:
             raise InvalidDomain(*bad)
@@ -241,16 +222,14 @@ def assemble_mapping_cone(fd: AlgebraicFundamentalDomain) -> BasedChainComplex:
     return BasedChainComplex(lo, hi, ranks, diffs)
 
 
-@dataclass(frozen=True)
-class TruncatedComplexPresentation:
+class TruncatedComplexPresentation(Record):
     """Ranks plus differentials summed through series order `order`;
     d o d vanishes through that order rather than identically."""
 
-    lo: int
-    hi: int
-    ranks: tuple
-    differentials: dict
-    order: int
+    __slots__ = _fields = ("lo", "hi", "ranks", "differentials", "order")
+
+    def __init__(self, lo, hi, ranks, differentials, order):
+        self._set(lo, hi, ranks, differentials, order)
 
     rank = BasedChainComplex.rank
     differential = BasedChainComplex.differential
@@ -296,13 +275,13 @@ def algebraic_novikov_complex(fd: AlgebraicFundamentalDomain, mode="exact",
         F.lo, F.hi, tuple(F.rank(i) for i in F.degrees()), diffs, order)
 
 
-@dataclass(frozen=True)
-class CokernelCheck:
+class CokernelCheck(Record):
     """Outcome of the cokernel identification test."""
 
-    passed: bool
-    degree: int | None = None
-    order: int | None = None
+    __slots__ = _fields = ("passed", "degree", "order")
+
+    def __init__(self, passed, degree=None, order=None):
+        self._set(passed, degree, order)
 
     def __bool__(self):
         return self.passed

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cache
 
 from .rings import (
@@ -45,6 +44,7 @@ from .rings import (
     NotInRationalSubring,
     RationalFunction,
     Direction,
+    Record,
     _cancel,
     _coerce_poly,
     _digits,
@@ -204,8 +204,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 # Smith normal form over Z
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """Diagonalization certificate: U @ matrix @ V is diagonal, with
     ``rank`` nonzero entries, leading.
 
@@ -222,10 +221,11 @@ class SNFResult:
     unit determinants.
     """
 
-    invariant_factors: tuple
-    rank: int
-    U: Matrix = field(repr=False)
-    V: Matrix = field(repr=False)
+    __slots__ = _fields = ("invariant_factors", "rank", "U", "V")
+    _norepr = ("U", "V")
+
+    def __init__(self, invariant_factors, rank, U, V):
+        self._set(invariant_factors, rank, U, V)
 
     @property
     def torsion_factors(self):

@@ -17,21 +17,14 @@ Builders turning the standard worked examples into machine inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .rings import Z, LaurentPoly, Direction
+from .rings import Z, LaurentPoly, Direction, Record
 from .linalg import (Matrix, inverse_int, matmul, smith_normal_form_int,
                      solve_laurent)
 from .complexes import (BasedChainComplex, ChainMap, cancel_units,
                         direct_sum, integral_homology, mapping_cone)
 from .fundomain import AlgebraicFundamentalDomain
-from .novikov import (_function_field_ranks, _novikov_homology,
-                      novikov_homology, vanishes)
-
-
-class InternalInconsistency(Exception):
-    """The two equivalent fibering criteria disagreed: an implementation
-    bug, not a property of the input."""
+from .novikov import (InternalInconsistency, _function_field_ranks,
+                      _novikov_homology, novikov_homology, vanishes)
 
 
 def mapping_torus_complex(h: ChainMap, orientation="plus") -> BasedChainComplex:
@@ -83,16 +76,15 @@ def circle_exercise() -> AlgebraicFundamentalDomain:
         h_F={0: Matrix.from_rows([[-1]])})
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(Record):
     """A reduced base complex over Z and a chain self-map e (the
     generalized Seifert matrix, e = (G - H)^-1 G for the two inclusions
     of the Seifert surface)."""
 
-    base: BasedChainComplex
-    e: ChainMap
+    __slots__ = _fields = ("base", "e")
 
-    def __post_init__(self):
+    def __init__(self, base, e):
+        self._set(base, e)
         if not self.base.is_integral:
             raise ValueError("Seifert base must be a Z-complex")
         if self.base.lo < 0:
@@ -196,8 +188,7 @@ def _alexander_polynomial(m: Matrix) -> LaurentPoly:
     return p
 
 
-@dataclass(frozen=True)
-class FiberingVerdict:
+class FiberingVerdict(Record):
     """Outcome of the knot fibering test.
 
     ``novikov_vanishes``: the complement's Novikov homology vanishes for
@@ -215,12 +206,15 @@ class FiberingVerdict:
     holds the Alexander matrix e + z(1 - e) per degree.
     """
 
-    alexander: dict
-    novikov_vanishes: bool
-    extreme_coeffs_unit: bool
-    base_torsion: dict = field(default_factory=dict)
-    novikov: dict = field(default_factory=dict, repr=False, compare=False)
-    matrices: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = _fields = ("alexander", "novikov_vanishes",
+                           "extreme_coeffs_unit", "base_torsion", "novikov",
+                           "matrices")
+    _nocompare = _norepr = ("novikov", "matrices")
+
+    def __init__(self, alexander, novikov_vanishes, extreme_coeffs_unit,
+                 base_torsion=None, novikov=None, matrices=None):
+        self._set(alexander, novikov_vanishes, extreme_coeffs_unit,
+                  base_torsion or {}, novikov or {}, matrices or {})
 
     @property
     def fibers(self):

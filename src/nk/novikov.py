@@ -18,16 +18,18 @@ cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .rings import Direction
+from .rings import Direction, Record
 from .complexes import BasedChainComplex, HomologyReport
 # b_i + q_i + q_{i-1} reads the same off a NovikovReport
 from .complexes import morse_lower_bounds as morse_novikov_bounds  # noqa: F401
 from .linalg import Inconclusive, novikov_diagonalize, rank_over_function_field
 
 
-@dataclass(frozen=True)
+class InternalInconsistency(Exception):
+    """The two equivalent fibering criteria disagreed: an implementation
+    bug, not a property of the input."""
+
+
 class NovikovReport(HomologyReport):
     """Per-degree Novikov numbers of a complex.
 
@@ -40,27 +42,35 @@ class NovikovReport(HomologyReport):
     rank of its diagonalization (None where that was Inconclusive).
     """
 
-    direction: Direction
-    conclusive: bool = True
-    ranks: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("direction", "conclusive", "ranks")
+    _fields = HomologyReport._fields + __slots__
+    _nocompare = _norepr = ("ranks",)
+
+    def __init__(self, lo, hi, betti, torsion_factors, direction,
+                 conclusive=True, ranks=None):
+        self._set(lo, hi, betti, torsion_factors, direction, conclusive,
+                  ranks or {})
 
     def to_json(self):
         return {**super().to_json(), "direction": self.direction.value,
                 "conclusive": self.conclusive}
 
 
-@dataclass(frozen=True)
-class DominationVerdict:
+class DominationVerdict(Record):
     """Two-sided Novikov vanishing, and their conjunction.
 
     ``reports`` holds the NovikovReport each side was read from, keyed
     by Direction.
     """
 
-    vanishes_plus: bool
-    vanishes_minus: bool
-    finitely_dominated: bool
-    reports: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = _fields = ("vanishes_plus", "vanishes_minus",
+                           "finitely_dominated", "reports")
+    _nocompare = _norepr = ("reports",)
+
+    def __init__(self, vanishes_plus, vanishes_minus, finitely_dominated,
+                 reports=None):
+        self._set(vanishes_plus, vanishes_minus, finitely_dominated,
+                  reports or {})
 
     def to_json(self):
         return {"vanishes_plus": self.vanishes_plus,

@@ -72,6 +72,42 @@ class Direction(enum.Enum):
         return f"Direction.{self.name}"
 
 
+class Record:
+    """Immutable value class, in place of a frozen dataclass (whose module
+    imports ``inspect``): ``__init__`` sets ``_fields`` once by ``_set``;
+    ==, hash and repr read them as a dataclass does, but for those named
+    in ``_nocompare`` and ``_norepr``."""
+
+    __slots__ = ()
+    _fields = _nocompare = _norepr = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return tuple(getattr(self, n) for n in self._fields
+                     if n not in self._nocompare)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields
+                          if n not in self._norepr)
+        return f"{type(self).__qualname__}({shown})"
+
+
 class LaurentPoly:
     """An element of Z[z,z^-1] as a shift plus a dense coefficient tuple.
 

@@ -1,6 +1,5 @@
 """Document parsing, dispatch, report formats, exit codes."""
 
-import dataclasses
 import importlib
 import io
 import json
@@ -9,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import nk.fundomain
 import nk.novikov
 from nk import cli
 from nk.rings import Direction, LaurentPoly
 from nk.linalg import Inconclusive, Matrix, associate
 from nk.complexes import cancel_units
+from nk.fundomain import TruncatedComplexPresentation, algebraic_novikov_complex
 from nk.models import knot_fundamental_domain
 from nk.novikov import NovikovReport, novikov_homology
 from nk.cli import (
@@ -497,7 +498,7 @@ def test_cone_vs_fhat_check_names_skipped_degrees(monkeypatch):
     # F^ gives up on its only differential with no factors found, which
     # read as totals would disagree with the cone's factor 2 + z
     doc = parse_document(TORSION_DOMAIN)
-    d1 = cli.algebraic_novikov_complex(doc.payload["domain"]).differential(1)
+    d1 = algebraic_novikov_complex(doc.payload["domain"]).differential(1)
     gives_up(monkeypatch, nk.novikov, lambda m, _: m == d1)
     report = run(doc, oracle=True)
     assert report.exit_code == 1
@@ -509,12 +510,14 @@ def test_cone_vs_fhat_check_names_skipped_degrees(monkeypatch):
 
 def test_cone_vs_fhat_check_compares_betti_in_skipped_degrees(monkeypatch):
     fd = parse_document(TORSION_DOMAIN).payload["domain"]
-    d1 = cli.algebraic_novikov_complex(fd).differential(1)
+    d1 = algebraic_novikov_complex(fd).differential(1)
     gives_up(monkeypatch, nk.novikov, lambda m, _: m == d1)
-    rb = novikov_homology(cli.algebraic_novikov_complex(fd))
+    rb = novikov_homology(algebraic_novikov_complex(fd))
     assert not rb.conclusive
     assert cli._cone_vs_fhat_check(fd.cone, rb)["ok"] is True
-    wrong = dataclasses.replace(rb, betti={**rb.betti, 0: rb.b(0) + 1})
+    wrong = NovikovReport(rb.lo, rb.hi, {**rb.betti, 0: rb.b(0) + 1},
+                          rb.torsion_factors, rb.direction, rb.conclusive,
+                          rb.ranks)
     assert cli._cone_vs_fhat_check(fd.cone, wrong) == {
         "check": "cone-vs-algebraic-novikov", "ok": False,
         "detail": "reports compared degreewise; "
@@ -665,7 +668,7 @@ def test_fundomain_minus_reads_the_cone():
 
 
 def test_exact_vs_truncated_check_names_the_first_mismatch(monkeypatch):
-    real = cli.algebraic_novikov_complex
+    real = nk.fundomain.algebraic_novikov_complex
 
     def moved(fd, mode="exact", order=None):
         out = real(fd, mode, order)
@@ -673,11 +676,13 @@ def test_exact_vs_truncated_check_names_the_first_mismatch(monkeypatch):
             d = out.differentials[2]
             grid = [list(row) for row in d.entries]
             grid[0][0] += 1
-            out = dataclasses.replace(out, differentials={
-                **out.differentials, 2: Matrix(d.rows, d.cols, grid)})
+            out = TruncatedComplexPresentation(
+                out.lo, out.hi, out.ranks,
+                {**out.differentials, 2: Matrix(d.rows, d.cols, grid)},
+                out.order)
         return out
 
-    monkeypatch.setattr(cli, "algebraic_novikov_complex", moved)
+    monkeypatch.setattr(nk.fundomain, "algebraic_novikov_complex", moved)
     expanded = count_calls(monkeypatch, "nk.rings", "expand")
     report = run(parse_document(MINUS_DOMAIN), precision=3, oracle=True)
     assert report.data["oracle"][0] == {
@@ -838,6 +843,33 @@ def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch):
 def test_main_missing_file_exits_2(capsys):
     assert main(["run", "/nonexistent/nowhere.json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    """Documents are read as UTF-8 whatever the locale; a UTF-8 BOM is
+    still the JSON error it was."""
+    f = tmp_path / "doc.json"
+    f.write_bytes(b'\xff\xfe{"kind": 1}')
+    assert main([command, str(f)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
+    f.write_bytes(b"\xef\xbb\xbf" + CIRCLE.encode())
+    assert main([command, str(f)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+
+
+@pytest.mark.parametrize("where", ["alone", "payload"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_json_nested_too_deeply_exits_2(tmp_path, capsys, command, where):
+    deep = "[" * 100_000 + "]" * 100_000
+    f = tmp_path / "doc.json"
+    f.write_text(deep if where == "alone"
+                 else '{"kind": "novikov", "payload": ' + deep + "}")
+    assert main([command, str(f)]) == 2
+    assert capsys.readouterr().err == "error: $: nested too deeply\n"
 
 
 def test_main_examples_list(capsys):
