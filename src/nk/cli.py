@@ -756,13 +756,18 @@ def _build_argparser():
 
 def _precision(text):
     """--precision follows the document rule: a nonnegative integer up
-    to MAX_PRECISION."""
-    if not re.fullmatch(r"[0-9]+", text) or int(text) > MAX_PRECISION:
+    to MAX_PRECISION.  Leading zeros are dropped before ``int``, and a
+    value with more digits than the cap is refused unread, since ``int``
+    refuses strings past Python's digit limit."""
+    value = text.lstrip("0") or "0"
+    if (not re.fullmatch(r"[0-9]+", text)
+            or len(value) > len(str(MAX_PRECISION))
+            or int(value) > MAX_PRECISION):
         import argparse
         raise argparse.ArgumentTypeError(
             f"expected a nonnegative integer up to {MAX_PRECISION}, "
             f"got {text!r}")
-    return int(text)
+    return int(value)
 
 
 _RUN_CHOICES = {"--format": ("text", "machine"),

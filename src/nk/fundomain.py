@@ -32,18 +32,15 @@ Out of this come three exact constructions:
 Each degree's det and z h_F adj are built once per domain, for F^ and
 for the cokernel identification: that the projection p: C(phi) -> F^
 is a chain map is decided without building C(phi), in each degree by
-one product of two integer matrices packed at X = 2^(8w), w above the
-product of the two factors' largest row 1-norms (``cokernel_iso_check``).
+one packed product of two integer matrices (``cokernel_iso_check``).
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
-from .rings import ONE, LaurentPoly, RationalFunction, Record, _slot_width
-from .linalg import (Matrix, _eliminate, _imul, _is_int, _orders_and_norms,
-                     _pack, _unpack, matmul)
+from .rings import ONE, LaurentPoly, RationalFunction, Record
+from .linalg import Matrix, _is_int, _Packed, matmul
 from .complexes import BasedChainComplex, InvalidDomain
 
 
@@ -89,25 +86,21 @@ class AlgebraicFundamentalDomain(Record):
         C(phi) -> F^ and, times c, the tail of the numerators of F^.
 
         One Gauss-Jordan pass of the Bareiss kernel over [M^T | h_F^T]
-        gives both (adj(M^T) = adj(M)^T), on rows packed from the int
-        blocks at X = 2^(8w): row r is 1 - X h_D[k][r] and h_F[j][r], of
-        order 0, and w puts the product of the row 1-norms, which bounds
-        every coefficient of every minor, below X/2."""
+        gives both (adj(M^T) = adj(M)^T), on rows packed straight from
+        the int blocks (``linalg._Packed.ints``): row r of M^T is
+        1 - z h_D[k][r], and h_F[j][r] follows it."""
         out = {}
         for i in filter(self.D.rank, self.D.degrees()):
             n = self.D.rank(i)
             h_D, h_F = self.h_D_at(i).entries, self.h_F_at(i).entries
-            cols = list(zip(zip(*h_D), zip(*h_F) if h_F else [()] * n))
-            w = _slot_width(math.prod(1 + sum(map(abs, a)) + sum(map(abs, b))
-                                      for a, b in cols))
-            M = [[(k == r) - (e << 8 * w) for k, e in enumerate(a)] + list(b)
-                 for r, (a, b) in enumerate(cols)]
-            rank, det = _eliminate(M, n, jordan=True)
+            slots, rank, det, M = _Packed.ints(
+                list(zip(*h_D)), list(zip(*h_F)) if h_F else [()] * n
+            ).eliminate(n, jordan=True)
             if rank < n:  # pragma: no cover - internal invariant
                 raise AssertionError("1 - z h_D must be invertible")
             adj = zip(*(row[n:] for row in M))  # the columns of adj(M^T) h_F^T
-            out[i] = _unpack(det, 0, w), Matrix(len(h_F), n, [
-                [_unpack(v, 1, w) for v in col] for col in adj])
+            out[i] = slots.unpack(det, 0), Matrix(len(h_F), n, [
+                [slots.unpack(v, 1) for v in col] for col in adj])
         return out
 
     @cached_property
@@ -306,51 +299,39 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
     constant coefficient 1), that of the product with the cone, for any
     ``solved`` and ``numerators``.
 
-    The dets, Y and N pack once per degree at one shift s <= 0, and R's
-    int blocks as they are, with z as X = 2^(8w).  One bound rule, that
-    of ``_product_is``, sets w: the product |L| |R| of the factors'
-    largest row 1-norms is below X/2, |L| taken through
-    |pq|_1 <= |p|_1 |q|_1 with each det's norm at least 1.  That bounds
-    every coefficient of L R and, as |L|, |R| >= 1, of every packed input.
+    The dets, Y and N pack once per degree at one shift s <= 0 and R's
+    int blocks as they are; L R is one packed product
+    (``linalg._Packed.product``), whose rule sets the width.
     """
     D, F = fd.D, fd.F
     for i in range(min(D.lo, F.lo) + 1, max(D.hi + 1, F.hi) + 1):
-        rows = F.rank(i - 1)
-        if not rows:  # L has no rows
+        if not F.rank(i - 1):  # L has no rows
             continue
         (det1, y1), (det0, y0) = (
             fd.solved.get(j, (ONE, Matrix.zeros(F.rank(j), 0)))
             for j in (i - 1, i))
+        # det_{i-1}, det_i, Y_{i-1}, N_i and Y_i beside zeros on D_{i-1},
+        # all at the lowest order s <= 0 of their entries
         y1, y0, num = y1.entries, y0.entries, fd.numerators[i][1].entries
-        laurent = [_orders_and_norms(m)
-                   for m in ([[det1], [det0]], y1, y0, num)]
-        s = min([0] + [lo for m in laurent for lo, _ in m if lo is not None])
-        (n1, n0), ny1, ny0, nn = ([n for _, n in m] for m in laurent)
-        n1, n0 = max(1, n1), max(1, n0)  # a det's norm, taken at least 1
-        # R's block rows on D_{i-1} and on F_{i-1}, from the int blocks
-        top = list(zip(fd.h_D_at(i - 1).entries, D.differential(i).entries,
-                       fd.c_at(i).entries))
-        mid = list(zip(fd.h_F_at(i - 1).entries, F.differential(i).entries))
-        w = _slot_width(
-            max(n0 * (a + n1) + b for a, b in zip(ny1, nn))
-            * max([1] + [1 + sum(map(abs, h + d + c)) for h, d, c in top]
-                  + [sum(map(abs, h + d)) for h, d in mid]
-                  + [n + n0 for n in ny0]))
-        x = 8 * w  # z packs as X = 2^x
-        p1, p0 = _pack(det1, s, w), _pack(det0, s, w)
-        L = [[p0 * _pack(e, s, w) for e in y]
-             + [p0 * p1 * (k == r) for k in range(rows)]
-             + [-_pack(e, s, w) for e in n]
-             for r, (y, n) in enumerate(zip(y1, num))]
-        R = ([[(k == r) - (e << x) for k, e in enumerate(h)] + list(d + c)
-              for r, (h, d, c) in enumerate(top)]
-             + [[-(e << x) for e in h] + [0] * D.rank(i) + list(d)
-                for h, d in mid]
-             + [[0] * D.rank(i - 1) + [_pack(e, s, w) for e in y]
-                + [p0 * (k == r) for k in range(F.rank(i))]
-                for r, y in enumerate(y0)])
-        orders = [_unpack(v, 2 * s, w).ord()
-                  for row in _imul(L, R) for v in row if v]
+        packed = _Packed.of([[det1], [det0], *y1, *num]
+                            + [(0,) * D.rank(i - 1) + y for y in y0])
+        s = min([0] + [o for o in packed.orders if o is not None])
+        packed.one_shift(s)
+        a, b = 2 + len(y1), 2 + len(y1) + len(num)
+        p1, p0, y1, num, y0 = (packed[j:k] for j, k in (
+            (0, 1), (1, 2), (2, a), (a, b), (b, None)))
+        L = _Packed.block([[((p0,), y1), ((p0, p1), F.rank(i - 1)),
+                            ((-1,), num)]])
+        # R's block rows on D_{i-1} and on F_{i-1} from the int blocks
+        R = _Packed.block([
+            [_Packed.ints(fd.h_D_at(i - 1).entries + fd.h_F_at(i - 1).entries,
+                          [d + c for d, c in zip(D.differential(i).entries,
+                                                 fd.c_at(i).entries)]
+                          + [(0,) * D.rank(i) + d
+                             for d in F.differential(i).entries])],
+            [y0, ((p0,), F.rank(i))]])
+        slots, LR = _Packed.product([L, R])
+        orders = [slots.unpack(v, 2 * s).ord() for row in LR for v in row if v]
         if orders and min(orders) <= precision:
             return CokernelCheck(False, i, min(orders))
     return CokernelCheck(True)

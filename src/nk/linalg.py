@@ -7,12 +7,12 @@ the homology computations run on:
   the transforms are shown unimodular by the Bareiss kernel below, and
   ``inverse_int`` inverts one when a caller needs it;
 * one fraction-free (Bareiss) elimination loop on integers
-  (``_eliminate``), run on Kronecker-packed Laurent rows: rows shifted
-  to order 0, entries evaluated at X = 2^(8w) with X/2 above a bound on
-  every coefficient the elimination holds, so the integers determine
-  the polynomials.  Run forward it gives the rank over the function
-  field Q(z), which is the free rank over the Novikov ring too; run
-  Gauss-Jordan over [M | B] it gives det M and adj(M) B;
+  (``_eliminate``), run on Kronecker-packed Laurent rows (``_Packed``:
+  entries evaluated at one X = 2^(8w), w from a proven bound, so the
+  integers determine the polynomials).  Run forward it gives the rank
+  over the function field Q(z), which is the free rank over the
+  Novikov ring too; run Gauss-Jordan over [M | B] it gives det M and
+  adj(M) B;
 * a diagonalization over Z((z)) (resp. Z((z^-1))) of matrices over the
   rational subring: the rows are cleared of denominators once, by lcms
   that are Novikov units, and everything after stays in Z[z,z^-1].
@@ -23,10 +23,8 @@ the homology computations run on:
   the author to be complete; the heuristic raises ``Inconclusive`` when
   its operation budget runs out.  Its certificate, U (Lambda A) V = D
   and the Schur identities, is always a Laurent identity, checked
-  exactly by evaluating both sides at one X = 2^(8w), without Laurent
-  products: U (Lambda A) V = D by ``_product_is``, and each Schur
-  identity on the integers its step already holds
-  (``_schur_identity``), widened only when their digits need it.
+  exactly as one packed integer product each (``_product_is``,
+  ``_schur_identity``).
 
 Matrix entries are plain ints, LaurentPoly, or RationalFunction; the
 arithmetic never leaves exact integer/rational-coefficient land.
@@ -34,6 +32,8 @@ arithmetic never leaves exact integer/rational-coefficient land.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from functools import cache
@@ -322,7 +322,7 @@ def inverse_int(t: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination over Z[z,z^-1], on Kronecker-packed integers
+# packed integers: Laurent matrices evaluated at one X = 2^(8w)
 
 def _pack(p, shift, w):
     """The integer (z^-shift p)(X) at X = 2^(8w), for an int or
@@ -333,34 +333,232 @@ def _pack(p, shift, w):
     return _kron(t, w) << 8 * w * (p._s - shift) if t else 0
 
 
-def _unpack(v, shift, w):
-    """The inverse of _pack: z^shift q for the polynomial q with
-    q(X) = v and every |coefficient| < X/2 (balanced base-X digits)."""
-    return LaurentPoly._dense(shift, _digits(v, w))
+def _pack_rows(leaf, w):
+    """The rows of a leaf (``_Packed.of``) at X = 2^(8w), each at its
+    shift."""
+    return [[_pack(e, s, w) for e in row]
+            for row, s in zip(leaf.src, leaf.shifts)]
 
 
-def _orders_and_norms(rows):
-    """For each row of int and LaurentPoly entries, in one pass: the
-    lowest order of its nonzero entries (None for a zero row) and its
-    1-norm, the sum of the entries' coefficient 1-norms."""
-    out = []
-    for row in rows:
-        lo, norm = None, 0
-        for e in row:
-            if e.__class__ is int:
-                if e:
+class _Slots:
+    """X = 2^(8w) for a proven bound on every coefficient of the values
+    computed at it: the least w, and at least ``floor``, with the bound
+    below X/2.  The one place a width is picked."""
+
+    __slots__ = ("bound", "w")
+
+    def __init__(self, bound, floor=1):
+        self.bound, self.w = bound, max(floor, _slot_width(bound))
+
+    def unpack(self, v, shift):
+        """z^shift q for the polynomial q with q(X) = v: the balanced
+        base-X digits of v."""
+        return LaurentPoly._dense(shift, _digits(v, self.w))
+
+
+class _Packed:
+    """A matrix over Z[z,z^-1] as integer rows at whichever X = 2^(8w) the
+    computation it enters needs: ``at(w)`` gives the rows, entry j of row
+    i the value at X of z^-shifts[i] times the polynomial it stands for.
+    ``norms[i]`` is a proven bound on the 1-norm of row i, the sum of its
+    entries' coefficient 1-norms.  Integer transforms and blocks of
+    packed matrices are packed matrices, their bounds carried by
+    |pq|_1 <= |p|_1 |q|_1.  Every width comes from one of two rules:
+
+    * elimination (``minors``): every minor of a set of rows has 1-norm
+      at most the product of their norms, each taken at least 1, and a
+      Bareiss pass over them holds only minors;
+    * product (``product``): every entry of a product has 1-norm at most
+      the product of the factors' largest row norms, plus the target's
+      largest coefficient when it is compared with one.
+
+    Below X/2 the bound makes evaluation at X injective on the values it
+    covers: the integers decide zero tests and equality, and unpack as
+    balanced base-X digits.  Rows read back from integers (``read``)
+    keep their width as ``home``: a product packs them no narrower, and
+    re-spreads their digits when the rule needs a wider width.
+    """
+
+    __slots__ = ("norms", "orders", "shifts", "src", "home", "top", "_make",
+                 "_w", "_rows")
+
+    def __init__(self, norms, make, src=None, home=1):
+        self.norms, self._make, self.src, self.home = norms, make, src, home
+        self._w = None
+
+    def at(self, w):
+        if w != self._w:
+            self._w, self._rows = w, self._make(self, w)
+        return self._rows
+
+    @classmethod
+    def of(cls, rows):
+        """Rows of ints and LaurentPoly; ``orders`` holds each row's lowest
+        order (None for a zero row), and each row packs at its own order
+        (0 for a zero row) until ``shifts`` is set."""
+        orders, norms, shifts = [], [], []
+        for row in rows:
+            lo, norm = None, 0
+            for e in row:
+                if e.__class__ is int:
+                    if not e:
+                        continue
                     o, norm = 0, norm + abs(e)
+                elif e._t:
+                    o, norm = e._s, norm + sum(map(abs, e._t))
                 else:
                     continue
-            elif e._t:
-                o, norm = e._s, norm + sum(map(abs, e._t))
-            else:
-                continue
-            if lo is None or o < lo:
-                lo = o
-        out.append((lo, norm))
-    return out
+                if lo is None or o < lo:
+                    lo = o
+            orders.append(lo)
+            norms.append(norm)
+            shifts.append(lo or 0)
+        self = cls(norms, _pack_rows, rows)
+        self.orders, self.shifts = orders, shifts
+        return self
 
+    @classmethod
+    def target(cls, rows):
+        """Rows of ints and LaurentPoly that a product is compared with:
+        ``orders`` and shifts as in ``of``, and ``top``, their largest
+        coefficient, in place of row norms."""
+        orders, top = [], 0
+        for row in rows:
+            lo = None
+            for e in row:
+                if e.__class__ is int:
+                    if not e:
+                        continue
+                    o, top = 0, max(top, abs(e))
+                elif e._t:
+                    o, top = e._s, max(top, max(map(abs, e._t)))
+                else:
+                    continue
+                if lo is None or o < lo:
+                    lo = o
+            orders.append(lo)
+        self = cls(None, _pack_rows, rows)
+        self.orders, self.shifts, self.top = (
+            orders, [lo or 0 for lo in orders], top)
+        return self
+
+    def one_shift(self, s=None):
+        """Every row at shift s, by default the lowest order of all."""
+        if s is None:
+            s = min((o for o in self.orders if o is not None), default=0)
+        self.shifts = [s] * len(self.orders)
+        return self
+
+    def __getitem__(self, rows):  # a slice of the rows, at their shifts
+        return _Packed(self.norms[rows], lambda _, w: self.at(w)[rows])
+
+    @classmethod
+    def ints(cls, h, rest):
+        """The rows of [1 - z h | rest] for integer rows h and rest, the 1
+        an identity on the leading rows: raw coefficients, with no
+        LaurentPoly built."""
+        def make(_, w):
+            x = 8 * w
+            return [[(k == r) - (e << x) for k, e in enumerate(a)] + list(b)
+                    for r, (a, b) in enumerate(zip(h, rest))]
+        n = len(h[0]) if h else 0
+        return cls([(r < n) + sum(map(abs, a)) + sum(map(abs, b))
+                    for r, (a, b) in enumerate(zip(h, rest))], make)
+
+    @classmethod
+    def read(cls, rows, w):
+        """The integer rows, values at X = 2^(8w), with home width w and
+        norms read off their digits, once per distinct value."""
+        half, seen = 1 << 8 * w - 1, {}
+
+        def digits_of(v):
+            if -half < v < half:
+                return v,
+            if v not in seen:
+                seen[v] = _digits(v, w)
+            return seen[v]
+        digits = [list(map(digits_of, row)) for row in rows]
+        return cls([sum(abs(c) for d in row for c in d) for row in digits],
+                   lambda _, u: rows if u == w else [
+                       [d[0] if len(d) == 1 else _kron(d, u) for d in row]
+                       for row in digits], home=w)
+
+    def __rmatmul__(self, t):  # t @ self, t an integer matrix
+        return _Packed([sum(map(operator.mul, map(abs, r), self.norms))
+                        for r in t], lambda _, w: _imul(t, self.at(w)))
+
+    def __matmul__(self, t):  # self @ t, t an integer matrix
+        m = max((sum(map(abs, r)) for r in t), default=0)
+        return _Packed([n * m for n in self.norms],
+                       lambda _, w: _imul(self.at(w), t))
+
+    @classmethod
+    def block(cls, grid):
+        """The block matrix of a grid of cells, the rows of cells stacked
+        and the cells of each side by side.  A cell is a packed matrix m,
+        an int n for the n x n identity, or a pair (p, m) of such a cell
+        and a tuple p of ints and 1 x 1 packed matrices that multiply it."""
+        norms = []
+        for row in grid:
+            parts = []
+            for c in row:
+                p, m = c if c.__class__ is tuple else ((), c)
+                n = 1
+                for s in p:
+                    n *= abs(s) if s.__class__ is int else s.norms[0]
+                parts.append([n] * m if m.__class__ is int
+                             else [n * v for v in m.norms])
+            norms += map(sum, zip(*parts)) if len(parts) > 1 else parts[0]
+
+        def make(_, w):
+            out = []
+            for row in grid:
+                parts = []
+                for c in row:
+                    p, m = c if c.__class__ is tuple else ((), c)
+                    v = 1
+                    for s in p:
+                        v *= s if s.__class__ is int else s.at(w)[0][0]
+                    if m.__class__ is int:
+                        parts.append([[v * (i == j) for j in range(m)]
+                                      for i in range(m)])
+                    else:
+                        m = m.at(w)
+                        parts.append(m if v == 1 else [[v * x for x in r]
+                                                       for r in m])
+                out += (parts[0] if len(parts) == 1 else
+                        map(list, map(itertools.chain.from_iterable,
+                                      zip(*parts))))
+            return out
+        return cls(norms, make)
+
+    def minors(self, k=None, *others):
+        """The slots for every minor of the first k rows (all by default)
+        with at most one more row, of self or of others, appended."""
+        k = len(self.norms) if k is None else k
+        rest = self.norms[k:] + [n for o in others for n in o.norms]
+        return _Slots(math.prod(max(1, n) for n in self.norms[:k])
+                      * max([1] + rest))
+
+    def eliminate(self, n, jordan=False):
+        """``_eliminate`` on fresh rows at the width of ``minors``:
+        (slots, rank, signed last pivot, rows)."""
+        slots = self.minors()
+        M = self._make(self, slots.w)
+        return (slots, *_eliminate(M, n, jordan), M)
+
+    @staticmethod
+    def product(factors, target=None):
+        """(slots, the rows of the product of the packed factors), at a
+        width that also holds the coefficients of the ``target``."""
+        slots = _Slots(math.prod(max([1, *f.norms]) for f in factors)
+                       + (target.top if target else 0),
+                       max(f.home for f in factors))
+        return slots, functools.reduce(_imul, [f.at(slots.w) for f in factors])
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination over Z[z,z^-1], on Kronecker-packed integers
 
 def _is_int(grid):
     """Are all entries of the rows grid plain ints?"""
@@ -427,14 +625,11 @@ def _bareiss(A, n, jordan=False):
     Gauss-Jordan on [M | B] with M n x n it returns (det M, adj(M) B as
     a list of rows), or (0, None) when det M = 0.
 
-    The elimination runs on integers.  Each row is shifted to order 0
-    (which scales det M and adj(M) B by z^-(sum of shifts), undone at
-    the end) and each entry evaluated at X = 2^(8w), w = 1, 2, 4, ...
-    bytes chosen so that prod_i max(1, |row_i|_1) < X/2.  That product
-    bounds every coefficient of every minor, since |pq|_1 <= |p|_1 |q|_1,
-    so evaluation is injective on the entries the elimination holds: the
-    zero tests, pivots and quotients are those of the same elimination
-    over Z[z], and the results unpack as balanced base-X digits.
+    The elimination runs on the rows packed each at its own order
+    (``_Packed``), which scales det M and adj(M) B by z^-(sum of the
+    orders), undone at the end; by the elimination rule the integers
+    decide the zero tests, pivots and quotients of the same elimination
+    over Z[z].
 
     >>> z = LaurentPoly({1: 1})
     >>> _bareiss([[2 * ONE, z, ONE, LaurentPoly()],
@@ -443,33 +638,24 @@ def _bareiss(A, n, jordan=False):
     >>> _bareiss([[z, z ** 2], [ONE, z]], 2)
     1
     """
-    rows = _orders_and_norms(A)
-    shifts = [lo or 0 for lo, _ in rows]
-    w = _slot_width(math.prod(max(1, norm) for _, norm in rows))
-    M = [[_pack(e, s, w) for e in row] for row, s in zip(A, shifts)]
-    r, det = _eliminate(M, n, jordan)
+    packed = _Packed.of(A)
+    slots, r, det, M = packed.eliminate(n, jordan)
     if not jordan:
         return r
     if r < n:
         return LaurentPoly(), None
-    s = sum(shifts)
-    return (_unpack(det, s, w),
-            [[_unpack(v, s, w) for v in row[n:]] for row in M])
+    s = sum(packed.shifts)
+    return (slots.unpack(det, s),
+            [[slots.unpack(v, s) for v in row[n:]] for row in M])
 
 
 def _product_is(factors, target):
     """Does factors[0] @ ... @ factors[-1] == target?  Decided exactly,
-    without Laurent products.
-
-    Each factor F_i is shifted as a whole by the lowest order s_i of its
-    entries and evaluated at X = 2^(8w).  Every coefficient of the
-    shifted product is at most prod_i max(1, |F_i|), |F| the largest
-    row sum of the entries' 1-norms, and w makes that bound plus the
-    largest coefficient of the target less than X/2.  The difference of
-    the two sides then vanishes iff its value at X does, so one product
-    of integer matrices decides the identity.  A target entry of order
-    below sum_i s_i rules it out at once.  Entries are ints and
-    LaurentPoly: every certificate of this module is a Laurent identity.
+    without Laurent products, by one product of integer matrices
+    (``_Packed.product``): each factor packed at the lowest order of its
+    entries, and the target at their sum s.  A target entry of order
+    below s rules it out at once.  Entries are ints and LaurentPoly:
+    every certificate of this module is a Laurent identity.
     """
     for a, b in zip(factors, factors[1:]):
         if a.cols != b.rows:
@@ -477,30 +663,15 @@ def _product_is(factors, target):
                 f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if (factors[0].rows, factors[-1].cols) != (target.rows, target.cols):
         return False
-    mats, goal = [m.entries for m in factors], target.entries
-    shifts, bound = [], 1
-    for m in mats:
-        rows = _orders_and_norms(m)
-        shifts.append(min((lo for lo, _ in rows if lo is not None),
-                          default=0))
-        bound *= max(1, max((norm for _, norm in rows), default=0))
-    s, top = sum(shifts), 0
-    for row in goal:
-        for e in row:
-            if e.__class__ is int:
-                if e and s > 0:
-                    return False
-                top = max(top, abs(e))
-            elif e._t:
-                if e._s < s:
-                    return False
-                top = max(top, max(map(abs, e._t)))
-    w = _slot_width(bound + top)
-    acc, *rest = [[[_pack(e, sh, w) for e in row] for row in m]
-                  for m, sh in zip(mats, shifts)]
-    for m, f in zip(rest, factors[1:]):
-        acc = _imul(acc, m) if m else [[0] * f.cols for _ in acc]
-    return acc == [[_pack(e, s, w) for e in row] for row in goal]
+    if not all(m.rows and m.cols for m in factors):
+        return target.is_zero
+    packed = [_Packed.of(m.entries).one_shift() for m in factors]
+    s = sum(p.shifts[0] for p in packed)
+    goal = _Packed.target(target.entries)
+    if any(o is not None and o < s for o in goal.orders):
+        return False
+    slots, rows = _Packed.product(packed, goal.one_shift(s))
+    return rows == goal.at(slots.w)
 
 
 def _laurent_rows(grid):
@@ -790,19 +961,16 @@ def _schur_step(W, U, V, t):
     right by the column transform V0 [[I, -X], [0, det I]], in place.
 
     The step packs once: the rows of W, the rows of U[t:] and the
-    columns V[:, t:], each block by its own shift, at one X = 2^(8w),
-    and does every product above on integers.  Every value it unpacks
-    is a minor of [A | U0 R U[t:]] (S, adj and X, the new rows of U),
-    or of the first k rows of A with one row of V[:, t:] V0 appended
-    (the new columns of V); w is chosen so that the product of those
-    rows' 1-norms, bounded through |U0| and |V0|, is below X/2.  The
-    identity A11 [adj | X] = det [I | A12] is checked on the packed
-    integers by ``_schur_identity``, at a width read off their digits.
-    Returns (k, det, S).
+    columns V[:, t:], each block by its own shift (``_Packed``), and does
+    every product above on integers.  Every value it unpacks is a minor
+    of the first k rows of [A | U0 R U[t:]] with one more row of it or
+    of V[:, t:] V0 appended, and the elimination rule on those rows sets
+    the width.  The identity A11 [adj | X] = det [I | A12] is checked on
+    the packed integers by ``_schur_identity``.  Returns (k, det, S).
     """
     nr, nc = len(W), len(V) - t
-    rw = _orders_and_norms(W)
-    ords = [lo or 0 for lo, _ in rw]
+    packed_w = _Packed.of(W)
+    ords = packed_w.shifts
     a0 = Matrix(nr, nc, [[p.coeff(o) for p in row]
                          for row, o in zip(W, ords)])
     if math.gcd(*(x for row in a0.entries for x in row)) != 1:
@@ -810,30 +978,22 @@ def _schur_step(W, U, V, t):
     snf = smith_normal_form_int(a0)
     k = snf.invariant_factors.count(1)
     u0, v0 = snf.U.entries, snf.V.entries
-    # the slot width, from the row 1-norms of W, U[t:] and V[:, t:]
-    ru = _orders_and_norms(U[t:])
-    rv = _orders_and_norms([row[t:] for row in V])
-    nw = [norm for _, norm in rw]
-    nu = [norm for _, norm in ru]
-    v0n = max(sum(map(abs, row)) for row in v0)
-    w = _slot_width(math.prod(
-        max(1, v0n * sum(abs(x) * y for x, y in zip(row, nw))
-            + sum(abs(x) * y for x, y in zip(row, nu))) for row in u0)
-        * max(1, v0n * max(norm for _, norm in rv)))
-    su = min(lo - o for (lo, _), o in zip(ru, ords) if lo is not None)
-    sv = min(lo for lo, _ in rv if lo is not None)
-    packed = [[_pack(e, o, w) for e in row] + [_pack(e, su + o, w) for e in u]
-              for row, o, u in zip(W, ords, U[t:])]
-    # U0 R [W | U[t:]]: A before V0, and the rows of U to update
-    P = _imul(u0, packed)
-    A = _imul([row[:nc] for row in P], v0)
-    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    # R U[t:]: row i shifted by the order of row i of W, then all by su
+    packed_u = _Packed.of(U[t:])
+    su = min(lo - o for lo, o in zip(packed_u.orders, ords) if lo is not None)
+    packed_u.shifts = [su + o for o in ords]
+    packed_v = _Packed.of([row[t:] for row in V]).one_shift()
+    sv = packed_v.shifts[0]
+    pa, pb, pc = u0 @ packed_w @ v0, u0 @ packed_u, packed_v @ v0
+    slots = _Packed.block([[pa, pb]]).minors(k, pc)
+    A, B, c = pa.at(slots.w), pb.at(slots.w), pc.at(slots.w)
+    eye = _ident(k)
     gj = [row[:k] + e + row[k:] for row, e in zip(A, eye)]
     r, det = _eliminate(gj, k, jordan=True)
     sol = [row[k:] for row in gj]  # [adj | X]
-    unit = _unpack(det, 0, w)
+    unit = slots.unpack(det, 0)
     if r < k or not is_novikov_unit(unit) or not _schur_identity(
-            A[:k], sol, det, w):
+            A[:k], sol, det, slots.w):
         raise AssertionError("Schur step self-check failed")
 
     def minus(b, c, d):  # det b - c d
@@ -842,14 +1002,13 @@ def _schur_step(W, U, V, t):
 
     a21 = [row[:k] for row in A[k:]]
     x = [row[k:] for row in sol]
-    top = _imul([row[:k] for row in sol], [row[nc:] for row in P[:k]])
-    low = minus([row[nc:] for row in P[k:]], a21, top)
-    U[t:] = [[_unpack(v, su, w) for v in row] for row in top + low]
-    c = _imul([[_pack(e, sv, w) for e in row[t:]] for row in V], v0)
+    top = _imul([row[:k] for row in sol], B[:k])
+    low = minus(B[k:], a21, top)
+    U[t:] = [[slots.unpack(v, su) for v in row] for row in top + low]
     c2 = minus([row[k:] for row in c], [row[:k] for row in c], x)
     for row, new1, new2 in zip(V, c, c2):
-        row[t:] = [_unpack(v, sv, w) for v in new1[:k] + new2]
-    s = [[_unpack(v, 0, w) for v in row]
+        row[t:] = [slots.unpack(v, sv) for v in new1[:k] + new2]
+    s = [[slots.unpack(v, 0) for v in row]
          for row in minus([row[k:] for row in A[k:]], a21, x)]
     return k, unit, s
 
@@ -859,35 +1018,18 @@ def _schur_identity(a, sol, det, w):
     values at X = 2^(8w) are the integers in the rows a = [A11 | A12],
     the rows sol = [adj | X] and det?
 
-    Those polynomials are the balanced base-X digits (``_unpack``), so
-    the digits' absolute values sum to exact 1-norms.  As in
-    ``_product_is``, no coefficient of A11 [adj | X] - det [I | A12]
-    exceeds |[A11 | -det I]| |[[adj | X], [I | A12]]|, |F| the largest
-    row sum of the entries' 1-norms, and the width w' that puts this
-    bound below X'/2 makes the difference vanish iff its value at X'
-    does.  The width comes from the values, never from the step's bound:
-    when w' <= w the integers already are the values at a large enough
-    X, and otherwise the digits are re-spread into w'-byte slots.
+    Decided as [A11 | -det I] [[adj | X], [I | A12]] = 0 by one packed
+    product of those integers read at w (``_Packed.read``): the width
+    comes from their digits, never from the step's bound, and they are
+    re-spread only when the product needs a wider one.
     """
     k = len(a)
-
-    def norm(v):
-        return sum(map(abs, _digits(v, w)))
-
-    nd = norm(det)
-    left = max(sum(map(norm, row[:k])) + nd for row in a)
-    right = max(max(sum(map(norm, row)) for row in sol),
-                max(1 + sum(map(norm, row[k:])) for row in a))
-    wide = _slot_width(max(1, left) * right)
-    if wide > w:
-        def spread(v):
-            return _kron(_digits(v, w), wide)
-        a = [list(map(spread, row)) for row in a]
-        sol = [list(map(spread, row)) for row in sol]
-        det = spread(det)
-    return _imul([row[:k] for row in a], sol) == [
-        [det * x for x in [int(i == j) for j in range(k)] + row[k:]]
-        for i, row in enumerate(a)]
+    eye = _ident(k)
+    _, rows = _Packed.product([
+        _Packed.read([row[:k] + [-det * x for x in e]
+                      for row, e in zip(a, eye)], w),
+        _Packed.read(sol + [e + row[k:] for row, e in zip(a, eye)], w)])
+    return not any(map(any, rows))
 
 
 def _reduce_pivot(red, t):

@@ -108,14 +108,16 @@ def test_empty_system():
 
 
 def _recording_widths(monkeypatch):
+    """The slot widths picked since the call, at the one width point of
+    the packed layer (``linalg._slot_width``)."""
     widths = set()
-    pack = linalg._pack
+    slot_width = linalg._slot_width
 
-    def spy(p, shift, w):
-        widths.add(w)
-        return pack(p, shift, w)
+    def spy(bound):
+        widths.add(slot_width(bound))
+        return slot_width(bound)
 
-    monkeypatch.setattr(linalg, "_pack", spy)
+    monkeypatch.setattr(linalg, "_slot_width", spy)
     return widths
 
 

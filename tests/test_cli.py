@@ -918,6 +918,25 @@ def test_precision_is_capped(tmp_path, capsys, route):
             assert err == ""
 
 
+@pytest.mark.parametrize("command", ["run", "run-all"])
+def test_precision_past_the_int_digit_limit(tmp_path, capsys, command):
+    """A value longer than Python's 4,300-digit limit for ``int`` gets the
+    cap's message, not argparse's generic one naming the private type
+    function; leading zeros stay accepted, however many."""
+    f = tmp_path / "circle.json"
+    f.write_text(CIRCLE)
+    argv = ["run", str(f)] if command == "run" else ["examples", "run-all"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--precision", "9" * 5000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"expected a nonnegative integer up to {MAX_PRECISION}" in err
+    assert "_precision" not in err
+    for value in ("0007", "0" * 5000 + "7"):
+        assert main([*argv, "--precision", value]) == 0
+    capsys.readouterr()
+
+
 def test_main_examples_run_all(capsys):
     assert main(["examples", "run-all", "--oracle"]) == 0
     out = capsys.readouterr().out

@@ -24,6 +24,7 @@ from nk.fundomain import (
 )
 from nk.novikov import novikov_homology
 import nk.fundomain
+import nk.linalg
 from nk.cli import parse_document, run
 from nk.models import knot_fundamental_domain
 
@@ -423,19 +424,38 @@ def test_rank_eight_dense_domain():
 
 
 def test_fundomain_job_eliminates_each_degree_once(monkeypatch):
+    """One Gauss-Jordan pass of the packed kernel per degree of D, though
+    F^, the cokernel check, the torsion and the oracles all read it (the
+    forward passes are the oracles' ranks)."""
     calls = []
-    eliminate = nk.fundomain._eliminate
+    eliminate = nk.linalg._Packed.eliminate
 
-    def counted(M, n, jordan=False):
-        calls.append(n)
-        return eliminate(M, n, jordan)
+    def counted(self, n, jordan=False):
+        if jordan:
+            calls.append(n)
+        return eliminate(self, n, jordan)
 
-    monkeypatch.setattr(nk.fundomain, "_eliminate", counted)
+    monkeypatch.setattr(nk.linalg._Packed, "eliminate", counted)
     doc = {"kind": "fundomain",
            "payload": {"domain": domain_to_json(dense_domain(2))}}
     report = run(parse_document(json.dumps(doc)), oracle=True)
     assert all(c["ok"] for c in report.data["oracle"])
     assert calls == [2, 2]
+
+
+def test_the_width_spy_sees_solved_and_the_cokernel_check(monkeypatch):
+    """``solved`` and ``cokernel_iso_check`` take their slot widths from
+    the packed layer's one width point, which the spy of ``test_bareiss``
+    watches: with h_D = [[200]], 1 - 200z has 1-norm 201 and needs two
+    bytes, and the cokernel product four."""
+    from test_bareiss import _recording_widths
+    fd = wide_coefficient_domains()[0]
+    widths = _recording_widths(monkeypatch)
+    fd.solved
+    assert widths == {2}
+    widths.clear()
+    assert cokernel_iso_check(fd, 30)
+    assert widths == {4}
 
 
 def test_solved_matches_the_laurent_route():

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from nk import linalg
+from nk import linalg, rings
 from nk.linalg import Matrix, _laurent_rows, matmul, smith_normal_form_int
 from nk.rings import ONE, LaurentPoly, RationalFunction
 
@@ -198,9 +198,13 @@ def unpacked_verdict(a, sol, det, w):
     matrices: every value unpacked to a LaurentPoly, and one
     ``_product_is`` against zero."""
     k, nc = len(a), len(a[0])
-    unit = linalg._unpack(det, 0, w)
-    a1 = [[linalg._unpack(v, 0, w) for v in row] for row in a]
-    x = [[linalg._unpack(v, 0, w) for v in row] for row in sol]
+
+    def unpack(v):
+        return LaurentPoly._dense(0, rings._digits(v, w))
+
+    unit = unpack(det)
+    a1 = [[unpack(v) for v in row] for row in a]
+    x = [[unpack(v) for v in row] for row in sol]
     eye = [[int(i == j) for j in range(k)] for i in range(k)]
     return linalg._product_is(
         [Matrix(k, 2 * k, [row[:k] + [-unit * e for e in ident]
