@@ -99,8 +99,8 @@ class AlgebraicFundamentalDomain(Record):
             if rank < n:  # pragma: no cover - internal invariant
                 raise AssertionError("1 - z h_D must be invertible")
             adj = zip(*(row[n:] for row in M))  # the columns of adj(M^T) h_F^T
-            out[i] = slots.unpack(det, 0), Matrix(len(h_F), n, [
-                [slots.unpack(v, 1) for v in col] for col in adj])
+            out[i] = slots.unpack(det, 0), Matrix(
+                len(h_F), n, slots.unpack_rows(adj, 1))
         return out
 
     @cached_property
@@ -299,9 +299,10 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
     constant coefficient 1), that of the product with the cone, for any
     ``solved`` and ``numerators``.
 
-    The dets, Y and N pack once per degree at one shift s <= 0 and R's
-    int blocks as they are; L R is one packed product
-    (``linalg._Packed.product``), whose rule sets the width.
+    The dets, Y and N are one packed leaf per degree, at one shift s <= 0,
+    read as row ranges; R's other rows come from the int blocks.  L R is
+    one packed product (``linalg._Packed.product``), whose rule sets the
+    width, and each order is read off the integers (``_Slots.order``).
     """
     D, F = fd.D, fd.F
     for i in range(min(D.lo, F.lo) + 1, max(D.hi + 1, F.hi) + 1):
@@ -313,15 +314,13 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
         # det_{i-1}, det_i, Y_{i-1}, N_i and Y_i beside zeros on D_{i-1},
         # all at the lowest order s <= 0 of their entries
         y1, y0, num = y1.entries, y0.entries, fd.numerators[i][1].entries
-        packed = _Packed.of([[det1], [det0], *y1, *num]
-                            + [(0,) * D.rank(i - 1) + y for y in y0])
-        s = min([0] + [o for o in packed.orders if o is not None])
-        packed.one_shift(s)
+        leaf = _Packed.of([[det1], [det0], *y1, *num]
+                          + [(0,) * D.rank(i - 1) + y for y in y0])
+        s = min(0, leaf.low or 0)
+        leaf.one_shift(s)
         a, b = 2 + len(y1), 2 + len(y1) + len(num)
-        p1, p0, y1, num, y0 = (packed[j:k] for j, k in (
-            (0, 1), (1, 2), (2, a), (a, b), (b, None)))
-        L = _Packed.block([[((p0,), y1), ((p0, p1), F.rank(i - 1)),
-                            ((-1,), num)]])
+        d0, y1, num, y0 = slice(1, 2), slice(2, a), slice(a, b), slice(b, None)
+        L = _Packed.eye(leaf, y1, d0, slice(0, 2), num, -1)
         # R's block rows on D_{i-1} and on F_{i-1} from the int blocks
         R = _Packed.block([
             [_Packed.ints(fd.h_D_at(i - 1).entries + fd.h_F_at(i - 1).entries,
@@ -329,9 +328,9 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
                                                  fd.c_at(i).entries)]
                           + [(0,) * D.rank(i) + d
                              for d in F.differential(i).entries])],
-            [y0, ((p0,), F.rank(i))]])
+            [_Packed.eye(leaf, y0, 1, d0)]])
         slots, LR = _Packed.product([L, R])
-        orders = [slots.unpack(v, 2 * s).ord() for row in LR for v in row if v]
+        orders = [slots.order(v, 2 * s) for row in LR for v in row if v]
         if orders and min(orders) <= precision:
             return CokernelCheck(False, i, min(orders))
     return CokernelCheck(True)

@@ -32,7 +32,6 @@ arithmetic never leaves exact integer/rational-coefficient land.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -324,21 +323,6 @@ def inverse_int(t: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # packed integers: Laurent matrices evaluated at one X = 2^(8w)
 
-def _pack(p, shift, w):
-    """The integer (z^-shift p)(X) at X = 2^(8w), for an int or
-    LaurentPoly p with shift <= ord p and every |coefficient| < X/2."""
-    if p.__class__ is int:
-        return p << -8 * w * shift if p else 0
-    t = p._t
-    return _kron(t, w) << 8 * w * (p._s - shift) if t else 0
-
-
-def _pack_rows(leaf, w):
-    """The rows of a leaf (``_Packed.of``) at X = 2^(8w), each at its
-    shift."""
-    return [[_pack(e, s, w) for e in row]
-            for row, s in zip(leaf.src, leaf.shifts)]
-
 
 class _Slots:
     """X = 2^(8w) for a proven bound on every coefficient of the values
@@ -351,19 +335,77 @@ class _Slots:
         self.bound, self.w = bound, max(floor, _slot_width(bound))
 
     def unpack(self, v, shift):
-        """z^shift q for the polynomial q with q(X) = v: the balanced
-        base-X digits of v."""
+        """z^shift q for q with q(X) = v: the balanced base-X digits of v."""
         return LaurentPoly._dense(shift, _digits(v, self.w))
+
+    def unpack_rows(self, rows, shift):
+        """``unpack`` on every value of the integer rows."""
+        w, dense = self.w, LaurentPoly._dense
+        return [[dense(shift, _digits(v, w)) for v in row] for row in rows]
+
+    def order(self, v, shift):
+        """The lowest order of z^shift q, q(X) = v != 0: a balanced digit is
+        0 or below X/2 in modulus, so v's lowest set bit is in its slot."""
+        return shift + ((v & -v).bit_length() - 1) // (8 * self.w)
+
+
+_first, _ONES = operator.itemgetter(0), itertools.repeat(1)
+
+
+def _leaf_rows(leaf, w):  # an ``of`` leaf, packed once per width
+    if leaf._w != w:
+        x = 8 * w
+        leaf._w, leaf._rows = w, [[
+            (e << -x * s if e else 0) if e.__class__ is int
+            else _kron(e._t, w) << x * (e._s - s) if e._t else 0
+            for e in row] for row, s in zip(leaf.src, leaf.shifts)]
+    return leaf._rows
+
+
+def _ints_rows(leaf, w):  # [1 - z h | rest] from integer rows
+    x = 8 * w
+    return [[(k == r) - (e << x) for k, e in enumerate(a)] + list(b)
+            for r, (a, b) in enumerate(zip(*leaf.src))]
+
+
+def _read_rows(leaf, w):  # as read at home, else re-spread from digits
+    rows, digits = leaf.src
+    return rows if w == leaf.home else [
+        [d[0] if len(d) == 1 else _kron(d, w) for d in row] for row in digits]
+
+
+def _eye_rows(node, w):  # [s A | t I | u B], the identity written in place
+    leaf, a, s, t, b, u = node.src
+    rows = leaf.at(w)
+    s = s if s.__class__ is int else math.prod(map(_first, rows[s]))
+    t = t if t.__class__ is int else math.prod(map(_first, rows[t]))
+    n = len(node.norms)
+    return [[s * e for e in q] + [t if k == r else 0 for k in range(n)]
+            + [u * e for e in p] for r, (q, p) in enumerate(
+                zip(rows[a], rows[b] if b else [()] * n))]
+
+
+def _block_rows(block, w):  # the rows of cells stacked, cells side by side
+    out = []
+    for cells in block.src:
+        out += cells[0].at(w) if len(cells) == 1 else map(
+            list, map(itertools.chain.from_iterable,
+                      zip(*[c.at(w) for c in cells])))
+    return out
 
 
 class _Packed:
     """A matrix over Z[z,z^-1] as integer rows at whichever X = 2^(8w) the
-    computation it enters needs: ``at(w)`` gives the rows, entry j of row
+    computation it enters needs.  Norms come first: ``norms[i]``, a plain
+    int computed when the value is formed, bounds the 1-norm of row i
+    (the sum of its entries' coefficient 1-norms).  Rows come last:
+    ``at(w)`` builds them once a rule below has picked w, entry j of row
     i the value at X of z^-shifts[i] times the polynomial it stands for.
-    ``norms[i]`` is a proven bound on the 1-norm of row i, the sum of its
-    entries' coefficient 1-norms.  Integer transforms and blocks of
-    packed matrices are packed matrices, their bounds carried by
-    |pq|_1 <= |p|_1 |q|_1.  Every width comes from one of two rules:
+    A leaf (``of``, ``ints``, ``read``) builds them by one comprehension,
+    an ``of`` leaf once however many nodes read it; transforms, ``eye``
+    and ``block`` build theirs from their leaves' and keep none, their
+    norms carried by |pq|_1 <= |p|_1 |q|_1.  Every width comes from one
+    of two rules:
 
     * elimination (``minors``): every minor of a set of rows has 1-norm
       at most the product of their norms, each taken at least 1, and a
@@ -379,91 +421,59 @@ class _Packed:
     re-spreads their digits when the rule needs a wider width.
     """
 
-    __slots__ = ("norms", "orders", "shifts", "src", "home", "top", "_make",
+    __slots__ = ("norms", "orders", "shifts", "low", "src", "home", "_make",
                  "_w", "_rows")
 
     def __init__(self, norms, make, src=None, home=1):
         self.norms, self._make, self.src, self.home = norms, make, src, home
-        self._w = None
 
     def at(self, w):
-        if w != self._w:
-            self._w, self._rows = w, self._make(self, w)
-        return self._rows
+        """The integer rows at X = 2^(8w)."""
+        return self._make(self, w)
 
     @classmethod
     def of(cls, rows):
-        """Rows of ints and LaurentPoly; ``orders`` holds each row's lowest
-        order (None for a zero row), and each row packs at its own order
-        (0 for a zero row) until ``shifts`` is set."""
-        orders, norms, shifts = [], [], []
+        """Rows of ints and LaurentPoly, each entry read once for the
+        norms; ``orders`` holds each row's lowest order (None for a zero
+        row), and each row packs at its own order (0 for a zero row)
+        until ``shifts`` is set."""
+        orders, norms, shifts, low = [], [], [], None
         for row in rows:
             lo, norm = None, 0
             for e in row:
                 if e.__class__ is int:
-                    if not e:
-                        continue
-                    o, norm = 0, norm + abs(e)
+                    if e:
+                        norm += abs(e)
+                        if lo is None or lo > 0:
+                            lo = 0
                 elif e._t:
-                    o, norm = e._s, norm + sum(map(abs, e._t))
-                else:
-                    continue
-                if lo is None or o < lo:
-                    lo = o
+                    norm += sum(map(abs, e._t))
+                    if lo is None or e._s < lo:
+                        lo = e._s
             orders.append(lo)
             norms.append(norm)
             shifts.append(lo or 0)
-        self = cls(norms, _pack_rows, rows)
-        self.orders, self.shifts = orders, shifts
-        return self
-
-    @classmethod
-    def target(cls, rows):
-        """Rows of ints and LaurentPoly that a product is compared with:
-        ``orders`` and shifts as in ``of``, and ``top``, their largest
-        coefficient, in place of row norms."""
-        orders, top = [], 0
-        for row in rows:
-            lo = None
-            for e in row:
-                if e.__class__ is int:
-                    if not e:
-                        continue
-                    o, top = 0, max(top, abs(e))
-                elif e._t:
-                    o, top = e._s, max(top, max(map(abs, e._t)))
-                else:
-                    continue
-                if lo is None or o < lo:
-                    lo = o
-            orders.append(lo)
-        self = cls(None, _pack_rows, rows)
-        self.orders, self.shifts, self.top = (
-            orders, [lo or 0 for lo in orders], top)
+            if lo is not None and (low is None or lo < low):
+                low = lo
+        self = cls(norms, _leaf_rows, rows)
+        self.orders, self.shifts, self.low, self._w = orders, shifts, low, None
         return self
 
     def one_shift(self, s=None):
-        """Every row at shift s, by default the lowest order of all."""
-        if s is None:
-            s = min((o for o in self.orders if o is not None), default=0)
-        self.shifts = [s] * len(self.orders)
+        """Every row at shift s, by default the lowest order of all (0 when
+        every row is zero)."""
+        self.shifts = [(self.low or 0) if s is None else s] * len(self.orders)
         return self
-
-    def __getitem__(self, rows):  # a slice of the rows, at their shifts
-        return _Packed(self.norms[rows], lambda _, w: self.at(w)[rows])
 
     @classmethod
     def ints(cls, h, rest):
         """The rows of [1 - z h | rest] for integer rows h and rest, the 1
         an identity on the leading rows: raw coefficients, with no
         LaurentPoly built."""
-        def make(_, w):
-            x = 8 * w
-            return [[(k == r) - (e << x) for k, e in enumerate(a)] + list(b)
-                    for r, (a, b) in enumerate(zip(h, rest))]
         n = len(h[0]) if h else 0
         return cls([(r < n) + sum(map(abs, a)) + sum(map(abs, b))
-                    for r, (a, b) in enumerate(zip(h, rest))], make)
+                    for r, (a, b) in enumerate(zip(h, rest))],
+                   _ints_rows, (h, rest))
 
     @classmethod
     def read(cls, rows, w):
@@ -472,16 +482,12 @@ class _Packed:
         half, seen = 1 << 8 * w - 1, {}
 
         def digits_of(v):
-            if -half < v < half:
-                return v,
             if v not in seen:
-                seen[v] = _digits(v, w)
+                seen[v] = (v,) if -half < v < half else _digits(v, w)
             return seen[v]
         digits = [list(map(digits_of, row)) for row in rows]
         return cls([sum(abs(c) for d in row for c in d) for row in digits],
-                   lambda _, u: rows if u == w else [
-                       [d[0] if len(d) == 1 else _kron(d, u) for d in row]
-                       for row in digits], home=w)
+                   _read_rows, (rows, digits), home=w)
 
     def __rmatmul__(self, t):  # t @ self, t an integer matrix
         return _Packed([sum(map(operator.mul, map(abs, r), self.norms))
@@ -493,68 +499,57 @@ class _Packed:
                        lambda _, w: _imul(self.at(w), t))
 
     @classmethod
+    def eye(cls, leaf, a, s, t, b=None, u=1):
+        """The rows [s A | t I | u B]: A and B (optional) ranges of the rows
+        of ``leaf`` as slices, I the identity of their height, u an int,
+        and s and t ints or slices of 1 x 1 rows of ``leaf``, the product
+        of their entries."""
+        of = leaf.norms
+        ns = abs(s) if s.__class__ is int else math.prod(of[s])
+        nt = abs(t) if t.__class__ is int else math.prod(of[t])
+        return cls([ns * x + nt + abs(u) * y for x, y in zip(
+            of[a], of[b] if b else itertools.repeat(0))],
+            _eye_rows, (leaf, a, s, t, b, u))
+
+    @classmethod
     def block(cls, grid):
-        """The block matrix of a grid of cells, the rows of cells stacked
-        and the cells of each side by side.  A cell is a packed matrix m,
-        an int n for the n x n identity, or a pair (p, m) of such a cell
-        and a tuple p of ints and 1 x 1 packed matrices that multiply it."""
+        """The block matrix of a grid of packed matrices, the rows of cells
+        stacked and the cells of each side by side."""
         norms = []
-        for row in grid:
-            parts = []
-            for c in row:
-                p, m = c if c.__class__ is tuple else ((), c)
-                n = 1
-                for s in p:
-                    n *= abs(s) if s.__class__ is int else s.norms[0]
-                parts.append([n] * m if m.__class__ is int
-                             else [n * v for v in m.norms])
-            norms += map(sum, zip(*parts)) if len(parts) > 1 else parts[0]
+        for cells in grid:
+            norms += cells[0].norms if len(cells) == 1 else map(
+                sum, zip(*[c.norms for c in cells]))
+        return cls(norms, _block_rows, grid)
 
-        def make(_, w):
-            out = []
-            for row in grid:
-                parts = []
-                for c in row:
-                    p, m = c if c.__class__ is tuple else ((), c)
-                    v = 1
-                    for s in p:
-                        v *= s if s.__class__ is int else s.at(w)[0][0]
-                    if m.__class__ is int:
-                        parts.append([[v * (i == j) for j in range(m)]
-                                      for i in range(m)])
-                    else:
-                        m = m.at(w)
-                        parts.append(m if v == 1 else [[v * x for x in r]
-                                                       for r in m])
-                out += (parts[0] if len(parts) == 1 else
-                        map(list, map(itertools.chain.from_iterable,
-                                      zip(*parts))))
-            return out
-        return cls(norms, make)
-
-    def minors(self, k=None, *others):
-        """The slots for every minor of the first k rows (all by default)
-        with at most one more row, of self or of others, appended."""
-        k = len(self.norms) if k is None else k
+    def minors(self, k, *others):
+        """The slots for every minor of the first k rows with at most one
+        more row, of self or of others, appended."""
         rest = self.norms[k:] + [n for o in others for n in o.norms]
-        return _Slots(math.prod(max(1, n) for n in self.norms[:k])
+        return _Slots(math.prod(map(max, _ONES, self.norms[:k]))
                       * max([1] + rest))
 
     def eliminate(self, n, jordan=False):
-        """``_eliminate`` on fresh rows at the width of ``minors``:
-        (slots, rank, signed last pivot, rows)."""
-        slots = self.minors()
-        M = self._make(self, slots.w)
+        """``_eliminate`` on the rows at the width of ``minors`` of all of
+        them, their last use: (slots, rank, signed last pivot, rows)."""
+        slots = _Slots(math.prod(map(max, _ONES, self.norms)))
+        M = self.at(slots.w)
         return (slots, *_eliminate(M, n, jordan), M)
 
     @staticmethod
     def product(factors, target=None):
         """(slots, the rows of the product of the packed factors), at a
-        width that also holds the coefficients of the ``target``."""
-        slots = _Slots(math.prod(max([1, *f.norms]) for f in factors)
-                       + (target.top if target else 0),
-                       max(f.home for f in factors))
-        return slots, functools.reduce(_imul, [f.at(slots.w) for f in factors])
+        width that also holds the coefficients of the ``target`` leaf."""
+        bound, home = 1, 1
+        for f in factors:
+            bound, home = bound * max([1, *f.norms]), max(home, f.home)
+        slots = _Slots(bound + max((
+            abs(e) if e.__class__ is int else max(map(abs, e._t))
+            for row in target.src for e in row if e), default=0)
+            if target else bound, home)
+        rows = factors[0].at(slots.w)
+        for f in factors[1:]:
+            rows = _imul(rows, f.at(slots.w))
+        return slots, rows
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +640,7 @@ def _bareiss(A, n, jordan=False):
     if r < n:
         return LaurentPoly(), None
     s = sum(packed.shifts)
-    return (slots.unpack(det, s),
-            [[slots.unpack(v, s) for v in row[n:]] for row in M])
+    return slots.unpack(det, s), slots.unpack_rows([row[n:] for row in M], s)
 
 
 def _product_is(factors, target):
@@ -667,8 +661,8 @@ def _product_is(factors, target):
         return target.is_zero
     packed = [_Packed.of(m.entries).one_shift() for m in factors]
     s = sum(p.shifts[0] for p in packed)
-    goal = _Packed.target(target.entries)
-    if any(o is not None and o < s for o in goal.orders):
+    goal = _Packed.of(target.entries)
+    if goal.low is not None and goal.low < s:
         return False
     slots, rows = _Packed.product(packed, goal.one_shift(s))
     return rows == goal.at(slots.w)
@@ -983,7 +977,7 @@ def _schur_step(W, U, V, t):
     su = min(lo - o for lo, o in zip(packed_u.orders, ords) if lo is not None)
     packed_u.shifts = [su + o for o in ords]
     packed_v = _Packed.of([row[t:] for row in V]).one_shift()
-    sv = packed_v.shifts[0]
+    sv = packed_v.low or 0
     pa, pb, pc = u0 @ packed_w @ v0, u0 @ packed_u, packed_v @ v0
     slots = _Packed.block([[pa, pb]]).minors(k, pc)
     A, B, c = pa.at(slots.w), pb.at(slots.w), pc.at(slots.w)
@@ -1004,12 +998,12 @@ def _schur_step(W, U, V, t):
     x = [row[k:] for row in sol]
     top = _imul([row[:k] for row in sol], B[:k])
     low = minus(B[k:], a21, top)
-    U[t:] = [[slots.unpack(v, su) for v in row] for row in top + low]
+    U[t:] = slots.unpack_rows(top + low, su)
     c2 = minus([row[k:] for row in c], [row[:k] for row in c], x)
-    for row, new1, new2 in zip(V, c, c2):
-        row[t:] = [slots.unpack(v, sv) for v in new1[:k] + new2]
-    s = [[slots.unpack(v, 0) for v in row]
-         for row in minus([row[k:] for row in A[k:]], a21, x)]
+    for row, new in zip(V, slots.unpack_rows(
+            [new1[:k] + new2 for new1, new2 in zip(c, c2)], sv)):
+        row[t:] = new
+    s = slots.unpack_rows(minus([row[k:] for row in A[k:]], a21, x), 0)
     return k, unit, s
 
 
@@ -1024,11 +1018,11 @@ def _schur_identity(a, sol, det, w):
     re-spread only when the product needs a wider one.
     """
     k = len(a)
-    eye = _ident(k)
     _, rows = _Packed.product([
-        _Packed.read([row[:k] + [-det * x for x in e]
-                      for row, e in zip(a, eye)], w),
-        _Packed.read(sol + [e + row[k:] for row, e in zip(a, eye)], w)])
+        _Packed.read([row[:k] + [0] * r + [-det] + [0] * (k - r - 1)
+                      for r, row in enumerate(a)], w),
+        _Packed.read(sol + [[0] * r + [1] + [0] * (k - r - 1) + row[k:]
+                            for r, row in enumerate(a)], w)])
     return not any(map(any, rows))
 
 

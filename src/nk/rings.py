@@ -437,6 +437,13 @@ def _kron(t, w):
     sequence t with -X/2 <= t[i] < X/2."""
     if len(t) == 1:
         return t[0]
+    if len(t) <= 8:  # Horner beats the byte route on short sequences
+        x, half, v = 8 * w, 1 << 8 * w - 1, 0
+        for c in reversed(t):
+            if not -half <= c < half:
+                raise OverflowError(f"{c} does not fit a {w}-byte slot")
+            v = (v << x) + c
+        return v
     # flipping each slot's top bit adds X/2 to it, with no carry
     b = _bias(len(t), w)
     return (_from_slots(t, w) ^ b) - b

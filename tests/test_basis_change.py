@@ -103,3 +103,24 @@ def test_a_basis_change_keeps_the_novikov_homology(pair):
             fa, fb = ra.torsion_factors[i], rb.torsion_factors[i]
             assert len(fa) == len(fb)
             assert all(associate(x, y, direction) for x, y in zip(fa, fb))
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(st.sampled_from(DIFFERENTIALS), st.sampled_from((2, -3)))
+def test_a_unit_summand_keeps_the_novikov_homology(d, a):
+    """C (+) (R --u--> R) has the homology of C for a Novikov unit u that
+    is not a monomial: u = 1 + a z in Z((z)), u = a + z in Z((z^-1))."""
+    n = len(d)
+    for direction, u in ((Direction.PLUS, LaurentPoly({0: 1, 1: a})),
+                         (Direction.MINUS, LaurentPoly({0: a, 1: 1}))):
+        stable = BasedChainComplex(0, 1, [n + 1, n + 1], {1: Matrix(
+            n + 1, n + 1, [list(row) + [0] for row in d]
+            + [[0] * n + [u]])})
+        c = _complex(d)
+        ra, rb = (_timed_homology(x, direction) for x in (c, stable))
+        assert ra.betti == rb.betti
+        hypothesis.assume(ra.conclusive and rb.conclusive)
+        for i in c.degrees():
+            fa, fb = ra.torsion_factors[i], rb.torsion_factors[i]
+            assert len(fa) == len(fb)
+            assert all(associate(x, y, direction) for x, y in zip(fa, fb))

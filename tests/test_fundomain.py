@@ -29,6 +29,7 @@ from nk.cli import parse_document, run
 from nk.models import knot_fundamental_domain
 
 from domains import (
+    _unchecked,
     cone_cokernel_iso_check,
     corrupt_domain,
     corrupt_solution,
@@ -324,6 +325,20 @@ def test_cokernel_check_agrees_with_the_cone_reference():
     # the true domains pass, and each corruption kind fails some runs
     assert failed.pop(None) == 0
     assert all(failed.values()), failed
+    # a numerator entry moved by z^-3 packs at a shift s < 0, and the
+    # first mismatch, of negative order, is read off the integer
+    fd = next(fd for fd in CORPUS if any(
+        m.rows and m.cols for _, m in fd.numerators.values()))
+    i, (det, m) = next((i, dm) for i, dm in fd.numerators.items()
+                       if dm[1].rows and dm[1].cols)
+    grid = [list(row) for row in m.entries]
+    grid[0][0] += LaurentPoly({-3: 1})
+    bad = _unchecked(AlgebraicFundamentalDomain, **vars(fd))
+    bad.__dict__["numerators"] = {
+        **fd.numerators, i: (det, Matrix(m.rows, m.cols, grid))}
+    found = cokernel_iso_check(bad, 0)
+    assert found == cone_cokernel_iso_check(bad, 0)
+    assert not found.passed and found.order < 0
 
 
 # --- torsion zeta ---------------------------------------------------------------------------

@@ -40,16 +40,22 @@ def row_norms(rows):
 @contextlib.contextmanager
 def unpacked():
     """Yields the (bound, polynomial) of every value unpacked through a
-    slot base inside the block."""
-    seen, unpack = [], _Slots.unpack
+    slot base inside the block, one at a time or by rows."""
+    seen, unpack, unpack_rows = [], _Slots.unpack, _Slots.unpack_rows
 
     def spy(self, v, shift):
         p = unpack(self, v, shift)
         seen.append((self.bound, p))
         return p
 
+    def rows_spy(self, rows, shift):
+        out = unpack_rows(self, rows, shift)
+        seen.extend((self.bound, p) for row in out for p in row)
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Slots, "unpack", spy)
+        mp.setattr(_Slots, "unpack_rows", rows_spy)
         yield seen
 
 
@@ -139,7 +145,7 @@ def test_product_bound_holds_every_entry(chain):
     hypothesis.assume(all(m.rows and m.cols for m in chain))
     target = functools.reduce(matmul, chain)
     packed = [_Packed.of(m.entries).one_shift() for m in chain]
-    slots, _ = _Packed.product(packed, _Packed.target(target.entries))
+    slots, _ = _Packed.product(packed, _Packed.of(target.entries))
     top = max((abs(c) for row in target.entries for e in row
                for c in ((e,) if isinstance(e, int) else e.coeffs.values())),
               default=0)
@@ -150,8 +156,9 @@ def test_product_bound_holds_every_entry(chain):
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(chains(), st.integers(-3, 3), st.integers(0, 2 ** 40))
 def test_transforms_and_blocks_carry_row_bounds(chain, a, b):
-    """An integer transform on either side, a block of packed matrices
-    and a scalar multiple carry bounds at least the true row 1-norms."""
+    """An integer transform on either side, a block of packed matrices,
+    and a range of a leaf's rows times a scalar beside a scaled identity
+    and another range carry bounds at least the true row 1-norms."""
     m = chain[0]
     hypothesis.assume(m.rows and m.cols)
     p = _Packed.of(m.entries)
@@ -160,12 +167,18 @@ def test_transforms_and_blocks_carry_row_bounds(chain, a, b):
     u = [[b % 7 - 3 if i <= j else a for j in range(m.cols)]
          for i in range(m.cols)]
     scalar = m.entries[0][0]
+    rows, one = slice(0, m.rows), slice(m.rows, m.rows + 1)
+    leaf = _Packed.of([*m.entries, [scalar]])
     cases = [(t @ p, matmul(Matrix.from_rows(t), m)),
              (p @ u, matmul(m, Matrix.from_rows(u))),
-             (_Packed.block([[p, ((-2, _Packed.of([[scalar]])), p)]]),
-              Matrix(m.rows, 2 * m.cols,
-                     [list(r) + [-2 * scalar * e for e in r]
-                      for r in m.entries]))]
+             (_Packed.block([[p, p], [p, p]]),
+              Matrix.from_rows([list(r) * 2 for r in m.entries] * 2)),
+             (_Packed.eye(leaf, rows, one, 3, rows, -2),
+              Matrix(m.rows, 2 * m.cols + m.rows,
+                     [[scalar * e for e in r]
+                      + [3 if i == j else 0 for j in range(m.rows)]
+                      + [-2 * e for e in r]
+                      for i, r in enumerate(m.entries)]))]
     for packed, laurent in cases:
         assert all(n >= true for n, true in
                    zip(packed.norms, row_norms(laurent.entries)))
