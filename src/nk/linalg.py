@@ -216,8 +216,8 @@ class SNFResult(Record):
     returning and raises when the check fails: over Z by integer
     products, over the Novikov ring by one Kronecker evaluation of each
     identity (``_product_is``, ``_schur_identity``).  U and V are shown
-    invertible too: over Z by determinants +-1, over the Novikov ring by
-    unit determinants.
+    invertible over Z by determinants +-1; over the Novikov ring only each
+    Schur block's determinant is checked to be a unit, never det U or V.
     """
 
     __slots__ = _fields = ("invariant_factors", "rank", "U", "V")

@@ -23,8 +23,8 @@ from .linalg import (Matrix, inverse_int, matmul, smith_normal_form_int,
 from .complexes import (BasedChainComplex, ChainMap, cancel_units,
                         direct_sum, integral_homology, mapping_cone)
 from .fundomain import AlgebraicFundamentalDomain
-from .novikov import (InternalInconsistency, _function_field_ranks,
-                      _novikov_homology, novikov_homology, vanishes)
+from .novikov import (_function_field_ranks, _novikov_homology,
+                      novikov_homology, vanishes)
 
 
 def mapping_torus_complex(h: ChainMap, orientation="plus") -> BasedChainComplex:
@@ -198,7 +198,7 @@ class FiberingVerdict(Record):
     arbitrary Seifert data.  ``extreme_coeffs_unit``: every Alexander
     polynomial has constant and leading coefficients +-1.  The two are
     equivalent whenever the base homology is torsion-free; disagreement
-    there raises InternalInconsistency.  ``base_torsion`` flags degrees
+    there raises AssertionError.  ``base_torsion`` flags degrees
     whose homology torsion the determinant criterion cannot see.
     ``novikov`` holds the complement's NovikovReport per Direction: the
     run's own completion always, and the other one only when the first
@@ -266,7 +266,7 @@ def fibering_check(s: SeifertData,
     torsion = {i: tuple(t) for i, t in
                integral_homology(s.base).torsion_factors.items() if t}
     if not torsion and nov != extreme:
-        raise InternalInconsistency(
+        raise AssertionError(
             f"criteria disagree: novikov_vanishes={nov}, "
             f"extreme_coeffs_unit={extreme}")
     return FiberingVerdict(alex, nov, extreme, torsion, reports, matrices)

@@ -25,11 +25,6 @@ from .complexes import morse_lower_bounds as morse_novikov_bounds  # noqa: F401
 from .linalg import Inconclusive, novikov_diagonalize, rank_over_function_field
 
 
-class InternalInconsistency(Exception):
-    """The two equivalent fibering criteria disagreed: an implementation
-    bug, not a property of the input."""
-
-
 class NovikovReport(HomologyReport):
     """Per-degree Novikov numbers of a complex.
 

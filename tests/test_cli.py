@@ -11,14 +11,15 @@ import pytest
 import nk.fundomain
 import nk.novikov
 from nk import cli
-from nk.rings import Direction, LaurentPoly
-from nk.linalg import Inconclusive, Matrix, associate
-from nk.complexes import cancel_units
+from nk.rings import Direction, LaurentPoly, NotAUnit, NotInRationalSubring
+from nk.linalg import DimensionMismatch, Inconclusive, Matrix, associate
+from nk.complexes import InvalidDomain, NotAComplex, cancel_units
 from nk.fundomain import TruncatedComplexPresentation, algebraic_novikov_complex
 from nk.models import knot_fundamental_domain
 from nk.novikov import NovikovReport, novikov_homology
 from nk.cli import (
     MAX_PRECISION,
+    MAX_RANK,
     JobDocument,
     ParseError,
     ValidationError,
@@ -225,6 +226,22 @@ def test_exponent_at_the_bound_is_accepted():
     doc = parse_document(_novikov_entry({"-100000": 1, "100000": 1}))
     entry = doc.payload["complex"].differential(1).entry(0, 0)
     assert (entry.ord(), entry.deg()) == (-100_000, 100_000)
+
+
+@pytest.mark.parametrize("rank", [MAX_RANK + 1, 10 ** 5, 10 ** 30])
+def test_rank_bound(tmp_path, capsys, rank):
+    # a short document whose ranks would allocate dense matrices past
+    # memory, or past what an index can hold
+    _rejected_with_path(tmp_path, capsys, job("novikov", {"complex": {
+        "lo": 0, "hi": 1, "ranks": [1, rank]}}), "$.payload.complex.ranks[1]")
+    assert main(["run", str(tmp_path / "bad.json")]) == 2
+    assert f"up to {MAX_RANK}" in capsys.readouterr().err
+
+
+def test_rank_at_the_bound_is_accepted():
+    doc = parse_document(job("novikov", {"complex": {
+        "lo": 0, "hi": 1, "ranks": [MAX_RANK, MAX_RANK]}}))
+    assert doc.payload["complex"].rank(1) == MAX_RANK
 
 
 @pytest.mark.parametrize("slot", ["option", "entry"])
@@ -828,16 +845,55 @@ def test_main_validate(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error", [
+    RuntimeError("no such state"), NotAComplex(1), InvalidDomain("c", 0),
+    NotAUnit("2 is not a unit"), NotInRationalSubring(LaurentPoly({0: 2})),
+    DimensionMismatch("2x2 @ 3x3"), AssertionError("criteria disagree")],
+    ids=lambda e: type(e).__name__)
+def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch, error):
+    """Every user error is raised while parsing, so any exception after
+    it, the library's own included, is a defect."""
     def broken(payload, k, dirn):
-        raise RuntimeError("no such state")
+        raise error
 
     monkeypatch.setitem(_RUNNERS, "novikov", broken)
     f = tmp_path / "circle.json"
     f.write_text(CIRCLE)
     assert main(["run", str(f)]) == 3
     assert capsys.readouterr().err == \
-        "internal error: RuntimeError: no such state\n"
+        f"internal error: {type(error).__name__}: {error}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_an_answer_past_the_int_digit_limit_is_printed(tmp_path, capsys, fmt):
+    """Parsing refuses integers past Python's 4,300-digit limit, but an
+    exact answer may be longer: here the factor (a + z)(b + z) of a
+    document with 2,501-digit coefficients.  The limit is lifted only
+    while main renders the report."""
+    a, b = int("7" * 2501), int("3" * 2500 + "1")
+    f = tmp_path / "big.json"
+    f.write_text(job("novikov", {"complex": {
+        "lo": 0, "hi": 1, "ranks": [2, 2], "differentials": {
+            "1": [[{"0": a, "1": 1}, 0], [0, {"0": b, "1": 1}]]}}}))
+    report = run(parse_document(f.read_text()))
+    assert report.data["novikov"]["torsion"]["0"] == [
+        {"0": a * b, "1": a + b, "2": 1}]
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    assert main(["run", str(f), "--format", fmt]) == 0
+    assert getattr(sys, "get_int_max_str_digits", int)() == limit
+    out, err = capsys.readouterr()
+    assert err == ""
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "text":
+            assert out == report.text
+        else:
+            assert out == json.dumps(json.loads(out), sort_keys=True,
+                                     indent=2) + "\n" == report.machine()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_main_missing_file_exits_2(capsys):

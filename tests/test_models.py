@@ -312,7 +312,7 @@ def test_seifert_json_roundtrip():
 
 def test_criteria_agree_on_corpus():
     for s in seifert_corpus(50):
-        v = fibering_check(s)  # raises InternalInconsistency on divergence
+        v = fibering_check(s)  # raises AssertionError on divergence
         assert v.fibers == v.novikov_vanishes == v.extreme_coeffs_unit
 
 
