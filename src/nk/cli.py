@@ -121,6 +121,10 @@ MAX_PRECISION = 10_000
 #: large ranks allocates them all (each kind runs in under 2 s at rank 64)
 MAX_RANK = 64
 
+#: largest number of entries of all differentials of a complex together,
+#: those of one differential at the rank cap
+MAX_ENTRIES = MAX_RANK ** 2
+
 
 def _int(value, path):
     """The one integer rule: a JSON integer, never a float, a string or
@@ -203,6 +207,9 @@ def _parse_complex(obj, path, integral=False):
     if len(ranks) != hi - lo + 1:
         raise ParseError(f"{path}.ranks",
                          f"{len(ranks)} ranks for degrees [{lo},{hi}]")
+    if sum(a * b for a, b in zip(ranks, ranks[1:])) > MAX_ENTRIES:
+        raise ParseError(f"{path}.ranks", "expected at most "
+                         f"{MAX_ENTRIES} entries in all differentials")
     diffs = {}
     raw = obj.get("differentials", {})
     if not isinstance(raw, dict):

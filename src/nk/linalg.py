@@ -4,8 +4,9 @@ the homology computations run on:
 
 * Smith normal form over Z, on one list of rows [A | U] over V, so
   each row or column operation updates A and its transform at once;
-  the transforms are shown unimodular by the Bareiss kernel below, and
-  ``inverse_int`` inverts one when a caller needs it;
+  2x2 steps of determinant 1 from the extended gcd keep the transforms
+  small (Kannan and Bachem 1979), the Bareiss kernel below shows them
+  unimodular, and ``inverse_int`` inverts one when a caller needs it;
 * one fraction-free (Bareiss) elimination loop on integers
   (``_eliminate``), run on Kronecker-packed Laurent rows (``_Packed``:
   entries evaluated at one X = 2^(8w), w from a proven bound, so the
@@ -241,9 +242,12 @@ def smith_normal_form_int(m: Matrix) -> SNFResult:
     runs on one list of integer rows: rows :nr hold [A | U], so a row
     operation is one list expression, and rows nr: hold V, so a column
     operation on the first nc columns of every row updates A and V
-    together.  Before returning, U m V = diag is re-multiplied, and U
-    and V are shown unimodular: forward Bareiss elimination
-    (``_eliminate``) gives each full rank and determinant +-1.
+    together.  The smallest entry left is the pivot; it clears each b of
+    its column, then of its row, by an exact quotient where it divides
+    b, else by the step of determinant 1 taking (pivot, b) to (gcd, 0).
+    Before returning, U m V = diag is re-multiplied, and U and V are
+    shown unimodular: forward Bareiss elimination (``_eliminate``) gives
+    each full rank and determinant +-1.
     """
     nr, nc = m.rows, m.cols
     M = [[int(x) for x in row] + e for row, e in zip(m.entries, _ident(nr))]
@@ -266,29 +270,34 @@ def smith_normal_form_int(m: Matrix) -> SNFResult:
                 row[t], row[j] = row[j], row[t]
         if M[t][t] < 0:
             M[t] = [-x for x in M[t]]
-        top = M[t]
-        p = top[t]
-        dirty = False
-        for i in range(t + 1, nr):
-            if M[i][t]:
-                q = M[i][t] // p
-                M[i] = [a - q * b for a, b in zip(M[i], top)]
-                # remainder < p becomes the next pivot
-                dirty = dirty or M[i][t] != 0
-        for j in range(t + 1, nc):
-            if top[j]:
-                q = top[j] // p
-                for row in M:
-                    row[j] -= q * row[t]
-                dirty = dirty or top[j] != 0
-        if dirty:
-            continue
-        # pivot must divide the rest of the submatrix for the chain
-        bad = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
-                    if M[i][j] % p), None)
-        if bad is not None:
-            M[t] = [a + b for a, b in zip(top, M[bad])]
-            continue
+        while True:
+            # column t, then row t; a column step may refill column t
+            for i in range(t + 1, nr):
+                q, r = divmod(M[i][t], M[t][t])
+                if r:
+                    x, y, u, v = _unimodular_step(M[t][t], M[i][t])
+                    M[t], M[i] = ([x * a + y * b for a, b in zip(M[t], M[i])],
+                                  [u * a + v * b for a, b in zip(M[t], M[i])])
+                elif q:
+                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+            for j in range(t + 1, nc):
+                q, r = divmod(M[t][j], M[t][t])
+                if r:
+                    x, y, u, v = _unimodular_step(M[t][t], M[t][j])
+                    for row in M:
+                        row[t], row[j] = (x * row[t] + y * row[j],
+                                          u * row[t] + v * row[j])
+                elif q:
+                    for row in M:
+                        row[j] -= q * row[t]
+            if any(M[i][t] for i in range(t + 1, nr)):
+                continue
+            # pivot must divide the rest of the submatrix for the chain
+            bad = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
+                        if M[i][j] % M[t][t]), None)
+            if bad is None:
+                break
+            M[t] = [a + b for a, b in zip(M[t], M[bad])]
         t += 1
 
     U, V = [row[nc:] for row in M[:nr]], M[nr:]
@@ -302,6 +311,13 @@ def smith_normal_form_int(m: Matrix) -> SNFResult:
     if not ok:  # pragma: no cover - internal invariant
         raise AssertionError("SNF self-verification failed")
     return SNFResult(factors, t, Matrix(nr, nr, U), Matrix(nc, nc, V))
+
+
+def _unimodular_step(a, b):
+    """(x, y, u, v), x v - y u = 1, taking (a, b) to (gcd(a, b), 0)."""
+    x, y = _bezout(a, b)
+    g = x * a + y * b
+    return (x, y, -b // g, a // g) if g > 0 else (-x, -y, b // g, -a // g)
 
 
 def _ident(n):

@@ -11,7 +11,9 @@ series.  It works with three exact stand-ins:
   the one coefficient format of this module;
 * ``RationalFunction``  -- quotients r(z)/s(z) with s(0) = 1, i.e. the
   subring S^-1 Z[z,z^-1] of Z((z)) (S = polynomials with constant
-  coefficient 1, the polynomials invertible in Z[[z]] up to sign);
+  coefficient 1, the polynomials invertible in Z[[z]] up to sign); its
+  sums, products and negations go through its canonicalising
+  constructor, like every other value;
 * ``TruncatedSeries``   -- a window of a Z((z)) element: a LaurentPoly of
   the coefficients below an explicit cutoff exponent, nothing more.
   Windows are values that compare; they have no arithmetic of their own.
@@ -547,17 +549,8 @@ class RationalFunction:
 
     The gcd that cancels the common factor is ``_gcd_cofactors``: one
     integer gcd of both parts evaluated at X = 2^(8w), with the two
-    quotients certified by packed products.
-
-    Results that are canonical by construction skip the gcd and are
-    wrapped as they are:
-
-    * a product, once each numerator is cross-cancelled against the
-      other factor's denominator: the numerators are coprime to both
-      remaining denominators, so by Gauss's lemma the product numerator
-      is coprime to the product denominator, which is again in S;
-    * a negation, a polynomial (denominator 1), and a sum or product
-      with a zero operand (the other operand, resp. zero).
+    quotients certified by packed products.  Sums, products and
+    negations are built by this constructor like every other value.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -566,14 +559,6 @@ class RationalFunction:
         num, den = _canonical(_poly_arg(numerator), _poly_arg(denominator))
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
-
-    @classmethod
-    def _wrap(cls, num, den):
-        """An instance from a pair already in canonical form, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-        return self
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -615,21 +600,15 @@ class RationalFunction:
         return hash((self.numerator, self.denominator))
 
     def __neg__(self):
-        return RationalFunction._wrap(-self.numerator, self.denominator)
+        return RationalFunction(-self.numerator, self.denominator)
 
     def __add__(self, other):
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other:
-            return self
-        if not self:
-            return other
-        d1, d2 = self.denominator, other.denominator
-        # work over lcm(d1, d2) rather than the raw product
-        e1, e2 = _cancel(d1, d2)
-        return RationalFunction(self.numerator * e2 + other.numerator * e1,
-                                d1 * e2)
+        n1, d1 = self.numerator, self.denominator
+        n2, d2 = other.numerator, other.denominator
+        return RationalFunction(n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -637,13 +616,8 @@ class RationalFunction:
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self or not other:
-            return RationalFunction._wrap(ZERO, ONE)
-        # cross-cancel first: the product of the reduced pairs is
-        # already in lowest terms (see the class docstring)
-        n1, d2 = _cancel(self.numerator, other.denominator)
-        n2, d1 = _cancel(other.numerator, self.denominator)
-        return RationalFunction._wrap(n1 * n2, d1 * d2)
+        return RationalFunction(self.numerator * other.numerator,
+                                self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -665,7 +639,7 @@ def _coerce_rational(x):
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, (int, LaurentPoly)):
-        return RationalFunction._wrap(_coerce_poly(x), ONE)
+        return RationalFunction(x)
     return NotImplemented
 
 

@@ -3,7 +3,10 @@
 import importlib
 import io
 import json
+import random
+import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from nk.fundomain import TruncatedComplexPresentation, algebraic_novikov_complex
 from nk.models import knot_fundamental_domain
 from nk.novikov import NovikovReport, novikov_homology
 from nk.cli import (
+    MAX_ENTRIES,
     MAX_PRECISION,
     MAX_RANK,
     JobDocument,
@@ -242,6 +246,54 @@ def test_rank_at_the_bound_is_accepted():
     doc = parse_document(job("novikov", {"complex": {
         "lo": 0, "hi": 1, "ranks": [MAX_RANK, MAX_RANK]}}))
     assert doc.payload["complex"].rank(1) == MAX_RANK
+
+
+@pytest.mark.parametrize("degrees", [200, 50])
+def test_entries_bound(tmp_path, capsys, degrees):
+    # 876 and 275 bytes: no differential is given, yet every degree
+    # costs work (7 s and 2 s to run before the bound)
+    text = job("novikov", {"complex": {
+        "lo": 0, "hi": degrees - 1, "ranks": [MAX_RANK] * degrees}})
+    start = time.perf_counter()
+    _rejected_with_path(tmp_path, capsys, text, "$.payload.complex.ranks")
+    assert main(["run", str(tmp_path / "bad.json")]) == 2
+    assert f"at most {MAX_ENTRIES} entries" in capsys.readouterr().err
+    assert time.perf_counter() - start < 0.1
+
+
+def _raise_too_slow(*_):
+    raise TimeoutError("main ran past its time bound")
+
+
+def test_a_wide_integer_smith_form_finishes(tmp_path, capsys):
+    """A 10 KB document: d_1 is four random 2,501-digit integers, whose
+    integer Smith form (in the first Schur step) once ran for minutes.
+    Interrupted after 10 s, so that a regression fails instead of
+    hanging."""
+    rng = random.Random(5)
+    f = tmp_path / "wide.json"
+    f.write_text(job("novikov", {"complex": {
+        "lo": 0, "hi": 1, "ranks": [2, 2], "differentials": {"1": [
+            [rng.randrange(10 ** 2500, 10 ** 2501) for _ in range(2)]
+            for _ in range(2)]}}}))
+    previous = signal.signal(signal.SIGALRM, _raise_too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        code = main(["run", str(f), "--format", "machine", "--oracle"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    out = capsys.readouterr().out
+    assert code == 0
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:  # the factor has about 5,000 digits
+        sys.set_int_max_str_digits(0)
+    try:
+        checks = json.loads(out)["report"]["oracle"]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert checks and all(c["ok"] for c in checks)
 
 
 @pytest.mark.parametrize("slot", ["option", "entry"])

@@ -1,9 +1,10 @@
 """The gcd route of the canonical form against sympy over ZZ[z].
 
-``rings._gcd_cofactors``, ``rings._cancel`` and the ``RationalFunction``
-normal form are compared with ``sympy.gcd`` and ``sympy.cancel``, an
-implementation that shares no code with ``nk``.  sympy's gcd over ZZ
-keeps the common content, so gcds are compared up to content and sign.
+``rings._gcd_cofactors``, ``rings._cancel``, the ``RationalFunction``
+normal form and its arithmetic are compared with ``sympy.gcd`` and
+``sympy.cancel``, an implementation that shares no code with ``nk``.
+sympy's gcd over ZZ keeps the common content, so gcds are compared up
+to content and sign.
 """
 
 import math
@@ -82,3 +83,46 @@ def test_rational_function_normal_form_matches_sympy(s, u, v, c):
     assert [x // k for x in d][0] == 1
     assert r.numerator == LaurentPoly._dense(0, [x // k for x in n])
     assert r.denominator == LaurentPoly._dense(0, [x // k for x in d])
+
+
+def to_pair(n, d):
+    """sympy polynomials (N, D) in z with N/D = n/d."""
+    k = n._s - d._s if n else 0
+    return (to_sympy(n._t) * Z ** max(k, 0) if n else sympy.Poly(0, Z),
+            to_sympy(d._t) * Z ** max(-k, 0))
+
+
+def reduced(N, D):
+    """The RationalFunction of sympy's reduced fraction N/D."""
+    f, n, d = sympy.cancel((N, D))
+    f = sympy.Rational(f)
+    n, d = ({i: int(f.p * x) for i, x in enumerate(ascending(n))},
+            {i: int(f.q * x) for i, x in enumerate(ascending(d))})
+    return RationalFunction(LaurentPoly(n), LaurentPoly(d))
+
+
+@st.composite
+def fractions(draw):
+    """Two (numerator, denominator) pairs with denominators in S times a
+    monomial; the first numerator and the second denominator share a
+    factor, and so do the two denominators."""
+    shared = draw(polys(unit))
+    common = draw(polys(unit))
+    nums = [draw(st.one_of(st.just(LaurentPoly()), polys()))
+            .shifted(draw(st.integers(-2, 2))) for _ in range(2)]
+    dens = [draw(polys(unit)).shifted(draw(st.integers(0, 2))) * common
+            for _ in range(2)]
+    return (nums[0] * shared, dens[0]), (nums[1], dens[1] * shared)
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(fractions())
+def test_arithmetic_matches_sympy(pairs):
+    """a + b, a * b and -a are the reduced fractions that sympy computes
+    for the same sums and products of polynomials."""
+    (n1, d1), (n2, d2) = pairs
+    a, b = RationalFunction(n1, d1), RationalFunction(n2, d2)
+    (N1, D1), (N2, D2) = to_pair(n1, d1), to_pair(n2, d2)
+    assert a + b == reduced(N1 * D2 + N2 * D1, D1 * D2)
+    assert a * b == reduced(N1 * N2, D1 * D2)
+    assert -a == reduced(-N1, D1)
