@@ -22,10 +22,11 @@ the homology computations run on:
   products on integers; then a fraction-free pivoting heuristic reduces
   the core that is left.  No finite algorithm for the core is known to
   the author to be complete; the heuristic raises ``Inconclusive`` when
-  its operation budget runs out.  Its certificate, U (Lambda A) V = D
-  and the Schur identities, is always a Laurent identity, checked
-  exactly as one packed integer product each (``_product_is``,
-  ``_schur_identity``).
+  its operation budget runs out.  Its certificates, U (Lambda A) V =
+  diag(peeled) (+) scale core after the peel and U (Lambda A) V = D at
+  the end, are Laurent identities, each checked exactly as one packed
+  integer product (``_product_is``); the second is the first whenever
+  the heuristic spends no operation, and is then skipped.
 
 Matrix entries are plain ints, LaurentPoly, or RationalFunction; the
 arithmetic never leaves exact integer/rational-coefficient land.
@@ -216,9 +217,11 @@ class SNFResult(Record):
     Every reduction checks its factorization exactly before
     returning and raises when the check fails: over Z by integer
     products, over the Novikov ring by one Kronecker evaluation of each
-    identity (``_product_is``, ``_schur_identity``).  U and V are shown
-    invertible over Z by determinants +-1; over the Novikov ring only each
-    Schur block's determinant is checked to be a unit, never det U or V.
+    identity (``_product_is``).  U and V are shown invertible over Z by
+    determinants +-1.  Over the Novikov ring each Schur block's
+    determinant is checked to be a unit and the peel certificate shows
+    each step's adjugate invertible (``novikov_diagonalize``); det U and
+    det V themselves are never checked.
     """
 
     __slots__ = _fields = ("invariant_factors", "rank", "U", "V")
@@ -342,13 +345,13 @@ def inverse_int(t: Matrix) -> Matrix:
 
 class _Slots:
     """X = 2^(8w) for a proven bound on every coefficient of the values
-    computed at it: the least w, and at least ``floor``, with the bound
-    below X/2.  The one place a width is picked."""
+    computed at it: the least w with the bound below X/2.  The one place
+    a width is picked."""
 
     __slots__ = ("bound", "w")
 
-    def __init__(self, bound, floor=1):
-        self.bound, self.w = bound, max(floor, _slot_width(bound))
+    def __init__(self, bound):
+        self.bound, self.w = bound, _slot_width(bound)
 
     def unpack(self, v, shift):
         """z^shift q for q with q(X) = v: the balanced base-X digits of v."""
@@ -384,12 +387,6 @@ def _ints_rows(leaf, w):  # [1 - z h | rest] from integer rows
             for r, (a, b) in enumerate(zip(*leaf.src))]
 
 
-def _read_rows(leaf, w):  # as read at home, else re-spread from digits
-    rows, digits = leaf.src
-    return rows if w == leaf.home else [
-        [d[0] if len(d) == 1 else _kron(d, w) for d in row] for row in digits]
-
-
 def _eye_rows(node, w):  # [s A | t I | u B], the identity written in place
     leaf, a, s, t, b, u = node.src
     rows = leaf.at(w)
@@ -417,7 +414,7 @@ class _Packed:
     (the sum of its entries' coefficient 1-norms).  Rows come last:
     ``at(w)`` builds them once a rule below has picked w, entry j of row
     i the value at X of z^-shifts[i] times the polynomial it stands for.
-    A leaf (``of``, ``ints``, ``read``) builds them by one comprehension,
+    A leaf (``of``, ``ints``) builds them by one comprehension,
     an ``of`` leaf once however many nodes read it; transforms, ``eye``
     and ``block`` build theirs from their leaves' and keep none, their
     norms carried by |pq|_1 <= |p|_1 |q|_1.  Every width comes from one
@@ -432,16 +429,14 @@ class _Packed:
 
     Below X/2 the bound makes evaluation at X injective on the values it
     covers: the integers decide zero tests and equality, and unpack as
-    balanced base-X digits.  Rows read back from integers (``read``)
-    keep their width as ``home``: a product packs them no narrower, and
-    re-spreads their digits when the rule needs a wider width.
+    balanced base-X digits.
     """
 
-    __slots__ = ("norms", "orders", "shifts", "low", "src", "home", "_make",
-                 "_w", "_rows")
+    __slots__ = ("norms", "orders", "shifts", "low", "src", "_make", "_w",
+                 "_rows")
 
-    def __init__(self, norms, make, src=None, home=1):
-        self.norms, self._make, self.src, self.home = norms, make, src, home
+    def __init__(self, norms, make, src=None):
+        self.norms, self._make, self.src = norms, make, src
 
     def at(self, w):
         """The integer rows at X = 2^(8w)."""
@@ -490,20 +485,6 @@ class _Packed:
         return cls([(r < n) + sum(map(abs, a)) + sum(map(abs, b))
                     for r, (a, b) in enumerate(zip(h, rest))],
                    _ints_rows, (h, rest))
-
-    @classmethod
-    def read(cls, rows, w):
-        """The integer rows, values at X = 2^(8w), with home width w and
-        norms read off their digits, once per distinct value."""
-        half, seen = 1 << 8 * w - 1, {}
-
-        def digits_of(v):
-            if v not in seen:
-                seen[v] = (v,) if -half < v < half else _digits(v, w)
-            return seen[v]
-        digits = [list(map(digits_of, row)) for row in rows]
-        return cls([sum(abs(c) for d in row for c in d) for row in digits],
-                   _read_rows, (rows, digits), home=w)
 
     def __rmatmul__(self, t):  # t @ self, t an integer matrix
         return _Packed([sum(map(operator.mul, map(abs, r), self.norms))
@@ -555,13 +536,13 @@ class _Packed:
     def product(factors, target=None):
         """(slots, the rows of the product of the packed factors), at a
         width that also holds the coefficients of the ``target`` leaf."""
-        bound, home = 1, 1
+        bound = 1
         for f in factors:
-            bound, home = bound * max([1, *f.norms]), max(home, f.home)
+            bound *= max([1, *f.norms])
         slots = _Slots(bound + max((
             abs(e) if e.__class__ is int else max(map(abs, e._t))
             for row in target.src for e in row if e), default=0)
-            if target else bound, home)
+            if target else bound)
         rows = factors[0].at(slots.w)
         for f in factors[1:]:
             rows = _imul(rows, f.at(slots.w))
@@ -877,12 +858,18 @@ def novikov_diagonalize(m: Matrix,
     heuristic write into one U and one V, both Laurent.
 
     Raises ``Inconclusive`` after ``REDUCTION_BUDGET`` elementary
-    operations of the heuristic (read at call time).
-    On success U' (Lambda A) V == diag is checked exactly by one
-    Kronecker evaluation (``_product_is``), and Lambda A entrywise
-    against A, and U = U' Lambda is returned; A is m for PLUS and m with
-    the variable reversed for MINUS, so there U and V transform the
-    reversed matrix.  The factors are not the diagonal entries but
+    operations of the heuristic (read at call time).  Before the
+    heuristic starts, a peel is certified by one Kronecker evaluation
+    (``_product_is``) of U' (Lambda A) V == diag(peeled) (+) scale core.
+    Its diagonal block for a step of k rows reads adj A11' = scale I,
+    A11' the step's A11 times the scale before the step, so det adj
+    divides scale^k, a Novikov unit, and adj is invertible.  On success
+    Lambda A is checked entrywise against A; U' (Lambda A) V == diag is
+    checked the same way when the heuristic spent an operation or
+    nothing peeled (otherwise it is the peel certificate); and U = U'
+    Lambda is returned.  A is m for PLUS and m with the variable
+    reversed for MINUS, so there U and V transform the reversed
+    matrix.  The factors are not the diagonal entries but
     normalized Laurent representatives (monomial stripped, lowest
     coefficient positive; units normalize to 1) of the ideals they
     generate: of f / D for each core factor f, D the product of the row
@@ -893,7 +880,9 @@ def novikov_diagonalize(m: Matrix,
     if direction is Direction.MINUS:
         grid = [[reverse_variable(e) for e in row] for row in grid]
     nr, nc = m.rows, m.cols
+    budget = REDUCTION_BUDGET
     cleared, lcms = _laurent_rows(grid)
+    lam_a = Matrix(nr, nc, cleared)
     U, V = _ident(nr), _ident(nc)
     # U @ cleared @ V == diag(peeled) (+) scale * core
     core, peeled, scale, D = cleared, [], ONE, math.prod(lcms, start=ONE)
@@ -902,8 +891,14 @@ def novikov_diagonalize(m: Matrix,
         scale, D = scale * det, D * det
         peeled += [scale] * k
     t = len(peeled)
+    if t and not _product_is(
+            [Matrix(nr, nr, U), lam_a, Matrix(nc, nc, V)], Matrix.block(
+                [[_diagonal(t, t, peeled), None],
+                 [None, Matrix(nr - t, nc - t, core).scaled(scale)]],
+                [t, nr - t], [t, nc - t])):
+        raise AssertionError("Schur step self-check failed")
     # the heuristic acts on rows t.. of U and columns t.. of V
-    red = _Reduction(core, nc - t, U[t:], list(zip(*V))[t:], REDUCTION_BUDGET)
+    red = _Reduction(core, nc - t, U[t:], list(zip(*V))[t:], budget)
     s = 0
 
     def factors():
@@ -919,18 +914,19 @@ def novikov_diagonalize(m: Matrix,
             _reduce_pivot(red, s)
             s += 1
     except _OutOfBudget:
-        raise Inconclusive(f"reduction exceeded {REDUCTION_BUDGET} "
+        raise Inconclusive(f"reduction exceeded {budget} "
                            f"elementary operations", factors())
 
     A = red.A
     U = Matrix(nr, nr, U[:t] + red.U)
     V = Matrix(nc, nc, [row[:t] + [col[i] for col in red.Vt]
                         for i, row in enumerate(V)])
-    values = peeled + [scale * A[j][j] for j in range(s)]
-    diag = Matrix(nr, nc, [[values[i] if i == j and i < len(values) else 0
-                            for j in range(nc)] for i in range(nr)])
-    if not (_is_cleared(grid, cleared, lcms) and _product_is(
-            [U, Matrix(nr, nc, cleared), V], diag)):
+    # a heuristic that spent nothing left U and V as the peel certificate
+    # checked them, and the core diagonal: that certificate is this one
+    certified = t and red.left == budget
+    if not (_is_cleared(grid, cleared, lcms) and (certified or _product_is(
+            [U, lam_a, V], _diagonal(
+                nr, nc, peeled + [scale * A[j][j] for j in range(s)])))):
         raise AssertionError("novikov diagonalization self-check failed")
     for j in range(s - 1):
         if _try_div(A[j + 1][j + 1], A[j][j]) is None:  # pragma: no cover
@@ -940,14 +936,22 @@ def novikov_diagonalize(m: Matrix,
     return SNFResult(tuple(factors()), t + s, U, V)
 
 
+def _diagonal(nr, nc, values):
+    """The nr x nc matrix with the values leading its diagonal."""
+    return Matrix(nr, nc, [[values[i] if i == j and i < len(values) else 0
+                            for j in range(nc)] for i in range(nr)])
+
+
 def _is_cleared(grid, rows, lcms):
     """Is the Laurent matrix rows = Lambda grid, Lambda = diag(lcms), with
     every lcm a Novikov unit?  Entrywise, row_ij den(a_ij) = lcm_i
-    num(a_ij) for each entry a_ij of grid."""
+    num(a_ij) for each entry a_ij of grid; a row that had nothing to
+    clear (lcm ``ONE``) is compared as it stands."""
     return all(
         is_novikov_unit(d) and all(
             e * a.denominator == d * a.numerator
-            if a.__class__ is RationalFunction else e == d * a
+            if a.__class__ is RationalFunction
+            else e == (a if d is ONE else d * a)
             for a, e in zip(row, cleared))
         for row, cleared, d in zip(grid, rows, lcms))
 
@@ -975,8 +979,11 @@ def _schur_step(W, U, V, t):
     every product above on integers.  Every value it unpacks is a minor
     of the first k rows of [A | U0 R U[t:]] with one more row of it or
     of V[:, t:] V0 appended, and the elimination rule on those rows sets
-    the width.  The identity A11 [adj | X] = det [I | A12] is checked on
-    the packed integers by ``_schur_identity``.  Returns (k, det, S).
+    the width.  The step checks that A11 has full rank and that det is a
+    Novikov unit; the identity above, on the unpacked U, V and S, is left
+    to the peel certificate of ``novikov_diagonalize``, whose diagonal
+    block for this step, adj A11' = scale I, shows adj invertible.
+    Returns (k, det, S).
     """
     nr, nc = len(W), len(V) - t
     packed_w = _Packed.of(W)
@@ -1002,8 +1009,7 @@ def _schur_step(W, U, V, t):
     r, det = _eliminate(gj, k, jordan=True)
     sol = [row[k:] for row in gj]  # [adj | X]
     unit = slots.unpack(det, 0)
-    if r < k or not is_novikov_unit(unit) or not _schur_identity(
-            A[:k], sol, det, slots.w):
+    if r < k or not is_novikov_unit(unit):
         raise AssertionError("Schur step self-check failed")
 
     def minus(b, c, d):  # det b - c d
@@ -1021,25 +1027,6 @@ def _schur_step(W, U, V, t):
         row[t:] = new
     s = slots.unpack_rows(minus([row[k:] for row in A[k:]], a21, x), 0)
     return k, unit, s
-
-
-def _schur_identity(a, sol, det, w):
-    """Does A11 [adj | X] = det [I | A12] hold for the polynomials whose
-    values at X = 2^(8w) are the integers in the rows a = [A11 | A12],
-    the rows sol = [adj | X] and det?
-
-    Decided as [A11 | -det I] [[adj | X], [I | A12]] = 0 by one packed
-    product of those integers read at w (``_Packed.read``): the width
-    comes from their digits, never from the step's bound, and they are
-    re-spread only when the product needs a wider one.
-    """
-    k = len(a)
-    _, rows = _Packed.product([
-        _Packed.read([row[:k] + [0] * r + [-det] + [0] * (k - r - 1)
-                      for r, row in enumerate(a)], w),
-        _Packed.read(sol + [[0] * r + [1] + [0] * (k - r - 1) + row[k:]
-                            for r, row in enumerate(a)], w)])
-    return not any(map(any, rows))
 
 
 def _reduce_pivot(red, t):

@@ -448,15 +448,33 @@ def test_diag_self_check_catches_a_corrupted_clear(monkeypatch, row,
     assert [d == one for d in done[0]] == [False, True]
 
 
-@pytest.mark.parametrize("j", [-1, 2])
-@pytest.mark.parametrize("side", ["U", "V"])
+#: a Schur step peels two rows and leaves a 1 x 1 core the heuristic
+#: spends nothing on: the peel certificate is the only product checked
+PEELS = Matrix.from_rows([[one, 2 * one, z], [3 * one, 4 + z, 2 * one],
+                          [z, one, 2 + z]])
+#: even constant terms: nothing peels, the heuristic reduces it all
+PEELS_NOTHING = Matrix.from_rows([[2 + z, 2 * z], [4 * z, 2 + 3 * z]])
+#: a peel, then heuristic work on the 2 x 2 core it leaves
+PEELS_THEN_REDUCES = Matrix.from_rows([[one, z, z], [z, 2 + z, 2 * z],
+                                       [z, 4 * z, 2 + 3 * z]])
+
+
+@pytest.mark.parametrize("side, j, m, message", [
+    pytest.param(side, j, m, message, id=f"{prefix}{side}-{j}")
+    for prefix, m, message in (
+        ("", PEELS, "Schur step self-check failed"),
+        ("no-peel-", PEELS_NOTHING,
+         "novikov diagonalization self-check failed"))
+    for side in ("U", "V") for j in (-1, 2)])
 def test_diag_self_check_catches_a_multiple_of_the_slot_base(monkeypatch,
-                                                             side, j):
+                                                             side, j, m,
+                                                             message):
     """A composed transform entry off by X z^j, X = 2^(8w) the slot base
-    the final check picks for the true transforms, changes U A V by a
+    the certificate picks for the true transforms, changes U A V by a
     multiple of X in every coefficient, which a check modulo X, or at X
-    with the width fixed beforehand, would miss.  The check reads its
-    width off the factors it is given and fails."""
+    with the width fixed beforehand, would miss.  Each certificate, of
+    the peel and of the whole diagonalization, reads its width off the
+    factors it is given, picks a wider one, and fails."""
     check, slot_width = linalg._product_is, linalg._slot_width
     widths = []
 
@@ -465,26 +483,65 @@ def test_diag_self_check_catches_a_multiple_of_the_slot_base(monkeypatch,
         return widths[-1]
 
     def corrupting(factors, target):
-        if len(factors) < 3:  # a Schur identity
-            return check(factors, target)
         picked = len(widths)
         assert check(factors, target)
         assert len(widths) == picked + 1  # decided by packing
+        true_width = widths[-1]
         i = 0 if side == "U" else 2
         rows = [list(row) for row in factors[i].entries]
-        rows[0][0] = rows[0][0] + LaurentPoly({j: 1 << 8 * widths[-1]})
+        rows[0][0] = rows[0][0] + LaurentPoly({j: 1 << 8 * true_width})
         factors = list(factors)
         factors[i] = Matrix(factors[i].rows, factors[i].cols, rows)
         assert matmul(matmul(*factors[:2]), factors[2]) != target
-        return check(factors, target)
+        verdict = check(factors, target)
+        assert widths[-1] > true_width
+        return verdict
 
     monkeypatch.setattr(linalg, "_slot_width", recording)
     monkeypatch.setattr(linalg, "_product_is", corrupting)
-    m = Matrix.from_rows([[one, 2 * one, z], [3 * one, 4 + z, 2 * one],
-                          [z, one, 2 + z]])
-    with pytest.raises(AssertionError,
-                       match="novikov diagonalization self-check failed"):
+    with pytest.raises(AssertionError, match=message):
         novikov_diagonalize(m)
+
+
+def test_the_peel_certificate_covers_the_core_on_the_inconclusive_path(
+        monkeypatch):
+    """A Schur step whose core unpacks with z^3 added, before a heuristic
+    with no budget: the heuristic would give up on the wrong core and
+    report partial factors built on it, but the peel certificate covers
+    the unpacked core and fails first."""
+    unpack_rows, calls = linalg._Slots.unpack_rows, []
+
+    def corrupting(self, rows, shift):
+        out = unpack_rows(self, rows, shift)
+        calls.append(len(out))
+        if len(calls) % 3 == 0:  # U's rows, V's columns, then the core
+            out[0][0] = out[0][0] + z ** 3
+        return out
+
+    monkeypatch.setattr(linalg._Slots, "unpack_rows", corrupting)
+    monkeypatch.setattr(linalg, "REDUCTION_BUDGET", 0)
+    with pytest.raises(AssertionError, match="Schur step self-check failed"):
+        novikov_diagonalize(PEELS_THEN_REDUCES)
+    assert calls == [3, 3, 2]
+
+
+@pytest.mark.parametrize("m, products", [
+    (PEELS, 1), (PEELS_THEN_REDUCES, 2), (PEELS_NOTHING, 1)],
+    ids=["peel", "peel-then-reduce", "no-peel"])
+def test_one_product_certifies_a_peel_the_heuristic_leaves_alone(
+        monkeypatch, m, products):
+    """The peel certificate, and the final one only when the heuristic
+    spent an operation or nothing peeled."""
+    check, calls = linalg._product_is, []
+
+    def counting(factors, target):
+        calls.append(len(factors))
+        return check(factors, target)
+
+    monkeypatch.setattr(linalg, "_product_is", counting)
+    r = novikov_diagonalize(m)
+    assert calls == [3] * products
+    assert_diagonalizes(m, r, Direction.PLUS)
 
 
 @pytest.mark.parametrize("corrupt", ["adjugate", "solution", "det"])

@@ -26,13 +26,12 @@ from domains import load_bench
 ROOT = Path(__file__).resolve().parent.parent
 
 #: the packing kernels, by the name of the function that picks a width
-KERNELS = ("_bareiss", "_product_is", "_schur_step", "_schur_identity",
-           "solved", "cokernel_iso_check")
+KERNELS = ("_bareiss", "_product_is", "_schur_step", "solved",
+           "cokernel_iso_check")
 
 WIDTHS = {
     "_bareiss": {1: 81, 2: 19},
     "_product_is": {1: 67, 2: 27, 4: 5, 8: 1},
-    "_schur_identity": {1: 9, 2: 5},
     "_schur_step": {1: 10, 2: 4},
     "cokernel_iso_check": {1: 34, 2: 109, 4: 55, 8: 2},
     "solved": {1: 64, 2: 107, 4: 29},

@@ -330,7 +330,7 @@ def test_canonicalization_idempotent():
 
 
 # factors in S shared between random numerators and denominators, so that
-# products cross-cancel and sums cancel against the common denominator
+# the unreduced parts of a sum or product have a common factor to cancel
 _S_FACTORS = (one + z, one - z, one + z + z ** 2, one - 2 * z, one + 3 * z ** 2)
 
 
@@ -357,9 +357,9 @@ def _random_element(rng):
     return num, den
 
 
-def test_fast_paths_match_general_constructor():
+def test_arithmetic_equals_the_constructor_on_unreduced_parts():
     """Products, negations, sums and zero operands give the canonical
-    pair of the general constructor applied to the unreduced parts."""
+    pair of the constructor applied to the unreduced parts."""
     rng = rng_for("fast-paths")
 
     def pair(r):

@@ -1,6 +1,6 @@
-"""The packed Schur step against a Schur step on Laurent matrices, its
-packed self-check against ``_product_is`` on the unpacked values, and
-LaurentPoly arithmetic with int and monomial operands.
+"""The packed Schur step against a Schur step on Laurent matrices, the
+peel certificate of ``novikov_diagonalize`` on a step's corrupted
+outputs, and LaurentPoly arithmetic with int and monomial operands.
 
 ``reference`` is the Schur step written with Laurent matrix products
 (``matmul``), and with its Gauss-Jordan pass run by the LaurentPoly-row
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from nk import linalg, rings
+from nk import linalg
 from nk.linalg import Matrix, _laurent_rows, matmul, smith_normal_form_int
 from nk.rings import ONE, LaurentPoly, RationalFunction
 
@@ -189,78 +189,20 @@ def test_a_core_of_span_1200_peels_like_the_reference():
 
 
 # ---------------------------------------------------------------------------
-# the step's check on its packed integers
+# the peel certificate, checked on the unpacked values
 
 
-def unpacked_verdict(a, sol, det, w):
-    """The identity A11 [adj | X] = det [I | A12] on the packed rows
-    a = [A11 | A12], sol = [adj | X] and det, decided on Laurent
-    matrices: every value unpacked to a LaurentPoly, and one
-    ``_product_is`` against zero."""
-    k, nc = len(a), len(a[0])
-
-    def unpack(v):
-        return LaurentPoly._dense(0, rings._digits(v, w))
-
-    unit = unpack(det)
-    a1 = [[unpack(v) for v in row] for row in a]
-    x = [[unpack(v) for v in row] for row in sol]
-    eye = [[int(i == j) for j in range(k)] for i in range(k)]
-    return linalg._product_is(
-        [Matrix(k, 2 * k, [row[:k] + [-unit * e for e in ident]
-                           for row, ident in zip(a1, eye)]),
-         Matrix(2 * k, nc, x + [ident + row[k:]
-                                for row, ident in zip(a1, eye)])],
-        Matrix.zeros(k, nc))
-
-
-def recorded_checks(W, U, V, t):
-    """The arguments of every packed check that _schur_step runs."""
-    seen, check = [], linalg._schur_identity
-
-    def recording(a, sol, det, w):
-        seen.append(([list(r) for r in a], [list(r) for r in sol], det, w))
-        return check(a, sol, det, w)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_schur_identity", recording)
-        linalg._schur_step([list(r) for r in W], [list(r) for r in U],
-                           [list(r) for r in V], t)
-    return seen
-
-
-@hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(cores(), st.randoms(use_true_random=False))
-@hypothesis.example(SPAN_CORE, random.Random(0))
-def test_packed_check_agrees_with_product_is(case, moves):
-    """On each drawn core, the packed verdict equals ``_product_is`` on
-    the unpacked values, for the step's own outputs and for outputs with
-    one value moved by +-X^j, X = 2^(8w) the step's slot base."""
-    for a, sol, det, w in recorded_checks(*case):
-        assert linalg._schur_identity(a, sol, det, w)
-        assert unpacked_verdict(a, sol, det, w)
-        where = moves.choice(["a", "sol", "det"])
-        delta = moves.choice([1, -1]) << 8 * w * moves.randint(0, 3)
-        if where == "det":
-            det += delta
-        else:
-            rows = a if where == "a" else sol
-            i = moves.randrange(len(rows))
-            j = moves.randrange(len(rows[i]))
-            rows[i][j] += delta
-        verdict = linalg._schur_identity(a, sol, det, w)
-        assert verdict == unpacked_verdict(a, sol, det, w)
-        assert not verdict
-
-
-def spied_step(monkeypatch, corrupt=None):
-    """_schur_step on W = [[1 + 150z, 150z]] with the slot widths it picks
-    and the widths it packs at recorded, and the Gauss-Jordan outputs
-    [adj | X] and det changed by corrupt(M, n, det, X) -> det first.
+def spied_diagonalize(monkeypatch, corrupt=None):
+    """novikov_diagonalize of W = [[1 + 150z, 150z]], which one Schur step
+    peels whole, with the slot widths it picks and the widths it packs
+    at recorded, and the step's Gauss-Jordan outputs [adj | X] and det
+    changed by corrupt(M, n, det, X) -> det first.
 
     The step bounds its values by 1-norms, 150 + 150 + 1 = 302 < 2^15,
-    so its slots are 2 bytes; the check's bound is |[A11 | -det]| = 302
-    times |[[adj | X], [I | A12]]| = 151, which needs 4."""
+    so its slots are 2 bytes; the peel certificate U W V = (det) reads
+    its width off the unpacked U, W and V, whose largest row norms 1,
+    301 and 151 bound the product by 45,451, which with the target's
+    150 is past 2^15 and needs 4."""
     slot_width, kron, eliminate = (linalg._slot_width, linalg._kron,
                                    linalg._eliminate)
     widths, packed = [], set()
@@ -283,15 +225,22 @@ def spied_step(monkeypatch, corrupt=None):
     monkeypatch.setattr(linalg, "_kron", packing)
     monkeypatch.setattr(linalg, "_eliminate", corrupted)
     z = LaurentPoly({1: 1})
-    W, U, V = [[1 + 150 * z, 150 * z]], [[1]], [[1, 0], [0, 1]]
-    return (lambda: linalg._schur_step(W, U, V, 0)), widths, packed, (W, U, V)
+    W = [[1 + 150 * z, 150 * z]]
+    return (lambda: linalg.novikov_diagonalize(Matrix.from_rows(W))), \
+        widths, packed, W
 
 
 def test_the_check_widens_its_slots_when_the_digits_need_it(monkeypatch):
-    step, widths, packed, (W, U, V) = spied_step(monkeypatch)
-    U2, V2 = [list(r) for r in U], [list(r) for r in V]
-    assert step() == reference(W, U2, V2, 0)
-    assert U == U2 and V == V2
+    run, widths, packed, W = spied_diagonalize(monkeypatch)
+    U, V = [[1]], [[1, 0], [0, 1]]
+    k, det, core = reference(W, U, V, 0)
+    r = run()
+    assert k == 1 and det == W[0][0] and core == []
+    assert r.invariant_factors == (ONE,) and r.rank == 1
+    assert [list(row) for row in r.U.entries] == U
+    assert [list(row) for row in r.V.entries] == V
+    # the step and the certificate, nothing else: the heuristic had an
+    # empty core
     assert widths == [2, 4] and 4 in packed
 
 
@@ -301,22 +250,28 @@ def add_z_to_adj(M, n, det, X):
 
 
 def scale_outputs(M, n, det, X):
-    """det, adj and X times c = 1 + (X/2) X^2: the identity still holds
-    for the integers, so no check at the step's own X sees it, but the
-    digits of the products carry and the polynomials no longer match."""
+    """det, adj and X times c = 1 + (X/2) X^2: the step's identity still
+    holds for the integers, so no check at the step's own X sees it, and
+    det still unpacks to a unit; but the digits of the products carry,
+    and the polynomials unpacked into U, V and the core no longer
+    certify the peel."""
     c = 1 + (X // 2) * X ** 2
     for row in M:
         row[n:] = [c * v for v in row[n:]]
     return c * det
 
 
+#: the certificate's widths (step, certificate) under each corruption
+CORRUPTED_WIDTHS = {add_z_to_adj: [2, 4], scale_outputs: [2, 8]}
+
+
 @pytest.mark.parametrize("corrupt", [add_z_to_adj, scale_outputs])
 def test_the_widened_check_catches_a_corrupted_step(monkeypatch, corrupt):
-    step, widths, packed, _ = spied_step(monkeypatch, corrupt)
+    run, widths, packed, _ = spied_diagonalize(monkeypatch, corrupt)
     with pytest.raises(AssertionError, match="Schur step self-check failed"):
-        step()
-    # the identity was checked, on slots wider than the step's
-    assert len(widths) == 2 and widths[1] > widths[0] and widths[1] in packed
+        run()
+    # the peel was certified, on slots wider than the step's
+    assert widths == CORRUPTED_WIDTHS[corrupt] and widths[1] in packed
 
 
 # ---------------------------------------------------------------------------
