@@ -553,15 +553,16 @@ def _run_domination(payload, k, dirn):
 def _run_fundomain(payload, k, dirn):
     from .fundomain import (algebraic_novikov_complex, cokernel_iso_check,
                             torsion_zeta)
-    fd = payload["domain"]
-    fhat = algebraic_novikov_complex(fd, "exact")
+    fd, F = payload["domain"], payload["domain"].F  # F^ has F's ranks
     # F^ needs det(1 - z h_D) to be a unit, which it is in Z((z)) only;
-    # C(phi) is a Laurent complex with the same homology in both
-    rep = novikov_homology(fhat if dirn is Direction.PLUS else fd.cone, dirn)
+    # C(phi) is a Laurent complex with the same homology in both, and a
+    # minus run builds F^ for the exact-vs-truncated check alone
+    fhat = dirn is Direction.PLUS and algebraic_novikov_complex(fd, "exact")
+    rep = novikov_homology(fhat or fd.cone, dirn)
     zeta = torsion_zeta(fd)
     coker = cokernel_iso_check(fd, k)
     data = {
-        "fhat_ranks": {str(i): fhat.rank(i) for i in fhat.degrees()},
+        "fhat_ranks": {str(i): F.rank(i) for i in F.degrees()},
         "novikov": rep.to_json(),
         "zeta": zeta.to_json(),
         "cokernel_check": {"passed": coker.passed,
@@ -570,13 +571,14 @@ def _run_fundomain(payload, k, dirn):
 
     def lines():
         return [f"kind: fundomain (direction {dirn.value}, precision {k})",
-                f"F^ ranks: " + " ".join(f"{i}:{fhat.rank(i)}"
-                                         for i in fhat.degrees()),
+                f"F^ ranks: " + " ".join(f"{i}:{F.rank(i)}"
+                                         for i in F.degrees()),
                 *_novikov_section(rep),
                 f"zeta (torsion of projection): {zeta.pretty()}",
                 f"cokernel identification through order {k}: "
                 f"{'pass' if coker.passed else f'FAIL at degree {coker.degree}, order {coker.order}'}"]
-    checks = [lambda: _exact_vs_truncated_check(fd, fhat, k),
+    checks = [lambda: _exact_vs_truncated_check(
+                  fd, fhat or algebraic_novikov_complex(fd, "exact"), k),
               lambda: _cone_vs_fhat_check(fd.cone, rep)]
     return data, lines, rep.conclusive, checks
 

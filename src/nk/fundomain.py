@@ -201,18 +201,23 @@ def assemble_mapping_cone(fd: AlgebraicFundamentalDomain) -> BasedChainComplex:
     ranks = [D.rank(i - 1) + D.rank(i) + F.rank(i) for i in range(lo, hi + 1)]
     diffs = {}
     for i in range(lo + 1, hi + 1):
-        n = D.rank(i - 1)
-        one_minus_zh = Matrix(n, n, [
-            [LaurentPoly._dense(0, (int(r == k), -e)) for k, e in enumerate(row)]
-            for r, row in enumerate(fd.h_D_at(i - 1).entries)])
-        diffs[i] = Matrix.block(
-            [[-D.differential(i - 1), None, None],
-             [one_minus_zh, D.differential(i), fd.c.get(i)],
-             [fd.h_F_at(i - 1).map_entries(lambda e: LaurentPoly._dense(
-                 1, (-e,))), None, F.differential(i)]],
-            row_sizes=[D.rank(i - 2), D.rank(i - 1), F.rank(i - 1)],
-            col_sizes=[D.rank(i - 1), D.rank(i), F.rank(i)])
+        h, rest = _lower_rows(fd, i)
+        zeros = [0] * (D.rank(i) + F.rank(i))  # beside -d_D
+        diffs[i] = Matrix(ranks[i - 1 - lo], ranks[i - lo], [
+            [-e for e in row] + zeros for row in D.differential(i - 1).entries
+        ] + [[LaurentPoly._dense(0, (int(k == r), -e)) for k, e in enumerate(a)]
+             + list(b) for r, (a, b) in enumerate(zip(h, rest))])
     return BasedChainComplex(lo, hi, ranks, diffs)
+
+
+def _lower_rows(fd, i):
+    """C(phi)'s rows [1 - z h_D | d_D | c] and [-z h_F | 0 | d_F] in degree
+    i as int rows (h, rest): h those of h_D and h_F, rest the others."""
+    D, F = fd.D, fd.F
+    return (fd.h_D_at(i - 1).entries + fd.h_F_at(i - 1).entries,
+            [d + c for d, c in zip(D.differential(i).entries,
+                                   fd.c_at(i).entries)]
+            + [(0,) * D.rank(i) + d for d in F.differential(i).entries])
 
 
 class TruncatedComplexPresentation(Record):
@@ -322,13 +327,8 @@ def cokernel_iso_check(fd: AlgebraicFundamentalDomain, precision) -> CokernelChe
         d0, y1, num, y0 = slice(1, 2), slice(2, a), slice(a, b), slice(b, None)
         L = _Packed.eye(leaf, y1, d0, slice(0, 2), num, -1)
         # R's block rows on D_{i-1} and on F_{i-1} from the int blocks
-        R = _Packed.block([
-            [_Packed.ints(fd.h_D_at(i - 1).entries + fd.h_F_at(i - 1).entries,
-                          [d + c for d, c in zip(D.differential(i).entries,
-                                                 fd.c_at(i).entries)]
-                          + [(0,) * D.rank(i) + d
-                             for d in F.differential(i).entries])],
-            [_Packed.eye(leaf, y0, 1, d0)]])
+        R = _Packed.block([[_Packed.ints(*_lower_rows(fd, i))],
+                           [_Packed.eye(leaf, y0, 1, d0)]])
         slots, LR = _Packed.product([L, R])
         orders = [slots.order(v, 2 * s) for row in LR for v in row if v]
         if orders and min(orders) <= precision:

@@ -864,17 +864,17 @@ def novikov_diagonalize(m: Matrix,
     Its diagonal block for a step of k rows reads adj A11' = scale I,
     A11' the step's A11 times the scale before the step, so det adj
     divides scale^k, a Novikov unit, and adj is invertible.  On success
-    Lambda A is checked entrywise against A; U' (Lambda A) V == diag is
-    checked the same way when the heuristic spent an operation or
-    nothing peeled (otherwise it is the peel certificate); and U = U'
-    Lambda is returned.  A is m for PLUS and m with the variable
-    reversed for MINUS, so there U and V transform the reversed
-    matrix.  The factors are not the diagonal entries but
-    normalized Laurent representatives (monomial stripped, lowest
-    coefficient positive; units normalize to 1) of the ideals they
-    generate: of f / D for each core factor f, D the product of the row
-    lcms, the Schur determinants and the multipliers of the exact
-    clears, which is a Novikov unit.
+    Lambda A is checked entrywise against A; U' (Lambda A) V == diag,
+    the same identity with only the diagonal kept of the reduced core,
+    when the heuristic spent an operation or nothing peeled (otherwise
+    it is the peel certificate); and U = U' Lambda is returned.  A is m
+    for PLUS and m with the variable reversed for MINUS, so there U and
+    V transform the reversed matrix.  The factors are not the diagonal
+    entries but normalized Laurent representatives (monomial stripped,
+    lowest coefficient positive; units normalize to 1) of the ideals
+    they generate: of f / D for each core factor f, D the product of
+    the row lcms, the Schur determinants and the multipliers of the
+    exact clears, which is a Novikov unit.
     """
     grid = [list(row) for row in m.entries]
     if direction is Direction.MINUS:
@@ -885,17 +885,20 @@ def novikov_diagonalize(m: Matrix,
     lam_a = Matrix(nr, nc, cleared)
     U, V = _ident(nr), _ident(nc)
     # U @ cleared @ V == diag(peeled) (+) scale * core
-    core, peeled, scale, D = cleared, [], ONE, math.prod(lcms, start=ONE)
+    core, peeled, scale = cleared, [], ONE
     while step := _schur_step(core, U, V, len(peeled)):
         k, det, core = step
-        scale, D = scale * det, D * det
+        scale = scale * det
         peeled += [scale] * k
     t = len(peeled)
-    if t and not _product_is(
-            [Matrix(nr, nr, U), lam_a, Matrix(nc, nc, V)], Matrix.block(
-                [[_diagonal(t, t, peeled), None],
-                 [None, Matrix(nr - t, nc - t, core).scaled(scale)]],
-                [t, nr - t], [t, nc - t])):
+
+    def certified(U, V, C):  # U (Lambda A) V == diag(peeled) (+) scale C
+        return _product_is([U, lam_a, V], Matrix(nr, nc, [
+            [e if i == j else 0 for j in range(nc)]
+            for i, e in enumerate(peeled)] + [
+            [0] * t + [scale * e for e in row] for row in C]))
+
+    if t and not certified(Matrix(nr, nr, U), Matrix(nc, nc, V), core):
         raise AssertionError("Schur step self-check failed")
     # the heuristic acts on rows t.. of U and columns t.. of V
     red = _Reduction(core, nc - t, U[t:], list(zip(*V))[t:], budget)
@@ -903,15 +906,12 @@ def novikov_diagonalize(m: Matrix,
 
     def factors():
         # transposing keeps the diagonal, so red.A may be either way round
-        den = D * red.unit
+        den = math.prod(lcms, start=scale) * red.unit
         return [ONE] * t + [_factor_rep(RationalFunction(red.A[j][j], den),
                                         direction) for j in range(s)]
 
     try:
-        while s < min(red.nr, red.nc):
-            if _select_pivot(red.A, s, red.nr, red.nc) is None:
-                break
-            _reduce_pivot(red, s)
+        while s < min(red.nr, red.nc) and _reduce_pivot(red, s):
             s += 1
     except _OutOfBudget:
         raise Inconclusive(f"reduction exceeded {budget} "
@@ -921,12 +921,12 @@ def novikov_diagonalize(m: Matrix,
     U = Matrix(nr, nr, U[:t] + red.U)
     V = Matrix(nc, nc, [row[:t] + [col[i] for col in red.Vt]
                         for i, row in enumerate(V)])
-    # a heuristic that spent nothing left U and V as the peel certificate
-    # checked them, and the core diagonal: that certificate is this one
-    certified = t and red.left == budget
-    if not (_is_cleared(grid, cleared, lcms) and (certified or _product_is(
-            [U, lam_a, V], _diagonal(
-                nr, nc, peeled + [scale * A[j][j] for j in range(s)])))):
+    # a heuristic that spent nothing left U, V and a diagonal core as the
+    # peel certificate checked them; else only the diagonal is the target
+    if not (_is_cleared(grid, cleared, lcms) and (
+            (t and red.left == budget) or certified(U, V, [
+                [e if i == j else 0 for j, e in enumerate(row)]
+                for i, row in enumerate(A)]))):
         raise AssertionError("novikov diagonalization self-check failed")
     for j in range(s - 1):
         if _try_div(A[j + 1][j + 1], A[j][j]) is None:  # pragma: no cover
@@ -934,12 +934,6 @@ def novikov_diagonalize(m: Matrix,
     U = Matrix(nr, nr, [[e if d is ONE else d * e for e, d in zip(row, lcms)]
                         for row in U.entries])
     return SNFResult(tuple(factors()), t + s, U, V)
-
-
-def _diagonal(nr, nc, values):
-    """The nr x nc matrix with the values leading its diagonal."""
-    return Matrix(nr, nc, [[values[i] if i == j and i < len(values) else 0
-                            for j in range(nc)] for i in range(nr)])
 
 
 def _is_cleared(grid, rows, lcms):
@@ -1030,8 +1024,11 @@ def _schur_step(W, U, V, t):
 
 
 def _reduce_pivot(red, t):
+    """Finish pivot position t; False if there is no pivot to take."""
     while True:
-        i, j = _select_pivot(red.A, t, red.nr, red.nc)
+        if (pivot := _select_pivot(red.A, t, red.nr, red.nc)) is None:
+            return False
+        i, j = pivot
         red.swap(t, i)
         _on_columns(_Reduction.swap, red, t, j)
         p = red.A[t][t]
@@ -1040,7 +1037,7 @@ def _reduce_pivot(red, t):
         _on_columns(_clear, red, t, p)
         _clear(red, t, p)
         if is_novikov_unit(p):
-            return
+            return True
         A = red.A
         stuck_col = next((j for j in range(t + 1, red.nc) if A[t][j]), None)
         stuck_row = next((i for i in range(t + 1, red.nr) if A[i][t]), None)
@@ -1055,7 +1052,7 @@ def _reduce_pivot(red, t):
                     for j in range(t + 1, red.nc)
                     if A[i][j] and _try_div(A[i][j], p) is None), None)
         if bad is None:
-            return
+            return True
         red.add(t, bad[0], 1)
 
 

@@ -322,6 +322,50 @@ def test_keys_past_the_digit_limit_exit_2_at_their_path(tmp_path, capsys,
     assert main(["run", str(tmp_path / "bad.json")]) == 2
 
 
+# One document for each rejection that no other test reaches:
+# (text, error class, JSON path, reason)
+REJECTIONS = {
+    "options": (json.dumps({"kind": "novikov", "payload": {"complex": {
+        "lo": 0, "hi": 0, "ranks": [1]}}, "options": []}),
+        ParseError, "$.options", "expected an object"),
+    "empty-range": (job("novikov", {"complex": {
+        "lo": 1, "hi": 0, "ranks": []}}),
+        ValidationError, "$.payload.complex", "degree range is empty"),
+    "domain-c": (job("fundomain", {"domain": {
+        "D": {"lo": 0, "hi": 0, "ranks": [1]},
+        "F": {"lo": 0, "hi": 1, "ranks": [1, 1]},
+        "c": [], "hF": {"0": [[1]]}, "hD": {"0": [[1]]}}}),
+        ParseError, "$.payload.domain.c",
+        "expected an object keyed by degree"),
+    "torus-h-shape": (job("mapping-torus", {
+        "complex": {"lo": 0, "hi": 0, "ranks": [1]},
+        "h": {"0": [[1, 0]]}, "orientation": "plus"}),
+        ValidationError, "$.payload.h.0", "component is 1x2, expected 1x1"),
+    "torus-h-commute": (job("mapping-torus", {
+        "complex": {"lo": 0, "hi": 1, "ranks": [1, 1],
+                    "differentials": {"1": [[1]]}},
+        "h": {"0": [[1]], "1": [[2]]}, "orientation": "plus"}),
+        ValidationError, "$.payload.h", "does not commute with d at degree 1"),
+    "orientation": (job("mapping-torus", {
+        "complex": {"lo": 0, "hi": 0, "ranks": [1]},
+        "h": {"0": [[1]]}, "orientation": "sideways"}),
+        ParseError, "$.payload.orientation", "expected plus or minus"),
+}
+
+
+@pytest.mark.parametrize("text, error, path, reason",
+                         list(REJECTIONS.values()), ids=list(REJECTIONS))
+def test_rejection_names_its_path_and_exits_2(tmp_path, capsys, text, error,
+                                              path, reason):
+    with pytest.raises(error) as exc:
+        parse_document(text)
+    assert (exc.value.path, exc.value.reason) == (path, reason)
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == 2
+    assert f"error: {path}: {reason}" in capsys.readouterr().err
+
+
 # Documents that name a block the runners use over Z with a Laurent entry,
 # or a knot base below degree 0: both are refused where they are parsed
 RUNNER_ASSUMPTIONS = {
@@ -480,6 +524,23 @@ def test_fundomain_job_builds_the_cone_only_to_read_it(monkeypatch, direction,
                  direction=direction, oracle=oracle)
     assert report.data["cokernel_check"]["passed"] is True
     assert len(cones) == built
+
+
+@pytest.mark.parametrize("direction, oracle, built", [
+    ("plus", False, 1), ("plus", True, 1), ("minus", False, 0),
+    ("minus", True, 1)])
+def test_fundomain_job_builds_fhat_only_to_read_it(monkeypatch, direction,
+                                                   oracle, built):
+    # the F^ ranks are F's; the exact F^ is read by the plus Novikov
+    # report and the exact-vs-truncated oracle only, once per run
+    calls = count_calls(monkeypatch, "nk.fundomain",
+                        "algebraic_novikov_complex")
+    report = run(parse_document(_read_bundled("scalar_domain.json")),
+                 direction=direction, oracle=oracle)
+    assert report.data["fhat_ranks"] == {"0": 1, "1": 1}
+    assert [c["ok"] for c in report.data.get("oracle", [])] == (
+        [True, True] if oracle else [])
+    assert len([a for a in calls if a[1:] in ((), ("exact",))]) == built
 
 
 def test_a_failing_cokernel_identification_is_reported(monkeypatch, tmp_path,
@@ -674,6 +735,63 @@ def test_run_inequalities():
     bad = run(parse_document(job("inequalities",
                                  {"lo": 0, "counts": [0, 1], "bounds": [1, 1]})))
     assert bad.data["violations"] == [0]
+
+
+# One small document per kind whose text report nothing else renders,
+# with that report: the knot's base Z --2--> Z has torsion in H_0
+TEXT_REPORTS = {
+    "complex-homology": (job("complex-homology", {"complex": {
+        "lo": 0, "hi": 1, "ranks": [1, 1], "differentials": {"1": [[2]]}}}),
+        ["kind: complex-homology",
+         "degree  b  q  torsion",
+         "     0  0  1  2",
+         "     1  0  0  -",
+         "morse lower bounds: 0:1 1:1"]),
+    "domination": (job("domination", {"complex": {
+        "lo": 0, "hi": 1, "ranks": [1, 1],
+        "differentials": {"1": [[{"0": 1, "1": -1}]]}}}),
+        ["kind: domination",
+         "vanishes over Z((z)): True",
+         "vanishes over Z((z^-1)): True",
+         "finitely dominated: True"]),
+    "inequalities": (job("inequalities",
+                         {"lo": 0, "counts": [0, 1], "bounds": [1, 1]}),
+                     ["kind: inequalities",
+                      "satisfied: False",
+                      "violated at degrees: 0"]),
+    "knot": (job("knot", {
+        "base": {"lo": 0, "hi": 1, "ranks": [1, 1],
+                 "differentials": {"1": [[2]]}},
+        "e": {"0": [[1]], "1": [[1]]}}),
+        ["kind: knot",
+         "alexander[0]: 1",
+         "alexander[1]: 1",
+         "novikov homology vanishes: True",
+         "extreme coefficients +-1: True",
+         "fibers: True",
+         "note: base homology has torsion the alexander criterion cannot "
+         "see: H_0: [2]"]),
+}
+
+
+@pytest.mark.parametrize("direction", ["plus", "minus"])
+@pytest.mark.parametrize("text, lines", list(TEXT_REPORTS.values()),
+                         ids=list(TEXT_REPORTS))
+def test_text_report_is_pinned(tmp_path, capsys, text, lines, direction):
+    f = tmp_path / "doc.json"
+    f.write_text(text)
+    assert main(["run", str(f), "--direction", direction]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert main(["run", str(f), "--direction", direction, "--oracle",
+                 "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert all(c["ok"] for c in report.get("oracle", ()))
+
+
+def test_knot_report_names_the_base_torsion():
+    report = run(parse_document(TEXT_REPORTS["knot"][0]), oracle=True)
+    assert report.data["fibering"]["base_torsion"] == {"0": [2]}
+    assert [c["ok"] for c in report.data["oracle"]] == [True, True]
 
 
 def test_direction_flag_beats_document_option():

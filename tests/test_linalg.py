@@ -544,6 +544,19 @@ def test_one_product_certifies_a_peel_the_heuristic_leaves_alone(
     assert_diagonalizes(m, r, Direction.PLUS)
 
 
+def test_the_final_certificate_sees_an_entry_left_off_the_diagonal(
+        monkeypatch):
+    """A heuristic that takes every pivot position and does nothing, on a
+    matrix where nothing peels: U and V stay the identity and the 2z off
+    the diagonal stays in the reduced core.  U (Lambda A) V is that core,
+    so a target built from the whole core would pass; the final target
+    keeps only the core's diagonal, and the check fails."""
+    monkeypatch.setattr(linalg, "_reduce_pivot", lambda red, t: True)
+    with pytest.raises(AssertionError,
+                       match="novikov diagonalization self-check failed"):
+        novikov_diagonalize(PEELS_NOTHING)
+
+
 @pytest.mark.parametrize("corrupt", ["adjugate", "solution", "det"])
 def test_diag_self_check_catches_a_corrupted_schur_step(monkeypatch, corrupt):
     """A wrong adjugate, a wrong adj A12 or a determinant that is not a
