@@ -557,8 +557,8 @@ def _run_fundomain(payload, k, dirn):
     # F^ needs det(1 - z h_D) to be a unit, which it is in Z((z)) only;
     # C(phi) is a Laurent complex with the same homology in both, and a
     # minus run builds F^ for the exact-vs-truncated check alone
-    fhat = dirn is Direction.PLUS and algebraic_novikov_complex(fd, "exact")
-    rep = novikov_homology(fhat or fd.cone, dirn)
+    fhat = functools.cache(lambda: algebraic_novikov_complex(fd, "exact"))
+    rep = novikov_homology(fhat() if dirn is Direction.PLUS else fd.cone, dirn)
     zeta = torsion_zeta(fd)
     coker = cokernel_iso_check(fd, k)
     data = {
@@ -577,8 +577,7 @@ def _run_fundomain(payload, k, dirn):
                 f"zeta (torsion of projection): {zeta.pretty()}",
                 f"cokernel identification through order {k}: "
                 f"{'pass' if coker.passed else f'FAIL at degree {coker.degree}, order {coker.order}'}"]
-    checks = [lambda: _exact_vs_truncated_check(
-                  fd, fhat or algebraic_novikov_complex(fd, "exact"), k),
+    checks = [lambda: _exact_vs_truncated_check(fd, fhat(), k),
               lambda: _cone_vs_fhat_check(fd.cone, rep)]
     return data, lines, rep.conclusive, checks
 

@@ -203,6 +203,7 @@ def assemble_mapping_cone(fd: AlgebraicFundamentalDomain) -> BasedChainComplex:
     for i in range(lo + 1, hi + 1):
         h, rest = _lower_rows(fd, i)
         zeros = [0] * (D.rank(i) + F.rank(i))  # beside -d_D
+        # k < D.rank(i - 1) <= r on h_F's rows: they get -z h, not 1 - z h
         diffs[i] = Matrix(ranks[i - 1 - lo], ranks[i - lo], [
             [-e for e in row] + zeros for row in D.differential(i - 1).entries
         ] + [[LaurentPoly._dense(0, (int(k == r), -e)) for k, e in enumerate(a)]

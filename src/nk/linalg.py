@@ -865,7 +865,7 @@ def novikov_diagonalize(m: Matrix,
     A11' the step's A11 times the scale before the step, so det adj
     divides scale^k, a Novikov unit, and adj is invertible.  On success
     Lambda A is checked entrywise against A; U' (Lambda A) V == diag,
-    the same identity with only the diagonal kept of the reduced core,
+    the same identity with the reduced core cut to the s pivots taken,
     when the heuristic spent an operation or nothing peeled (otherwise
     it is the peel certificate); and U = U' Lambda is returned.  A is m
     for PLUS and m with the variable reversed for MINUS, so there U and
@@ -922,10 +922,10 @@ def novikov_diagonalize(m: Matrix,
     V = Matrix(nc, nc, [row[:t] + [col[i] for col in red.Vt]
                         for i, row in enumerate(V)])
     # a heuristic that spent nothing left U, V and a diagonal core as the
-    # peel certificate checked them; else only the diagonal is the target
+    # peel certificate checked them; else the core keeps its s pivots
     if not (_is_cleared(grid, cleared, lcms) and (
             (t and red.left == budget) or certified(U, V, [
-                [e if i == j else 0 for j, e in enumerate(row)]
+                [e if i == j < s else 0 for j, e in enumerate(row)]
                 for i, row in enumerate(A)]))):
         raise AssertionError("novikov diagonalization self-check failed")
     for j in range(s - 1):

@@ -513,34 +513,26 @@ def test_fundomain_job_builds_one_cone(monkeypatch):
 
 
 @pytest.mark.parametrize("direction, oracle, built", [
-    ("plus", False, 0), ("minus", False, 1), ("minus", True, 1)])
+    ("plus", False, 0), ("plus", True, 1), ("minus", False, 1),
+    ("minus", True, 1)])
 def test_fundomain_job_builds_the_cone_only_to_read_it(monkeypatch, direction,
                                                        oracle, built):
     # the cokernel identification reads the domain's blocks; the cone is
-    # read by the minus Novikov report and the cone-vs-F^ oracle only
-    # (a plus --oracle run builds it once: the test above)
-    cones = count_calls(monkeypatch, "nk.fundomain", "assemble_mapping_cone")
-    report = run(parse_document(_read_bundled("scalar_domain.json")),
-                 direction=direction, oracle=oracle)
-    assert report.data["cokernel_check"]["passed"] is True
-    assert len(cones) == built
-
-
-@pytest.mark.parametrize("direction, oracle, built", [
-    ("plus", False, 1), ("plus", True, 1), ("minus", False, 0),
-    ("minus", True, 1)])
-def test_fundomain_job_builds_fhat_only_to_read_it(monkeypatch, direction,
-                                                   oracle, built):
-    # the F^ ranks are F's; the exact F^ is read by the plus Novikov
+    # read by the minus Novikov report and the cone-vs-F^ oracle only.
+    # The F^ ranks are F's; the exact F^ is read by the plus Novikov
     # report and the exact-vs-truncated oracle only, once per run
-    calls = count_calls(monkeypatch, "nk.fundomain",
+    cones = count_calls(monkeypatch, "nk.fundomain", "assemble_mapping_cone")
+    fhats = count_calls(monkeypatch, "nk.fundomain",
                         "algebraic_novikov_complex")
     report = run(parse_document(_read_bundled("scalar_domain.json")),
                  direction=direction, oracle=oracle)
+    assert report.data["cokernel_check"]["passed"] is True
     assert report.data["fhat_ranks"] == {"0": 1, "1": 1}
     assert [c["ok"] for c in report.data.get("oracle", [])] == (
         [True, True] if oracle else [])
-    assert len([a for a in calls if a[1:] in ((), ("exact",))]) == built
+    assert len(cones) == built
+    assert len([a for a in fhats if a[1:] in ((), ("exact",))]) == (
+        direction == "plus" or oracle)
 
 
 def test_a_failing_cokernel_identification_is_reported(monkeypatch, tmp_path,
@@ -726,6 +718,11 @@ def test_run_domination():
     assert report.data["domination"] == {
         "vanishes_plus": True, "vanishes_minus": True,
         "finitely_dominated": True}
+    assert report.text == "\n".join([
+        "kind: domination",
+        "vanishes over Z((z)): True",
+        "vanishes over Z((z^-1)): True",
+        "finitely dominated: True"]) + "\n"
 
 
 def test_run_inequalities():
@@ -735,6 +732,8 @@ def test_run_inequalities():
     bad = run(parse_document(job("inequalities",
                                  {"lo": 0, "counts": [0, 1], "bounds": [1, 1]})))
     assert bad.data["violations"] == [0]
+    assert bad.text == "\n".join(["kind: inequalities", "satisfied: False",
+                                  "violated at degrees: 0"]) + "\n"
 
 
 # One small document per kind whose text report nothing else renders,
@@ -747,18 +746,6 @@ TEXT_REPORTS = {
          "     0  0  1  2",
          "     1  0  0  -",
          "morse lower bounds: 0:1 1:1"]),
-    "domination": (job("domination", {"complex": {
-        "lo": 0, "hi": 1, "ranks": [1, 1],
-        "differentials": {"1": [[{"0": 1, "1": -1}]]}}}),
-        ["kind: domination",
-         "vanishes over Z((z)): True",
-         "vanishes over Z((z^-1)): True",
-         "finitely dominated: True"]),
-    "inequalities": (job("inequalities",
-                         {"lo": 0, "counts": [0, 1], "bounds": [1, 1]}),
-                     ["kind: inequalities",
-                      "satisfied: False",
-                      "violated at degrees: 0"]),
     "knot": (job("knot", {
         "base": {"lo": 0, "hi": 1, "ranks": [1, 1],
                  "differentials": {"1": [[2]]}},

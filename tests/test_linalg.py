@@ -544,17 +544,23 @@ def test_one_product_certifies_a_peel_the_heuristic_leaves_alone(
     assert_diagonalizes(m, r, Direction.PLUS)
 
 
-def test_the_final_certificate_sees_an_entry_left_off_the_diagonal(
-        monkeypatch):
-    """A heuristic that takes every pivot position and does nothing, on a
-    matrix where nothing peels: U and V stay the identity and the 2z off
-    the diagonal stays in the reduced core.  U (Lambda A) V is that core,
-    so a target built from the whole core would pass; the final target
-    keeps only the core's diagonal, and the check fails."""
-    monkeypatch.setattr(linalg, "_reduce_pivot", lambda red, t: True)
+@pytest.mark.parametrize("takes, m", [
+    (True, PEELS_NOTHING),
+    (False, Matrix.from_rows([[2 + z, 0], [0, 2 + 3 * z]]))],
+    ids=["off-diagonal", "untaken-pivots"])
+def test_the_final_certificate_sees_an_entry_left_in_the_core(monkeypatch,
+                                                              takes, m):
+    """A heuristic that does nothing, on a matrix where nothing peels: U
+    and V stay the identity and U (Lambda A) V is the reduced core, so a
+    target built from the whole core, or from its whole diagonal, would
+    pass.  Taking every pivot position leaves the 2z off the diagonal;
+    stopping at once leaves both diagonal entries, whose factors the
+    result would drop.  The final target keeps only the s pivots taken,
+    and the check fails."""
+    monkeypatch.setattr(linalg, "_reduce_pivot", lambda red, t: takes)
     with pytest.raises(AssertionError,
                        match="novikov diagonalization self-check failed"):
-        novikov_diagonalize(PEELS_NOTHING)
+        novikov_diagonalize(m)
 
 
 @pytest.mark.parametrize("corrupt", ["adjugate", "solution", "det"])
