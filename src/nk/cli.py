@@ -37,12 +37,7 @@ from .rings import (
     TruncatedSeries,
     expand,
 )
-from .linalg import (
-    Inconclusive,
-    Matrix,
-    associate,
-    novikov_diagonalize,
-)
+from .linalg import Inconclusive, Matrix, associate, novikov_factors
 from .complexes import (
     BasedChainComplex,
     ChainMap,
@@ -667,8 +662,7 @@ def _ses_check(matrices, factors, dirn):
     mismatches, skipped = [], []
     for i, m in sorted(matrices.items()):
         try:
-            direct = [f for f in novikov_diagonalize(m, dirn).invariant_factors
-                      if f != 1]
+            direct = [f for f in novikov_factors(m, dirn)[0] if f != 1]
         except Inconclusive:
             skipped.append(i)
             continue

@@ -17,16 +17,15 @@ the homology computations run on:
 * a diagonalization over Z((z)) (resp. Z((z^-1))) of matrices over the
   rational subring: the rows are cleared of denominators once, by lcms
   that are Novikov units, and everything after stays in Z[z,z^-1].
-  Schur steps first peel off unit blocks, each packing its block, the
-  rows of U and the columns of V it updates once and doing all its
-  products on integers; then a fraction-free pivoting heuristic reduces
-  the core that is left.  No finite algorithm for the core is known to
-  the author to be complete; the heuristic raises ``Inconclusive`` when
-  its operation budget runs out.  Its certificates, U (Lambda A) V =
-  diag(peeled) (+) scale core after the peel and U (Lambda A) V = D at
-  the end, are Laurent identities, each checked exactly as one packed
-  integer product (``_product_is``); the second is the first whenever
-  the heuristic spends no operation, and is then skipped.
+  Schur steps first peel off unit blocks, each packing its block once,
+  working on integers and certifying itself by one packed product;
+  then a fraction-free pivoting heuristic reduces the core that is
+  left.  No finite algorithm for the core is known to the author to be
+  complete; the heuristic raises ``Inconclusive`` when its operation
+  budget runs out.  The final certificate, U (core) V = D, or
+  U (Lambda A) V = D where the transforms are built, is a Laurent
+  identity checked exactly as one packed integer product
+  (``_product_is``).
 
 Matrix entries are plain ints, LaurentPoly, or RationalFunction; the
 arithmetic never leaves exact integer/rational-coefficient land.
@@ -218,10 +217,10 @@ class SNFResult(Record):
     returning and raises when the check fails: over Z by integer
     products, over the Novikov ring by one Kronecker evaluation of each
     identity (``_product_is``).  U and V are shown invertible over Z by
-    determinants +-1.  Over the Novikov ring each Schur block's
-    determinant is checked to be a unit and the peel certificate shows
-    each step's adjugate invertible (``novikov_diagonalize``); det U and
-    det V themselves are never checked.
+    determinants +-1.  Over the Novikov ring each Schur step checks its
+    determinant to be a unit, and the final product shows each step's
+    adjugate invertible (``novikov_diagonalize``); det U and det V
+    themselves are never checked.
     """
 
     __slots__ = _fields = ("invariant_factors", "rank", "U", "V")
@@ -432,8 +431,7 @@ class _Packed:
     balanced base-X digits.
     """
 
-    __slots__ = ("norms", "orders", "shifts", "low", "src", "_make", "_w",
-                 "_rows")
+    __slots__ = ("norms", "shifts", "low", "src", "_make", "_w", "_rows")
 
     def __init__(self, norms, make, src=None):
         self.norms, self._make, self.src = norms, make, src
@@ -445,10 +443,10 @@ class _Packed:
     @classmethod
     def of(cls, rows):
         """Rows of ints and LaurentPoly, each entry read once for the
-        norms; ``orders`` holds each row's lowest order (None for a zero
-        row), and each row packs at its own order (0 for a zero row)
-        until ``shifts`` is set."""
-        orders, norms, shifts, low = [], [], [], None
+        norms; each row packs at its own lowest order (0 for a zero row)
+        until ``shifts`` is set, and ``low`` is the lowest of all (None
+        when every row is zero)."""
+        norms, shifts, low = [], [], None
         for row in rows:
             lo, norm = None, 0
             for e in row:
@@ -461,19 +459,18 @@ class _Packed:
                     norm += sum(map(abs, e._t))
                     if lo is None or e._s < lo:
                         lo = e._s
-            orders.append(lo)
             norms.append(norm)
             shifts.append(lo or 0)
             if lo is not None and (low is None or lo < low):
                 low = lo
         self = cls(norms, _leaf_rows, rows)
-        self.orders, self.shifts, self.low, self._w = orders, shifts, low, None
+        self.shifts, self.low, self._w = shifts, low, None
         return self
 
     def one_shift(self, s=None):
         """Every row at shift s, by default the lowest order of all (0 when
         every row is zero)."""
-        self.shifts = [(self.low or 0) if s is None else s] * len(self.orders)
+        self.shifts = [(self.low or 0) if s is None else s] * len(self.shifts)
         return self
 
     @classmethod
@@ -518,17 +515,16 @@ class _Packed:
                 sum, zip(*[c.norms for c in cells]))
         return cls(norms, _block_rows, grid)
 
-    def minors(self, k, *others):
+    def minors(self, k):
         """The slots for every minor of the first k rows with at most one
-        more row, of self or of others, appended."""
-        rest = self.norms[k:] + [n for o in others for n in o.norms]
+        more row appended."""
         return _Slots(math.prod(map(max, _ONES, self.norms[:k]))
-                      * max([1] + rest))
+                      * max([1] + self.norms[k:]))
 
     def eliminate(self, n, jordan=False):
         """``_eliminate`` on the rows at the width of ``minors`` of all of
         them, their last use: (slots, rank, signed last pivot, rows)."""
-        slots = _Slots(math.prod(map(max, _ONES, self.norms)))
+        slots = self.minors(len(self.norms))
         M = self.at(slots.w)
         return (slots, *_eliminate(M, n, jordan), M)
 
@@ -842,66 +838,64 @@ def novikov_diagonalize(m: Matrix,
     everything after works on Laurent polynomials.  Schur steps
     (``_schur_step``) first peel off unit blocks, exactly in Z[z,z^-1],
     while the constant terms of the row-shifted matrix have gcd 1.  Only
-    the core that is left goes to a pivoting heuristic.  Unit entries
-    (lowest coefficient +-1) are taken as pivots first -- a unit divides
-    every entry of the rational subring, so the exact clears empty its
-    row and column, finishing a position outright; otherwise the pivot
-    minimizes (order, |lowest coefficient|).  Non-unit pivots remove
-    their row and column by fraction-free exact clears whenever the
-    quotient stays in the subring (Fatou's criterion), by order-raising
-    monomial subtractions when the lowest coefficient divides, and by
-    integer Bezout mixes at matched order otherwise (the pivot line is
-    first lifted by a monomial; mixing lines anchored at different
-    orders would let the minimal order of the submatrix drift).  Every
-    finalized pivot divides the remaining submatrix, so the invariant
-    factors come out in a divisibility chain.  The Schur steps and the
-    heuristic write into one U and one V, both Laurent.
+    the core that is left goes to a pivoting heuristic (``_reduce_pivot``):
+    unit entries are taken as pivots first (``_select_pivot``), and a
+    pivot's row and column are removed by fraction-free exact clears
+    whenever the quotient stays in the subring (Fatou's criterion,
+    ``_clear``), else by order-raising monomial subtractions or integer
+    Bezout mixes at matched order (``_attack``).  Every finalized pivot
+    divides the remaining submatrix, so the invariant factors come out
+    in a divisibility chain.  U and V of the peel are built from the
+    steps taken (``_peel_transforms``), and the heuristic writes into
+    their rows and columns t.. .
 
     Raises ``Inconclusive`` after ``REDUCTION_BUDGET`` elementary
-    operations of the heuristic (read at call time).  Before the
-    heuristic starts, a peel is certified by one Kronecker evaluation
-    (``_product_is``) of U' (Lambda A) V == diag(peeled) (+) scale core.
-    Its diagonal block for a step of k rows reads adj A11' = scale I,
-    A11' the step's A11 times the scale before the step, so det adj
-    divides scale^k, a Novikov unit, and adj is invertible.  On success
-    Lambda A is checked entrywise against A; U' (Lambda A) V == diag,
-    the same identity with the reduced core cut to the s pivots taken,
-    when the heuristic spent an operation or nothing peeled (otherwise
-    it is the peel certificate); and U = U' Lambda is returned.  A is m
-    for PLUS and m with the variable reversed for MINUS, so there U and
-    V transform the reversed matrix.  The factors are not the diagonal
-    entries but normalized Laurent representatives (monomial stripped,
-    lowest coefficient positive; units normalize to 1) of the ideals
-    they generate: of f / D for each core factor f, D the product of
-    the row lcms, the Schur determinants and the multipliers of the
-    exact clears, which is a Novikov unit.
+    operations of the heuristic (read at call time).  Each Schur step
+    certifies itself.  Lambda A is checked entrywise against A, and
+    U' (Lambda A) V == diag(peeled) (+) scale core, the reduced core cut
+    to the s pivots taken, by one Kronecker evaluation (``_product_is``),
+    whose diagonal block for a step of k rows, adj A11' = scale I (A11'
+    its A11 times the scale before it), shows adj invertible: det adj
+    divides scale^k, a Novikov unit.  U = U' Lambda is returned.  A is
+    m for PLUS and m with the variable reversed for MINUS, so there U
+    and V transform the reversed matrix.  The factors are not the
+    diagonal entries but normalized Laurent representatives
+    (``_factor_rep``) of the ideals they generate: of f / D for each
+    core factor f, D the product of the row lcms, the Schur determinants
+    and the multipliers of the exact clears, which is a Novikov unit.
     """
+    return SNFResult(*_diagonalize(m, direction, True))
+
+
+def novikov_factors(m: Matrix, direction=Direction.PLUS):
+    """(invariant factors, rank) of ``novikov_diagonalize(m, direction)``,
+    with no transform of the size of m built: what ``nk run`` reads."""
+    return _diagonalize(m, direction, False)[:2]
+
+
+def _diagonalize(m, direction, transforms):
+    """(factors, rank, U, V) of ``novikov_diagonalize``; without
+    ``transforms`` U and V are None and the core's own are checked."""
     grid = [list(row) for row in m.entries]
     if direction is Direction.MINUS:
         grid = [[reverse_variable(e) for e in row] for row in grid]
-    nr, nc = m.rows, m.cols
-    budget = REDUCTION_BUDGET
+    nr, nc, budget = m.rows, m.cols, REDUCTION_BUDGET
     cleared, lcms = _laurent_rows(grid)
-    lam_a = Matrix(nr, nc, cleared)
-    U, V = _ident(nr), _ident(nc)
-    # U @ cleared @ V == diag(peeled) (+) scale * core
-    core, peeled, scale = cleared, [], ONE
-    while step := _schur_step(core, U, V, len(peeled)):
-        k, det, core = step
-        scale = scale * det
-        peeled += [scale] * k
-    t = len(peeled)
-
-    def certified(U, V, C):  # U (Lambda A) V == diag(peeled) (+) scale C
-        return _product_is([U, lam_a, V], Matrix(nr, nc, [
-            [e if i == j else 0 for j in range(nc)]
-            for i, e in enumerate(peeled)] + [
-            [0] * t + [scale * e for e in row] for row in C]))
-
-    if t and not certified(Matrix(nr, nr, U), Matrix(nc, nc, V), core):
-        raise AssertionError("Schur step self-check failed")
-    # the heuristic acts on rows t.. of U and columns t.. of V
-    red = _Reduction(core, nc - t, U[t:], list(zip(*V))[t:], budget)
+    if not _is_cleared(grid, cleared, lcms):
+        raise AssertionError("novikov diagonalization self-check failed")
+    # Lambda A ~ I_t (+) core, whose factors are divided by scale
+    core, t, scale, steps = cleared, 0, ONE, []
+    while step := _schur_step(core):
+        steps.append((t, core))
+        k, det, core = step  # det None: a whole peel leaves nothing to scale
+        t, scale = t + k, scale * det if det else scale
+    if transforms:  # U (Lambda A) V == diag(peeled) (+) scale core
+        U, V, peeled, scale = _peel_transforms(nr, nc, steps)
+        M, c = cleared, scale
+    else:
+        U, V, M, peeled, c = _ident(nr - t), _ident(nc - t), core, [], 1
+    o = len(peeled)  # where the heuristic's rows and columns start
+    red = _Reduction(core, nc - t, U[o:], list(zip(*V))[o:], budget)
     s = 0
 
     def factors():
@@ -917,23 +911,25 @@ def novikov_diagonalize(m: Matrix,
         raise Inconclusive(f"reduction exceeded {budget} "
                            f"elementary operations", factors())
 
-    A = red.A
-    U = Matrix(nr, nr, U[:t] + red.U)
-    V = Matrix(nc, nc, [row[:t] + [col[i] for col in red.Vt]
-                        for i, row in enumerate(V)])
-    # a heuristic that spent nothing left U, V and a diagonal core as the
-    # peel certificate checked them; else the core keeps its s pivots
-    if not (_is_cleared(grid, cleared, lcms) and (
-            (t and red.left == budget) or certified(U, V, [
-                [e if i == j < s else 0 for j, e in enumerate(row)]
-                for i, row in enumerate(A)]))):
+    A, U = red.A, U[:o] + red.U
+    V = [row[:o] + [col[i] for col in red.Vt] for i, row in enumerate(V)]
+    # U M V == diag(peeled) (+) c A cut to its s pivots; a heuristic that
+    # spent nothing left the core's U and V the identity
+    d, r, n = peeled + [c * A[j][j] for j in range(s)], len(U), len(V)
+    diag = [[d[i] if i == j < len(d) else 0 for j in range(n)]
+            for i in range(r)]
+    if not (not transforms and red.left == budget and A == diag
+            or _product_is([Matrix(r, r, U), Matrix(r, n, M),
+                            Matrix(n, n, V)], Matrix(r, n, diag))):
         raise AssertionError("novikov diagonalization self-check failed")
     for j in range(s - 1):
         if _try_div(A[j + 1][j + 1], A[j][j]) is None:  # pragma: no cover
             raise AssertionError("divisibility chain broken")
-    U = Matrix(nr, nr, [[e if d is ONE else d * e for e, d in zip(row, lcms)]
-                        for row in U.entries])
-    return SNFResult(tuple(factors()), t + s, U, V)
+    if not transforms:
+        return tuple(factors()), t + s, None, None
+    U = [[e if lam is ONE else lam * e for e, lam in zip(row, lcms)]
+         for row in U]
+    return tuple(factors()), t + s, Matrix(nr, nr, U), Matrix(nc, nc, V)
 
 
 def _is_cleared(grid, rows, lcms):
@@ -950,77 +946,84 @@ def _is_cleared(grid, rows, lcms):
         for row, cleared, d in zip(grid, rows, lcms))
 
 
-def _schur_step(W, U, V, t):
-    """One Schur step on the Laurent core W, rows and columns t.. of the
-    matrix that U and V transform; None if nothing peels.
-
-    When the constant terms A(0) of the rows shifted to order 0 have gcd
-    1, the integer SNF U0 A(0) V0 has k >= 1 factors 1.  R shifts each
-    row to order 0, so A = U0 R W V0 has A11(0) = I_k and det = det A11
-    is a Novikov unit (Nakayama).  One Gauss-Jordan
-    pass over [A11 | I | A12] gives det, adj = adj A11 and X = adj A12,
-    and with S = det A22 - A21 X, a Laurent matrix,
-
-        [[adj, 0], [-A21 adj, det I]] A [[I, -X], [0, det I]]
-            = diag(det I_k, det S).
-
-    Rows t.. of U are multiplied on the left by the row transform
-    [[adj, 0], [-A21 adj, det I]] U0 R, and columns t.. of V on the
-    right by the column transform V0 [[I, -X], [0, det I]], in place.
-
-    The step packs once: the rows of W, the rows of U[t:] and the
-    columns V[:, t:], each block by its own shift (``_Packed``), and does
-    every product above on integers.  Every value it unpacks is a minor
-    of the first k rows of [A | U0 R U[t:]] with one more row of it or
-    of V[:, t:] V0 appended, and the elimination rule on those rows sets
-    the width.  The step checks that A11 has full rank and that det is a
-    Novikov unit; the identity above, on the unpacked U, V and S, is left
-    to the peel certificate of ``novikov_diagonalize``, whose diagonal
-    block for this step, adj A11' = scale I, shows adj invertible.
-    Returns (k, det, S).
-    """
-    nr, nc = len(W), len(V) - t
-    packed_w = _Packed.of(W)
-    ords = packed_w.shifts
-    a0 = Matrix(nr, nc, [[p.coeff(o) for p in row]
-                         for row, o in zip(W, ords)])
-    if math.gcd(*(x for row in a0.entries for x in row)) != 1:
+def _unit_block(W):
+    """(W packed, the integer Smith form of A(0), its k >= 1 factors 1), A(0)
+    the constant terms of W's rows at order 0; None when no factor is 1."""
+    packed = _Packed.of(W)
+    a0 = [[p.coeff(o) for p in row] for row, o in zip(W, packed.shifts)]
+    if math.gcd(*itertools.chain.from_iterable(a0)) != 1:
         return None
-    snf = smith_normal_form_int(a0)
-    k = snf.invariant_factors.count(1)
-    u0, v0 = snf.U.entries, snf.V.entries
-    # R U[t:]: row i shifted by the order of row i of W, then all by su
-    packed_u = _Packed.of(U[t:])
-    su = min(lo - o for lo, o in zip(packed_u.orders, ords) if lo is not None)
-    packed_u.shifts = [su + o for o in ords]
-    packed_v = _Packed.of([row[t:] for row in V]).one_shift()
-    sv = packed_v.low or 0
-    pa, pb, pc = u0 @ packed_w @ v0, u0 @ packed_u, packed_v @ v0
-    slots = _Packed.block([[pa, pb]]).minors(k, pc)
-    A, B, c = pa.at(slots.w), pb.at(slots.w), pc.at(slots.w)
-    eye = _ident(k)
-    gj = [row[:k] + e + row[k:] for row, e in zip(A, eye)]
-    r, det = _eliminate(gj, k, jordan=True)
-    sol = [row[k:] for row in gj]  # [adj | X]
-    unit = slots.unpack(det, 0)
-    if r < k or not is_novikov_unit(unit):
+    snf = smith_normal_form_int(Matrix(len(W), len(W[0]), a0))
+    return packed, snf, snf.invariant_factors.count(1)
+
+
+def _schur_step(W):
+    """One Schur step on the Laurent core W, carrying no transforms:
+    (k, det, S), or None when nothing peels.
+
+    A = U0 R W V0, R shifting each row to order 0 and U0 A(0) V0 the
+    integer Smith form of the constant terms (``_unit_block``), has
+    A11(0) = I_k, so A11 is invertible over the Novikov ring (Nakayama).
+    When k = min(rows, cols) every factor is 1: the step returns
+    (k, None, S), S empty, with no elimination.  Otherwise one
+    fraction-free Gauss-Jordan pass over A, pivoting in A11 (its leading
+    minors have constant term 1), leaves det = det A11 and
+    X = adj(A11) A12 in the first k rows and S = det A22 - A21 X in the
+    others.  Then A [[-X], [det I]] = [[0], [S]] (*), so W is equivalent
+    to I_k (+) S for any Novikov unit det with (*).  The step works on
+    W packed once, at the elimination rule's width for A, and certifies
+    itself: det is a Novikov unit, and (*) holds on the unpacked values,
+    by one packed product at a width read off them.
+    """
+    if (block := _unit_block(W)) is None:
+        return None
+    packed, snf, k = block
+    nr, nc = len(W), len(W[0])
+    if k == min(nr, nc):
+        return k, None, [[] for _ in range(nr - k)]
+    pa = snf.U.entries @ packed @ snf.V.entries
+    slots = pa.minors(k)
+    A = pa.at(slots.w)
+    r, det = _eliminate(A, k, jordan=True)
+    unit, n = slots.unpack(det, 0), nc - k
+    right = slots.unpack_rows([[-v for v in row[k:]] for row in A[:k]], 0) + [
+        [unit if i == j else 0 for j in range(n)] for i in range(n)]
+    S = slots.unpack_rows([row[k:] for row in A[k:]], 0)
+    goal = _Packed.of([[0] * n] * k + S).one_shift(0)
+    wide, rows = _Packed.product([pa, _Packed.of(right).one_shift(0)], goal)
+    if r < k or not is_novikov_unit(unit) or rows != goal.at(wide.w):
         raise AssertionError("Schur step self-check failed")
+    return k, unit, S
 
-    def minus(b, c, d):  # det b - c d
-        return [[det * p - q for p, q in zip(rb, rq)]
-                for rb, rq in zip(b, _imul(c, d))]
 
-    a21 = [row[:k] for row in A[k:]]
-    x = [row[k:] for row in sol]
-    top = _imul([row[:k] for row in sol], B[:k])
-    low = minus(B[k:], a21, top)
-    U[t:] = slots.unpack_rows(top + low, su)
-    c2 = minus([row[k:] for row in c], [row[:k] for row in c], x)
-    for row, new in zip(V, slots.unpack_rows(
-            [new1[:k] + new2 for new1, new2 in zip(c, c2)], sv)):
-        row[t:] = new
-    s = slots.unpack_rows(minus([row[k:] for row in A[k:]], a21, x), 0)
-    return k, unit, s
+def _peel_transforms(nr, nc, steps):
+    """(U, V, peeled, scale) for the Schur steps (t, W) taken, U and V as
+    rows, with U (Lambda A) V == diag(peeled) (+) scale core: each step's
+    Schur complement, in Laurent arithmetic, of A11 in [[A, P], [C, 0]],
+    A = U0 R W V0 of ``_schur_step``, P = U0 R U[t:], C = V[:, t:] V0,
+    gives U's rows t.. as [adj P1; det P2 - A21 adj P1] and V's columns
+    t.. as [C1 | det C2 - C1 X]."""
+    U, V, peeled, scale = _ident(nr), _ident(nc), [], ONE
+    for t, W in steps:
+        packed, snf, k = _unit_block(W)
+        n, m = len(W), len(W[0])
+        P = matmul(snf.U, Matrix(n, m + nr, [
+            [LaurentPoly({-o: 1}) * e for e in [*w, *u]]
+            for w, u, o in zip(W, U[t:], packed.shifts)])).entries
+        B = [[*b, *e] for b, e in zip(matmul(Matrix(n + nc, m, [
+            p[:m] for p in P] + [row[t:] for row in V]), snf.V).entries,
+            [p[m:] for p in P] + [[0] * nr] * nc)]
+        det, sol = solve_laurent(Matrix(k, k, [b[:k] for b in B[:k]]),
+                                 Matrix(k, m + nr - k, [b[k:] for b in B[:k]]))
+        h = n + nc - k
+        low = (Matrix(h, m + nr - k, [b[k:] for b in B[k:]]).scaled(det)
+               - matmul(Matrix(h, k, [b[:k] for b in B[k:]]), sol)).entries
+        U[t:] = [row[m - k:] for row in sol.entries + low[:n - k]]
+        V = [row[:t] + [*c[:k], *b[:m - k]]
+             for row, c, b in zip(V, B[n:], low[n - k:])]
+        scale = scale * det
+        peeled += [scale] * k
+    return U, V, peeled, scale
 
 
 def _reduce_pivot(red, t):

@@ -22,7 +22,7 @@ from .rings import Direction, Record
 from .complexes import BasedChainComplex, HomologyReport
 # b_i + q_i + q_{i-1} reads the same off a NovikovReport
 from .complexes import morse_lower_bounds as morse_novikov_bounds  # noqa: F401
-from .linalg import Inconclusive, novikov_diagonalize, rank_over_function_field
+from .linalg import Inconclusive, novikov_factors, rank_over_function_field
 
 
 class NovikovReport(HomologyReport):
@@ -99,13 +99,11 @@ def _novikov_homology(c, direction, ranks):
     conclusive = True
     for i in range(c.lo + 1, c.hi + 1):
         try:
-            res = novikov_diagonalize(c.differential(i), direction)
-            torsion[i - 1] = list(res.torsion_factors)
-            pairs[i] = ranks[i], res.rank
+            factors, rank = novikov_factors(c.differential(i), direction)
         except Inconclusive as exc:
-            conclusive = False
-            torsion[i - 1] = [f for f in exc.partial_factors if f != 1]
-            pairs[i] = ranks[i], None
+            conclusive, factors, rank = False, exc.partial_factors, None
+        torsion[i - 1] = [f for f in factors if f != 1]
+        pairs[i] = ranks[i], rank
     return NovikovReport(c.lo, c.hi, betti, torsion, direction, conclusive,
                          pairs)
 

@@ -16,6 +16,7 @@ from nk.linalg import (
     associate,
     matmul,
     novikov_diagonalize,
+    novikov_factors,
     rank_over_function_field,
     smith_normal_form_int,
     solve_laurent,
@@ -395,8 +396,9 @@ def test_diag_self_check_catches_a_corrupted_transform(monkeypatch, side):
     """One tracked U (resp. V) entry is corrupted after the first add on
     rows (resp. the first add between two transposes, on columns); the
     reduction of A runs as before, and only the re-multiplication
-    U A V == diag can notice.  The constant terms of the matrix have
-    gcd 2, so nothing peels and the heuristic sees all of it."""
+    U A V == diag can notice, on either path.  The constant terms of the
+    matrix have gcd 2, so nothing peels and the heuristic sees all of
+    it."""
     add, transpose = linalg._Reduction.add, linalg._Reduction.transpose
     transposed = [False]
     done = []
@@ -415,10 +417,12 @@ def test_diag_self_check_catches_a_corrupted_transform(monkeypatch, side):
     monkeypatch.setattr(linalg._Reduction, "transpose", flipping)
     monkeypatch.setattr(linalg._Reduction, "add", corrupting)
     m = Matrix.from_rows([[2 * one, 2 + z], [2 * z, 4 + z]])
-    with pytest.raises(AssertionError,
-                       match="novikov diagonalization self-check failed"):
-        novikov_diagonalize(m)
-    assert done
+    for path in PATHS:
+        done.clear()
+        with pytest.raises(AssertionError,
+                           match="novikov diagonalization self-check failed"):
+            path(m)
+        assert done
 
 
 @pytest.mark.parametrize("direction", [Direction.PLUS, Direction.MINUS])
@@ -428,8 +432,8 @@ def test_diag_self_check_catches_a_corrupted_clear(monkeypatch, row,
     """One entry of the input cleared of denominators is off by z, in the
     row with a denominator (0) or in the polynomial row (1).  The rest of
     the reduction works on the cleared matrix, so U (Lambda A) V == diag
-    still holds; only the entrywise check of Lambda A against A can
-    notice."""
+    still holds; only the entrywise check of Lambda A against A, which
+    both paths make, can notice."""
     clear = linalg._laurent_rows
     done = []
 
@@ -442,14 +446,15 @@ def test_diag_self_check_catches_a_corrupted_clear(monkeypatch, row,
     monkeypatch.setattr(linalg, "_laurent_rows", corrupting)
     m = Matrix.from_rows([[RationalFunction(2 * one, one + z), one - z],
                           [z, 2 + z]])
-    with pytest.raises(AssertionError,
-                       match="novikov diagonalization self-check failed"):
-        novikov_diagonalize(m, direction)
+    for path in PATHS:
+        with pytest.raises(AssertionError,
+                           match="novikov diagonalization self-check failed"):
+            path(m, direction)
     assert [d == one for d in done[0]] == [False, True]
 
 
 #: a Schur step peels two rows and leaves a 1 x 1 core the heuristic
-#: spends nothing on: the peel certificate is the only product checked
+#: spends nothing on
 PEELS = Matrix.from_rows([[one, 2 * one, z], [3 * one, 4 + z, 2 * one],
                           [z, one, 2 + z]])
 #: even constant terms: nothing peels, the heuristic reduces it all
@@ -457,24 +462,24 @@ PEELS_NOTHING = Matrix.from_rows([[2 + z, 2 * z], [4 * z, 2 + 3 * z]])
 #: a peel, then heuristic work on the 2 x 2 core it leaves
 PEELS_THEN_REDUCES = Matrix.from_rows([[one, z, z], [z, 2 + z, 2 * z],
                                        [z, 4 * z, 2 + 3 * z]])
+#: the run path and the API path
+PATHS = (novikov_factors, novikov_diagonalize)
 
 
-@pytest.mark.parametrize("side, j, m, message", [
-    pytest.param(side, j, m, message, id=f"{prefix}{side}-{j}")
-    for prefix, m, message in (
-        ("", PEELS, "Schur step self-check failed"),
-        ("no-peel-", PEELS_NOTHING,
-         "novikov diagonalization self-check failed"))
+@pytest.mark.parametrize("side, j, m", [
+    pytest.param(side, j, m, id=f"{prefix}{side}-{j}")
+    for prefix, m in (("", PEELS), ("no-peel-", PEELS_NOTHING))
     for side in ("U", "V") for j in (-1, 2)])
 def test_diag_self_check_catches_a_multiple_of_the_slot_base(monkeypatch,
-                                                             side, j, m,
-                                                             message):
+                                                             side, j, m):
     """A composed transform entry off by X z^j, X = 2^(8w) the slot base
     the certificate picks for the true transforms, changes U A V by a
     multiple of X in every coefficient, which a check modulo X, or at X
-    with the width fixed beforehand, would miss.  Each certificate, of
-    the peel and of the whole diagonalization, reads its width off the
-    factors it is given, picks a wider one, and fails."""
+    with the width fixed beforehand, would miss.  The final certificate
+    reads its width off the factors it is given, picks a wider one, and
+    fails: the whole product U (Lambda A) V of the API path, and the
+    core's product of the run path, which runs where the heuristic
+    spends an operation (here where nothing peels)."""
     check, slot_width = linalg._product_is, linalg._slot_width
     widths = []
 
@@ -499,39 +504,45 @@ def test_diag_self_check_catches_a_multiple_of_the_slot_base(monkeypatch,
 
     monkeypatch.setattr(linalg, "_slot_width", recording)
     monkeypatch.setattr(linalg, "_product_is", corrupting)
-    with pytest.raises(AssertionError, match=message):
-        novikov_diagonalize(m)
+    for path in PATHS if m is PEELS_NOTHING else PATHS[1:]:
+        with pytest.raises(AssertionError,
+                           match="novikov diagonalization self-check failed"):
+            path(m)
 
 
 def test_the_peel_certificate_covers_the_core_on_the_inconclusive_path(
         monkeypatch):
     """A Schur step whose core unpacks with z^3 added, before a heuristic
     with no budget: the heuristic would give up on the wrong core and
-    report partial factors built on it, but the peel certificate covers
-    the unpacked core and fails first."""
+    report partial factors built on it, but the step's own certificate
+    covers the unpacked core and fails first, on either path."""
     unpack_rows, calls = linalg._Slots.unpack_rows, []
 
     def corrupting(self, rows, shift):
         out = unpack_rows(self, rows, shift)
         calls.append(len(out))
-        if len(calls) % 3 == 0:  # U's rows, V's columns, then the core
+        if len(calls) % 2 == 0:  # the rows of -X, then the core
             out[0][0] = out[0][0] + z ** 3
         return out
 
     monkeypatch.setattr(linalg._Slots, "unpack_rows", corrupting)
     monkeypatch.setattr(linalg, "REDUCTION_BUDGET", 0)
-    with pytest.raises(AssertionError, match="Schur step self-check failed"):
-        novikov_diagonalize(PEELS_THEN_REDUCES)
-    assert calls == [3, 3, 2]
+    for path in PATHS:
+        with pytest.raises(AssertionError,
+                           match="Schur step self-check failed"):
+            path(PEELS_THEN_REDUCES)
+    assert calls == [1, 2] * len(PATHS)
 
 
 @pytest.mark.parametrize("m, products", [
-    (PEELS, 1), (PEELS_THEN_REDUCES, 2), (PEELS_NOTHING, 1)],
+    (PEELS, 0), (PEELS_THEN_REDUCES, 1), (PEELS_NOTHING, 1)],
     ids=["peel", "peel-then-reduce", "no-peel"])
 def test_one_product_certifies_a_peel_the_heuristic_leaves_alone(
         monkeypatch, m, products):
-    """The peel certificate, and the final one only when the heuristic
-    spent an operation or nothing peeled."""
+    """The Schur steps certify themselves.  The API path checks one
+    product, U (Lambda A) V == diag, whatever peeled; the run path checks
+    the core's, U core V == its pivots, only when the heuristic spent an
+    operation."""
     check, calls = linalg._product_is, []
 
     def counting(factors, target):
@@ -539,8 +550,12 @@ def test_one_product_certifies_a_peel_the_heuristic_leaves_alone(
         return check(factors, target)
 
     monkeypatch.setattr(linalg, "_product_is", counting)
-    r = novikov_diagonalize(m)
+    factors, rank = novikov_factors(m)
     assert calls == [3] * products
+    calls.clear()
+    r = novikov_diagonalize(m)
+    assert calls == [3]
+    assert (r.invariant_factors, r.rank) == (factors, rank)
     assert_diagonalizes(m, r, Direction.PLUS)
 
 
@@ -556,21 +571,26 @@ def test_the_final_certificate_sees_an_entry_left_in_the_core(monkeypatch,
     pass.  Taking every pivot position leaves the 2z off the diagonal;
     stopping at once leaves both diagonal entries, whose factors the
     result would drop.  The final target keeps only the s pivots taken,
-    and the check fails."""
+    and the check fails on either path."""
     monkeypatch.setattr(linalg, "_reduce_pivot", lambda red, t: takes)
-    with pytest.raises(AssertionError,
-                       match="novikov diagonalization self-check failed"):
-        novikov_diagonalize(m)
+    for path in PATHS:
+        with pytest.raises(AssertionError,
+                           match="novikov diagonalization self-check failed"):
+            path(m)
 
 
-@pytest.mark.parametrize("corrupt", ["adjugate", "solution", "det"])
+@pytest.mark.parametrize("corrupt", ["solution", "det", "doubled",
+                                     "unpacked-X", "unpacked-S"])
 def test_diag_self_check_catches_a_corrupted_schur_step(monkeypatch, corrupt):
-    """A wrong adjugate, a wrong adj A12 or a determinant that is not a
-    Novikov unit from the packed Gauss-Jordan pass of a Schur step is
-    caught before the step is used.  The corruption adds z, packed at
-    the slot base the step picked, to the integer output."""
+    """A wrong X = adj(A11) A12 or a determinant that is not a Novikov
+    unit from the packed Gauss-Jordan pass of a Schur step (z, packed at
+    the slot base the step picked, added to X; det doubled; det, X and S
+    all doubled, which keeps the step's identity and fails only the unit
+    test), or z^3 added to the -X or the S that the step unpacks, is
+    caught by the step's own checks before either path uses the step."""
     eliminate, slot_width = linalg._eliminate, linalg._slot_width
-    widths, calls = [], []
+    unpack_rows = linalg._Slots.unpack_rows
+    widths, calls, unpacks = [], [], []
 
     def recording(bound):
         widths.append(slot_width(bound))
@@ -583,25 +603,40 @@ def test_diag_self_check_catches_a_corrupted_schur_step(monkeypatch, corrupt):
         calls.append(n)
         if corrupt == "det":
             return r, 2 * det
-        # columns n.. of the rows hold adj, columns 2n.. hold X
-        col = n if corrupt == "adjugate" else 2 * n
-        M[0][col] += 1 << 8 * widths[-1]
+        if corrupt == "doubled":  # X in the first n rows, S in the rest
+            for row in M:
+                row[n:] = [2 * v for v in row[n:]]
+            return r, 2 * det
+        if corrupt == "solution":  # columns n.. of the rows hold X
+            M[0][n] += 1 << 8 * widths[-1]
         return r, det
+
+    def corrupting(self, rows, shift):
+        out = unpack_rows(self, rows, shift)
+        unpacks.append(len(out))
+        if corrupt == ("unpacked-S" if len(unpacks) % 2 == 0
+                       else "unpacked-X"):  # -X first, then S
+            out[0][0] = out[0][0] + z ** 3
+        return out
 
     monkeypatch.setattr(linalg, "_slot_width", recording)
     monkeypatch.setattr(linalg, "_eliminate", corrupted)
+    monkeypatch.setattr(linalg._Slots, "unpack_rows", corrupting)
     m = Matrix.from_rows([[one, 2 * one], [3 * one, 4 + z]])
-    with pytest.raises(AssertionError, match="Schur step self-check failed"):
-        novikov_diagonalize(m)
-    assert calls == [1]
+    for path in PATHS:
+        calls.clear()
+        with pytest.raises(AssertionError,
+                           match="Schur step self-check failed"):
+            path(m)
+        assert calls == [1]
 
 
 def test_schur_step_check_takes_its_width_from_the_values(monkeypatch):
     """With the step's slots forced to 1 byte, too narrow for its
     values, the packed elimination is still exact on integers, so an
-    identity checked at the step's own X = 2^8 holds; but det = 1 + 200z
+    identity checked at the step's own X = 2^8 holds; but S = 2 + 300z
     does not fit an 8-bit slot and unpacks wrong.  The check reads its
-    width off the unpacked values and fails."""
+    width off the unpacked values and fails, on either path."""
     slot_width = linalg._slot_width
     widths = []
 
@@ -611,10 +646,13 @@ def test_schur_step_check_takes_its_width_from_the_values(monkeypatch):
 
     monkeypatch.setattr(linalg, "_slot_width", narrow)
     a, b = 1 + 100 * z, 100 * z
-    m = Matrix.from_rows([[a, b], [b, a]])
-    with pytest.raises(AssertionError, match="Schur step self-check failed"):
-        novikov_diagonalize(m)
-    assert widths[0] == 1 and widths[1] > 1
+    m = Matrix.from_rows([[a, b], [b, 2 + b]])
+    for path in PATHS:
+        widths.clear()
+        with pytest.raises(AssertionError,
+                           match="Schur step self-check failed"):
+            path(m)
+        assert widths[0] == 1 and widths[1] > 1
 
 
 @pytest.mark.parametrize("direction", [Direction.PLUS, Direction.MINUS])

@@ -1,5 +1,13 @@
 """Novikov homology, Morse-Novikov bounds, finite domination."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from nk import linalg
+from nk.cli import main
 from nk.rings import Direction, LaurentPoly
 from nk.linalg import Matrix
 from nk.complexes import BasedChainComplex, ChainMap, mapping_cone
@@ -12,7 +20,10 @@ from nk.novikov import (
 )
 from nk.models import mapping_torus_complex
 
-from domains import random_unit_scalar_equivalence, random_z_complex, rng_for
+from domains import (load_bench, random_unit_scalar_equivalence,
+                     random_z_complex, rng_for)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 z = LaurentPoly({1: 1})
 one = LaurentPoly({0: 1})
@@ -162,3 +173,43 @@ def test_integer_complex_matches_its_laurent_copy():
             b = novikov_homology(lau, direction)
             assert a == b and a.ranks == b.ranks
             assert a.to_json() == b.to_json()
+
+
+def test_nk_run_builds_no_transform_of_the_matrix_size(monkeypatch):
+    """Every ``nk run`` of the seed-1 jobs-mixed and diag-rank documents,
+    with and without --oracle, reaches novikov_homology's reductions and
+    the knot oracle's without novikov_diagonalize or the peel's
+    transforms: the core heuristic is handed identities of the core's
+    size, which is smaller than the matrix wherever a Schur step peeled.
+    bench/jobs.py is only read."""
+    def forbidden(*args):
+        raise AssertionError("a transform of the matrix size was built")
+
+    init, sizes, shapes = linalg._Reduction.__init__, [], []
+    diagonalize = linalg._diagonalize
+
+    def reduction(self, grid, nc, U, Vt, budget):
+        init(self, grid, nc, U, Vt, budget)
+        assert self.U == linalg._ident(len(grid))
+        assert self.Vt == linalg._ident(nc)
+        sizes.append((len(grid), nc))
+
+    def spied(m, direction, transforms):
+        shapes.append((m.rows, m.cols))
+        return diagonalize(m, direction, transforms)
+
+    monkeypatch.setattr(linalg, "novikov_diagonalize", forbidden)
+    monkeypatch.setattr(linalg, "_peel_transforms", forbidden)
+    monkeypatch.setattr(linalg._Reduction, "__init__", reduction)
+    monkeypatch.setattr(linalg, "_diagonalize", spied)
+    path = Path(tempfile.mkdtemp()) / "job.json"
+    for workload in ("jobs-mixed", "diag-rank"):
+        for job in load_bench("jobs").make_jobs(workload, 1, ROOT / "src"):
+            path.write_text(json.dumps(job.doc))
+            for flags in ([], ["--oracle"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["run", str(path), "--format", "machine",
+                                 *job.args, *flags]) == 0, job.name
+    assert sizes and len(sizes) == len(shapes)
+    peeled = [(s, m) for s, m in zip(sizes, shapes) if s != m]
+    assert peeled and all(r < mr and c < mc for (r, c), (mr, mc) in peeled)

@@ -125,13 +125,12 @@ def test_elimination_bound_holds_every_value(system):
 @hypothesis.given(cores())
 @hypothesis.example(SPAN_CORE)
 def test_schur_step_bound_holds_every_value(case):
-    """Every value a Schur step unpacks (det, S, the new rows of U and
-    columns of V) is within the bound of its minors rule, which the step
-    carries through U0 and V0."""
-    W, U, V, t = case
+    """Every value a Schur step unpacks (det, X and S) is within the
+    bound of its minors rule, which the step carries through U0 and
+    V0."""
+    W, _ = case
     with unpacked() as seen:
-        linalg._schur_step([list(r) for r in W], [list(r) for r in U],
-                           [list(r) for r in V], t)
+        linalg._schur_step([list(r) for r in W])
     assert all(norm1(p) <= bound for bound, p in seen)
 
 

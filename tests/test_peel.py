@@ -1,14 +1,22 @@
-"""The Schur peel of novikov_diagonalize against the plain heuristic."""
+"""The Schur peel of novikov_diagonalize against the plain heuristic, and
+the run path (``novikov_factors``) against the API path."""
 
+import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from nk import linalg
-from nk.linalg import Inconclusive, Matrix, associate, novikov_diagonalize
+from nk.cli import parse_document
+from nk.linalg import (Inconclusive, Matrix, associate, novikov_diagonalize,
+                       novikov_factors)
+from nk.models import mapping_torus_complex
 from nk.rings import Direction, LaurentPoly, RationalFunction
 
-from domains import assert_diagonalizes
+from domains import assert_diagonalizes, load_bench
+
+ROOT = Path(__file__).resolve().parent.parent
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -121,3 +129,35 @@ def test_a_matrix_that_does_not_peel_reaches_the_heuristic_as_it_is():
     with mock.patch.object(linalg._Reduction, "__init__", spy):
         novikov_diagonalize(m)
     assert seen == [[list(row) for row in m.entries]]
+
+
+def diag_rank_differentials():
+    """The differentials of the seed-1 diag-rank documents; bench/jobs.py
+    is only read."""
+    out = []
+    for job in load_bench("jobs").make_jobs("diag-rank", 1, ROOT / "src"):
+        payload = parse_document(json.dumps(job.doc)).payload
+        c = (mapping_torus_complex(payload["h"], payload["orientation"])
+             if "orientation" in payload else payload["complex"])
+        out += [c.differential(i) for i in range(c.lo + 1, c.hi + 1)]
+    return out
+
+
+def outcome(path, m, direction):
+    """(factors, rank) of a path, or the partial factors it gave up with."""
+    try:
+        out = path(m, direction)
+    except Inconclusive as e:
+        return "inconclusive", e.partial_factors
+    return out if path is novikov_factors else (out.invariant_factors,
+                                                out.rank)
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(st.one_of(laurent_matrices(),
+                            st.sampled_from(diag_rank_differentials())),
+                  st.sampled_from(list(Direction)))
+def test_the_run_path_gives_the_factors_and_rank_of_the_api_path(
+        m, direction):
+    assert outcome(novikov_factors, m, direction) == \
+        outcome(novikov_diagonalize, m, direction)

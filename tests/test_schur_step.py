@@ -1,11 +1,13 @@
 """The packed Schur step against a Schur step on Laurent matrices, the
-peel certificate of ``novikov_diagonalize`` on a step's corrupted
-outputs, and LaurentPoly arithmetic with int and monomial operands.
+step's own certificate on its corrupted outputs, and LaurentPoly
+arithmetic with int and monomial operands.
 
 ``reference`` is the Schur step written with Laurent matrix products
 (``matmul``), and with its Gauss-Jordan pass run by the LaurentPoly-row
 elimination of ``test_bareiss``; it shares no packing, slot width or
-unpacking with ``nk.linalg._schur_step``.
+unpacking with ``nk.linalg._schur_step``.  It also writes the step's
+transforms into U and V, as ``novikov_diagonalize`` builds them from the
+steps taken (``nk.linalg._peel_transforms``).
 """
 
 import math
@@ -14,7 +16,8 @@ import random
 import pytest
 
 from nk import linalg
-from nk.linalg import Matrix, _laurent_rows, matmul, smith_normal_form_int
+from nk.linalg import (Matrix, _laurent_rows, matmul, novikov_diagonalize,
+                       novikov_factors, smith_normal_form_int)
 from nk.rings import ONE, LaurentPoly, RationalFunction
 
 from test_bareiss import reference as gauss_jordan
@@ -116,93 +119,107 @@ KINDS = {"unit": unit_blocks(), "rational": rational_rows(),
 
 @st.composite
 def cores(draw):
+    """A Laurent core, cleared of denominators, and the number t of rows
+    above it: (W, t).  A quarter of them peel nothing."""
     W, t = draw(KINDS[draw(st.sampled_from(sorted(KINDS)))])
-    nr, nc = len(W), len(W[0])
-    # transforms of an earlier step: int and Laurent entries, some with
-    # coefficients near a slot boundary, so that U or V sets the width
-    big = st.sampled_from([2 ** 7, 2 ** 15, 2 ** 40]).flatmap(
-        lambda b: st.integers(-b, b))
-    def entries(n):
-        entry = st.one_of(st.integers(-2, 2), sparse(4),
-                          sparse(4, coeffs=big) if draw(st.booleans())
-                          else st.integers(-2, 2))
-        return [[draw(entry) for _ in range(n)] for _ in range(n)]
-
-    U, V = entries(t + nr), entries(t + nc)
-    for i in range(t + nr):
-        U[i][i] = U[i][i] or 1  # no zero row
-    for i in range(t + nc):
-        V[i][i] = V[i][i] or 1  # no zero column
     if draw(st.integers(0, 3)) == 0:  # no peel: every constant term even
         W = [[2 * e for e in row] for row in W]
-    return _laurent_rows(W)[0], U, V, t
+    return _laurent_rows(W)[0], t
 
 
 def span_core():
-    """A 3 x 2 core of span 1000 under transforms (t = 2) with
-    coefficients up to 2^40: a draw of ``cores`` that packs at 32-byte
-    slots, where the bigint divisions of the step take longest.  Kept as
-    an explicit example, since the derandomized tier-1 may not draw one."""
+    """A 3 x 3 core of span 1000 with coefficients up to 2^40 whose
+    constant terms have the factors (1, 1, 2), under t = 2 rows: the step
+    eliminates two rows at 32-byte slots, where its bigint divisions take
+    longest.  Kept as an explicit example, since the derandomized tier-1
+    may not draw one."""
     rng = random.Random("span-1000")
     big = 2 ** 40
-
-    def transform(n):
-        m = [[LaurentPoly({rng.randint(-4, 2) + k: rng.randint(-big, big)
-                           for k in range(3)}) if rng.random() < 0.5
-              else rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            m[i][i] = m[i][i] or 1
-        return m
-
-    W = [[int(i == j) + LaurentPoly({rng.randint(1, 1001): rng.randint(-3, 3)
-                                     for _ in range(3)})
-          for j in range(2)] for i in range(3)]
-    return _laurent_rows(W)[0], transform(5), transform(4), 2
+    W = [[(i == j) * (1 + (i == 2)) + LaurentPoly({
+        rng.randint(1, 1001): rng.randint(-big, big) for _ in range(3)})
+        for j in range(3)] for i in range(3)]
+    return W, 2
 
 
 SPAN_CORE = span_core()
+
+
+def check_step(W, t):
+    """The step's (k, det, S) against the reference's, det None for a
+    whole peel, and the transforms built from the step against the ones
+    the reference writes into identities."""
+    nr, nc = len(W), len(W[0])
+    U, V = ([[int(i == j) for j in range(n)] for i in range(n)]
+            for n in (t + nr, t + nc))
+    expected = reference([list(r) for r in W], U, V, t)
+    step = linalg._schur_step([list(r) for r in W])
+    if expected is None:
+        assert step is None
+        return
+    k, det, S = expected
+    assert step == (k, None if k == min(nr, nc) else det, S)
+    U2, V2, peeled, scale = linalg._peel_transforms(t + nr, t + nc, [(t, W)])
+    assert [list(r) for r in U2] == U and V2 == V
+    assert peeled == [det] * k and scale == det
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(cores())
 @hypothesis.example(SPAN_CORE)
 def test_packed_step_matches_the_reference(case):
-    W, U, V, t = case
-    U1, V1 = [list(r) for r in U], [list(r) for r in V]
-    U2, V2 = [list(r) for r in U], [list(r) for r in V]
-    packed = linalg._schur_step([list(r) for r in W], U1, V1, t)
-    expected = reference([list(r) for r in W], U2, V2, t)
-    assert packed == expected
-    assert U1 == U2 and V1 == V2
+    check_step(*case)
 
 
 def test_a_core_of_span_1200_peels_like_the_reference():
     z = LaurentPoly({1: 1})
-    W = [[1 + 3 * z ** 1200, z - 2 * z ** 700], [2 * z ** 999, 3 + z]]
-    U = [[1, 0], [0, 1]]
-    V = [[LaurentPoly({-5: 1}), 0], [0, 1]]
-    U1, V1 = [list(r) for r in U], [list(r) for r in V]
-    U2, V2 = [list(r) for r in U], [list(r) for r in V]
-    assert (linalg._schur_step([list(r) for r in W], U1, V1, 0)
-            == reference([list(r) for r in W], U2, V2, 0))
-    assert U1 == U2 and V1 == V2
+    check_step([[1 + 3 * z ** 1200, z - 2 * z ** 700],
+                [2 * z ** 999, 3 + z]], 0)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2]], [[1, 2], [3, 5]], [[1, 0], [0, 1], [4, 6]]],
+    ids=["1x2", "2x2", "3x2"])
+def test_a_whole_peel_does_no_elimination(monkeypatch, rows):
+    """Constant terms of full rank whose factors are all 1: the step takes
+    every row or column with no Gauss-Jordan pass and no product, and
+    every factor is 1 (Nakayama).  The integer Smith form's own forward
+    eliminations are all that runs."""
+    z = LaurentPoly({1: 1})
+    m = Matrix.from_rows([[a + (i + j + 1) * z ** (j + 1) for j, a
+                           in enumerate(row)] for i, row in enumerate(rows)])
+    eliminate, calls = linalg._eliminate, []
+
+    def spy(M, n, jordan=False):
+        calls.append(jordan)
+        return eliminate(M, n, jordan)
+
+    def product(*args):
+        raise AssertionError("a whole peel multiplies nothing")
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    monkeypatch.setattr(linalg._Packed, "product", product)
+    monkeypatch.setattr(linalg, "_product_is", product)
+    n = min(m.rows, m.cols)
+    step = linalg._schur_step(_laurent_rows(m.entries)[0])
+    assert step == (n, None, [[]] * (m.rows - n))
+    assert novikov_factors(m) == ((ONE,) * n, n)
+    assert calls and True not in calls
 
 
 # ---------------------------------------------------------------------------
-# the peel certificate, checked on the unpacked values
+# the step's certificate, checked on the unpacked values
+
+z = LaurentPoly({1: 1})
+#: one Schur step eliminates the first row, and the heuristic spends
+#: nothing on the 1 x 1 core 2 + 450z that it leaves
+W150 = [[1 + 150 * z, 150 * z], [150 * z, 2 + 150 * z]]
 
 
-def spied_diagonalize(monkeypatch, corrupt=None):
-    """novikov_diagonalize of W = [[1 + 150z, 150z]], which one Schur step
-    peels whole, with the slot widths it picks and the widths it packs
-    at recorded, and the step's Gauss-Jordan outputs [adj | X] and det
-    changed by corrupt(M, n, det, X) -> det first.
-
-    The step bounds its values by 1-norms, 150 + 150 + 1 = 302 < 2^15,
-    so its slots are 2 bytes; the peel certificate U W V = (det) reads
-    its width off the unpacked U, W and V, whose largest row norms 1,
-    301 and 151 bound the product by 45,451, which with the target's
-    150 is past 2^15 and needs 4."""
+def spied_paths(monkeypatch, corrupt=None):
+    """({path: a run of it on W150}, widths, packed): the slot widths
+    picked and the widths packed at are recorded, and the step's
+    Gauss-Jordan outputs, X in columns n.. of its rows and det, are
+    changed by corrupt(M, n, det, X) -> det, X the slot base."""
     slot_width, kron, eliminate = (linalg._slot_width, linalg._kron,
                                    linalg._eliminate)
     widths, packed = [], set()
@@ -224,54 +241,59 @@ def spied_diagonalize(monkeypatch, corrupt=None):
     monkeypatch.setattr(linalg, "_slot_width", recording)
     monkeypatch.setattr(linalg, "_kron", packing)
     monkeypatch.setattr(linalg, "_eliminate", corrupted)
-    z = LaurentPoly({1: 1})
-    W = [[1 + 150 * z, 150 * z]]
-    return (lambda: linalg.novikov_diagonalize(Matrix.from_rows(W))), \
-        widths, packed, W
+    m = Matrix.from_rows(W150)
+    return {path: (lambda path=path: path(m))
+            for path in (novikov_factors, novikov_diagonalize)}, \
+        widths, packed
 
 
 def test_the_check_widens_its_slots_when_the_digits_need_it(monkeypatch):
-    run, widths, packed, W = spied_diagonalize(monkeypatch)
-    U, V = [[1]], [[1, 0], [0, 1]]
-    k, det, core = reference(W, U, V, 0)
-    r = run()
-    assert k == 1 and det == W[0][0] and core == []
-    assert r.invariant_factors == (ONE,) and r.rank == 1
+    """The step bounds its values by its rows' 1-norms, 2^15 < 301 x 302
+    = 90,902 < 2^31, so its slots are 4 bytes; its certificate reads its
+    width off the unpacked det, X and S, 302 x 151 + 450 < 2^31, and the
+    run path picks no other width.  Corrupted digits widen it (below)."""
+    run, widths, packed = spied_paths(monkeypatch)
+    U, V = [[1, 0], [0, 1]], [[1, 0], [0, 1]]
+    k, det, core = reference(W150, U, V, 0)
+    assert (k, det, core) == (1, W150[0][0], [[2 + 450 * z]])
+    assert run[novikov_factors]() == ((ONE, 2 + 450 * z), 2)
+    assert widths == [4, 4] and packed == {4}
+    r = run[novikov_diagonalize]()
+    assert r.invariant_factors == (ONE, 2 + 450 * z) and r.rank == 2
     assert [list(row) for row in r.U.entries] == U
     assert [list(row) for row in r.V.entries] == V
-    # the step and the certificate, nothing else: the heuristic had an
-    # empty core
-    assert widths == [2, 4] and 4 in packed
 
 
-def add_z_to_adj(M, n, det, X):
+def add_z_to_x(M, n, det, X):
     M[0][n] += X
     return det
 
 
 def scale_outputs(M, n, det, X):
-    """det, adj and X times c = 1 + (X/2) X^2: the step's identity still
-    holds for the integers, so no check at the step's own X sees it, and
-    det still unpacks to a unit; but the digits of the products carry,
-    and the polynomials unpacked into U, V and the core no longer
-    certify the peel."""
+    """det and X times c = 1 + (X/2) X^2: the step's identity still holds
+    for the integers, so no check at the step's own X sees it, and det
+    still unpacks to a unit; but the digits of the products carry, and
+    the polynomials unpacked for det, X and S no longer satisfy it."""
     c = 1 + (X // 2) * X ** 2
     for row in M:
         row[n:] = [c * v for v in row[n:]]
     return c * det
 
 
-#: the certificate's widths (step, certificate) under each corruption
-CORRUPTED_WIDTHS = {add_z_to_adj: [2, 4], scale_outputs: [2, 8]}
+#: the widths (step, certificate) under each corruption
+CORRUPTED_WIDTHS = {add_z_to_x: [4, 4], scale_outputs: [4, 8]}
 
 
-@pytest.mark.parametrize("corrupt", [add_z_to_adj, scale_outputs])
+@pytest.mark.parametrize("corrupt", [add_z_to_x, scale_outputs])
 def test_the_widened_check_catches_a_corrupted_step(monkeypatch, corrupt):
-    run, widths, packed, _ = spied_diagonalize(monkeypatch, corrupt)
-    with pytest.raises(AssertionError, match="Schur step self-check failed"):
-        run()
-    # the peel was certified, on slots wider than the step's
-    assert widths == CORRUPTED_WIDTHS[corrupt] and widths[1] in packed
+    run, widths, packed = spied_paths(monkeypatch, corrupt)
+    for path in run.values():
+        widths.clear()
+        with pytest.raises(AssertionError,
+                           match="Schur step self-check failed"):
+            path()
+        # the step was certified, on slots at least as wide as its own
+        assert widths == CORRUPTED_WIDTHS[corrupt] and widths[1] in packed
 
 
 # ---------------------------------------------------------------------------
